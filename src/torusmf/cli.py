@@ -264,8 +264,8 @@ def cmd_particles(args) -> int:
     w, model, params = _build_potential(args, config)
     coupling = _resolve_coupling(args.K, w)
     lead = w.periodicity + 1
-    q0 = dens.cosine_profile({lead: args.perturbation},
-                             _get(args, config, "grid_size", 512))
+    m = _get(args, config, "grid_size", 512)
+    q0 = dens.cosine_profile({lead: args.perturbation}, m)
     report = chaos_check(
         w, coupling,
         n=args.N,
@@ -274,6 +274,7 @@ def cmd_particles(args) -> int:
         dt=_get(args, config, "dt_particles", 1e-3),
         q0=q0,
         seed=_get(args, config, "seed", 2024),
+        m_pde=m,
         workers=_get(args, config, "workers", 1),
     )
     outdir = _outdir(args, config,
@@ -297,8 +298,8 @@ def cmd_particles(args) -> int:
                     seed=_get(args, config, "seed", 2024), q0=q0)
     rows = zip(traj.times.tolist(),
                *(traj.mode_abs[k].tolist() for k in sorted(traj.mode_abs)))
-    io._atomic_write(outdir / "replicate0_modes.csv", io._csv(
-        rows, ["t"] + [f"mode{k}" for k in sorted(traj.mode_abs)]))
+    io.write_csv(outdir / "replicate0_modes.csv", rows,
+                 ["t"] + [f"mode{k}" for k in sorted(traj.mode_abs)])
     print(f"|z| = {abs(report.z_score):.3f} on mode {report.mode} "
           f"(particles {report.particle_mean_sq:.5g} vs flow "
           f"{report.pde_value_sq:.5g}, se {report.particle_se:.2g})")

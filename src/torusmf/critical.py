@@ -4,7 +4,7 @@ Critical points solve the self-consistency (Kirkwood--Monroe) equation
 
     q = exp(2 K (W * q)) / Z,
 
-found here by damped fixed-point iteration from a fixed multistart seed
+found here by Picard iteration q <- T(q) from a fixed multistart seed
 set.  The scanner locates the critical coupling by bisection on the sign
 of the best free-energy gap and classifies the transition as continuous
 or discontinuous by probing whether the uniform state is still a global
@@ -65,70 +65,46 @@ class SolveReport:
     residual: float
     free_energy: float
     iterations: int
-    damping_used: float
     seed_id: str
     converged: bool
     order_parameter: float
-    min_free_energy_seen: float
 
 
 def solve_fixed_point(
     w: Potential,
     coupling: float,
     q0: Density,
-    damping: float = 1.0,
     tol: float = 1e-12,
     max_iter: int = 20000,
     seed_id: str = "",
 ) -> SolveReport:
-    """Damped iteration q <- (1-a) q + a T(q) until sup|q - T(q)| <= tol.
+    """Picard iteration q <- T(q) until sup|q - T(q)| <= tol.
 
-    When the residual stops improving over a 50-iteration window the
-    damping is halved, at most six times.  Non-convergence is reported in
+    Non-convergence within ``max_iter`` map applications is reported in
     the ``converged`` flag, not raised.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
     m = q0.grid_size
     _, mode = k_sharp(w)
-    v = q0.grid_values.copy()
-    alpha = damping
-    halvings = 0
-    best_window = math.inf
-    prev_window = math.inf
-    f_seen = math.inf
+    v = q0.grid_values
     residual = math.inf
     it = 0
     for it in range(1, max_iter + 1):
         t = _km_map_values(v, w, coupling, m)
         residual = float(np.abs(t - v).max())
+        v = t
         if residual <= tol:
-            v = t
             break
-        v = v + alpha * (t - v)
-        best_window = min(best_window, residual)
-        if it % 50 == 0:
-            if best_window >= prev_window and halvings < 6:
-                alpha *= 0.5
-                halvings += 1
-            prev_window = best_window
-            best_window = math.inf
-        if it % 500 == 0:
-            f_seen = min(f_seen, free_energy(dens.from_grid(v), w, coupling))
     q = dens.from_grid(v)
-    f = free_energy(q, w, coupling)
     return SolveReport(
         density=q,
         residual=residual,
-        free_energy=f,
+        free_energy=free_energy(q, w, coupling),
         iterations=it,
-        damping_used=alpha,
         seed_id=seed_id,
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),
-        min_free_energy_seen=min(f_seen, f),
     )
 
 
@@ -168,7 +144,6 @@ def multistart(
     seeds: str | Sequence[tuple[str, Density]] = "standard",
     tol: float = 1e-12,
     max_iter: int = 20000,
-    damping: float = 1.0,
 ) -> list[SolveReport]:
     """Run the fixed-point solve from every seed; reports in seed order."""
     if seeds == "standard":
@@ -178,7 +153,7 @@ def multistart(
     else:
         seed_list = list(seeds)
     return [
-        solve_fixed_point(w, coupling, q0, damping, tol, max_iter, seed_id=sid)
+        solve_fixed_point(w, coupling, q0, tol, max_iter, seed_id=sid)
         for sid, q0 in seed_list
     ]
 
@@ -190,14 +165,13 @@ def find_minimizer(
     seeds: str | Sequence[tuple[str, Density]] = "extended",
     tol: float = 1e-12,
     max_iter: int = 20000,
-    damping: float = 1.0,
 ) -> tuple[SolveReport, list[SolveReport]]:
     """Best critical point over the multistart seed set.
 
     Returns the converged report of minimal free energy (ties within
     1e-11 broken toward the smaller order parameter) plus all reports.
     """
-    reports = multistart(w, coupling, m, seeds, tol, max_iter, damping)
+    reports = multistart(w, coupling, m, seeds, tol, max_iter)
     converged = [r for r in reports if r.converged]
     if not converged:
         raise AllSeedsFailed(
@@ -210,16 +184,11 @@ def find_minimizer(
 
 
 def _best_gap(reports: list[SolveReport]) -> tuple[float, SolveReport]:
-    # gap = F(uniform) - min F = -min F; unconverged iterates still give
-    # valid upper bounds for min F, so they count toward the gap
-    fmin = math.inf
-    state = reports[0]
-    for r in reports:
-        f = min(r.free_energy, r.min_free_energy_seen)
-        if f < fmin:
-            fmin = f
-            state = r
-    return -fmin, state
+    # gap = F(uniform) - min F = -min F; every iterate is a density, so a
+    # capped solve's final energy is still an upper bound for min F and
+    # counts toward the gap
+    state = min(reports, key=lambda r: r.free_energy)
+    return -state.free_energy, state
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +217,7 @@ class PhaseDiagram:
     k_sharp: float
     k_star: float
     sharp_mode: int
-    continuity: str  # continuous | discontinuous | undetermined
+    continuity: str  # continuous | discontinuous
     jump_estimate: float
     op_at_delta: float
     probe_gap: float
@@ -273,10 +242,9 @@ def scan_kc(
     m: int = 512,
     tol_K: float = 5e-3,
     tol_F: float = 1e-10,
-    seeds: str = "standard",
+    seeds: str | Sequence[tuple[str, Density]] = "standard",
     tol: float = 1e-11,
     max_iter: int = 20000,
-    jump_thresholds: tuple[float, float] = (0.02, 0.05),
 ) -> PhaseDiagram:
     """Locate the critical coupling and classify the transition.
 
@@ -289,9 +257,7 @@ def scan_kc(
     transition is discontinuous precisely when a state strictly below the
     uniform free energy exists there.  The reported jump estimate is the
     zero-offset intercept of |qhat(k_*)|^2 against coupling just above
-    K_c (the raw order parameter at K_c + delta is also reported; the
-    thresholds classify the jump number itself when the probe is not
-    decisive).
+    K_c (the raw order parameter at K_c + delta is also reported).
     """
     ks, mode = k_sharp(w)
     kstar = k_star(w, w.periodicity)
@@ -350,13 +316,6 @@ def scan_kc(
     slope, intercept = np.polyfit(np.asarray(probes) - k_c, ops**2, 1)
     jump = float(np.sqrt(max(intercept, 0.0)))
     op_at_delta = float(ops[0])
-
-    if continuity == "undetermined":
-        lo_thr, hi_thr = jump_thresholds
-        if jump < lo_thr:
-            continuity = "continuous"
-        elif jump > hi_thr:
-            continuity = "discontinuous"
 
     return PhaseDiagram(
         model=w.name,

@@ -7,7 +7,6 @@ densities can also ride along in npz archives.  Writes are atomic
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -47,13 +46,14 @@ def read_json(path):
         return json.load(f)
 
 
-def _csv(rows, header) -> str:
+def write_csv(path, rows, header) -> None:
+    """Write ``rows`` under ``header``; floats keep full precision."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
         ))
-    return "\n".join(lines) + "\n"
+    _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def load_density_json(path) -> Density:
 
 def save_density_csv(path, q: Density) -> None:
     rows = zip(q.theta.tolist(), q.grid_values.tolist())
-    _atomic_write(Path(path), _csv(rows, ["theta", "q"]))
+    write_csv(path, rows, ["theta", "q"])
 
 
 def save_densities_npz(path, densities: list[Density], times=None) -> None:
@@ -100,7 +100,7 @@ def load_potential_json(path) -> Potential:
 
 def save_coeffs_csv(path, w: Potential) -> None:
     rows = ((k + 1, float(c)) for k, c in enumerate(w.coeffs))
-    _atomic_write(Path(path), _csv(rows, ["k", "what_k"]))
+    write_csv(path, rows, ["k", "what_k"])
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +114,8 @@ def save_phase_diagram(outdir, pd: PhaseDiagram) -> None:
          r.l1_to_uniform)
         for r in pd.rows
     )
-    _atomic_write(outdir / "phase_diagram.csv", _csv(
-        rows,
-        ["K", "best_gap", "order_parameter", "n_seeds_converged", "l1"],
-    ))
+    write_csv(outdir / "phase_diagram.csv", rows,
+              ["K", "best_gap", "order_parameter", "n_seeds_converged", "l1"])
     write_json(outdir / "verdict.json", pd.as_verdict())
 
 
@@ -129,7 +127,6 @@ def save_solve_report(outdir, report: SolveReport, stem: str = "minimizer") -> N
         "residual": report.residual,
         "free_energy": report.free_energy,
         "iterations": report.iterations,
-        "damping_used": report.damping_used,
         "seed_id": report.seed_id,
         "converged": report.converged,
         "order_parameter": report.order_parameter,
@@ -149,7 +146,7 @@ def save_trace_csv(path, trace: FlowTrace) -> None:
     cols += [trace.mode_abs[k] for k in modes]
     cols += [trace.free_energy, trace.mass_defect]
     rows = zip(*(c.tolist() for c in cols))
-    _atomic_write(Path(path), _csv(rows, header))
+    write_csv(path, rows, header)
 
 
 def save_trace(outdir, trace: FlowTrace) -> None:
@@ -175,13 +172,3 @@ def write_manifest(outdir, config: dict) -> None:
         "package_version": __version__,
         "config": config,
     })
-
-
-def dataclass_dict(obj) -> dict:
-    """JSON-safe dict of a (nested) dataclass, arrays dropped."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, (str, int, float, bool)) or v is None:
-            out[f.name] = v
-    return out

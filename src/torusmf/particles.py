@@ -216,12 +216,17 @@ def chaos_check(
     """Compare the replicate-averaged empirical mode against the flow.
 
     Particles start i.i.d. from the flow's initial density (uniform when
-    q0 is None), which fixes the mean-field initial law.  Replicates have
-    independent counter streams, so results are identical for any worker
-    count.
+    q0 is None), which fixes the mean-field initial law; the flow side
+    runs on the ``m_pde`` grid, so a given q0 must live on that grid.
+    Replicates have independent counter streams, so results are identical
+    for any worker count.
     """
     if n < 10:
         raise ValueError("need at least a few particles")
+    if q0 is not None and q0.grid_size != m_pde:
+        raise ValueError(
+            f"q0 lives on M={q0.grid_size} but the flow grid is m_pde={m_pde}"
+        )
     if mode_k is None:
         mode_k = k_sharp(w)[1]
     pde_q0 = q0 if q0 is not None else dens.uniform(m_pde)

@@ -87,6 +87,17 @@ class TestConfigAndReport:
                      "--config", str(cfg)])
         assert code == 0
 
+    def test_particles_flow_on_config_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_size": 256, "out": str(tmp_path)}))
+        code = main(["particles", "doi_onsager", "--K", "0.5", "--N", "200",
+                     "--T", "0.01", "--replicates", "2", "--no-assert",
+                     "--config", str(cfg)])
+        assert code == 0
+        (run,) = tmp_path.glob("particles_*")
+        header = (run / "replicate0_modes.csv").read_text().split("\n")[0]
+        assert header.startswith("t,mode2,")
+
     def test_report_aggregates(self, tmp_path, capsys):
         main(["thresholds", "doi_onsager", "--out", str(tmp_path)])
         capsys.readouterr()

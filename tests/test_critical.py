@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torusmf as tm
-from torusmf.critical import _best_gap, multistart
+from torusmf.critical import _best_gap, multistart, standard_seeds
 from torusmf.density import theta_grid
 from torusmf.errors import BracketNotStraddling, ExpOverflow
 
@@ -87,6 +87,34 @@ class TestSolve:
         assert abs(r1.free_energy - r2.free_energy) < 1e-11
         assert np.abs(r1.density.roll(64).grid_values
                       - r2.density.grid_values).max() < 1e-8
+
+
+class TestAttentionAboveKc:
+    """transformer(3.0) just above its first-order K_c, where the cosine
+    seed's Picard iterates creep slowly toward the nonuniform branch."""
+
+    coupling = 0.37634
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        w = tm.transformer(3.0)
+        return w, dict(standard_seeds(w, 512))
+
+    def test_cosine_seed_converges(self, setup):
+        w, seeds = setup
+        rep = tm.solve_fixed_point(w, self.coupling, seeds["cos_a0.6"],
+                                   tol=1e-11)
+        assert rep.converged and rep.iterations < 20000
+        assert rep.free_energy < 0.0
+
+    def test_minimizer_is_nonuniform(self, setup):
+        w, seeds = setup
+        best, _ = tm.find_minimizer(
+            w, self.coupling, 512,
+            [("uniform", seeds["uniform"]), ("cos_a0.6", seeds["cos_a0.6"])])
+        assert best.seed_id == "cos_a0.6"
+        assert best.free_energy < 0.0
+        assert best.order_parameter > 0.1
 
 
 class TestFindMinimizer:

@@ -69,6 +69,14 @@ class TestRunArtifacts:
         assert man["package_version"] == tm.__version__
         assert (tmp_path / "snapshots.npz").exists()
 
+    def test_write_csv_full_precision(self, tmp_path):
+        p = tmp_path / "sub" / "rows.csv"
+        io.write_csv(p, [(1, 0.1), (2, 1.0 / 3.0)], ["k", "v"])
+        lines = p.read_text().strip().split("\n")
+        assert lines[0] == "k,v"
+        assert lines[1] == "1,0.10000000000000001"
+        assert float(lines[2].split(",")[1]) == 1.0 / 3.0
+
     def test_atomic_overwrite_idempotent(self, tmp_path):
         p = tmp_path / "x.json"
         io.write_json(p, {"a": 1})

@@ -183,3 +183,9 @@ class TestChaos:
         rep = chaos_check(w, 0.5 * ks, n=2000, horizon=1.0, replicates=8,
                           dt=1e-3, seed=7, m_pde=256)
         assert abs(rep.z_score) <= 3.0
+
+    def test_q0_grid_must_match_flow_grid(self, do128):
+        q0 = tm.cosine_profile({2: 0.2}, 256)
+        with pytest.raises(ValueError, match="m_pde"):
+            chaos_check(do128, 1.0, n=100, horizon=0.01, replicates=2,
+                        q0=q0, m_pde=1024)
