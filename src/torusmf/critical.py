@@ -38,14 +38,15 @@ EXP_LIMIT = 700.0
 
 def km_map(q: Density, w: Potential, coupling: float) -> Density:
     """One application of the self-consistency map T(q) = e^{2K W*q} / Z."""
-    vals = _km_map_values(q.grid_values, w, coupling, q.grid_size)
+    m = q.grid_size
+    vals = _km_map_values(q.grid_values, dens.kernel_spectrum(w, m),
+                          coupling, m)
     return dens.from_grid(vals)
 
 
-def _km_map_values(values: np.ndarray, w: Potential, coupling: float,
+def _km_map_values(values: np.ndarray, wk: np.ndarray, coupling: float,
                    m: int) -> np.ndarray:
-    qhat = grid_to_fourier(values)
-    ck = qhat * np.concatenate(([0.0], w.coeff_array(m // 2)))
+    ck = grid_to_fourier(values) * wk
     conv = fourier_to_grid(ck, m)
     expo = 2.0 * coupling * conv
     peak = expo.max()
@@ -87,11 +88,12 @@ def solve_fixed_point(
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
     m = q0.grid_size
     _, mode = k_sharp(w)
+    wk = dens.kernel_spectrum(w, m)
     v = q0.grid_values
     residual = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        t = _km_map_values(v, w, coupling, m)
+        t = _km_map_values(v, wk, coupling, m)
         residual = float(np.abs(t - v).max())
         v = t
         if residual <= tol:

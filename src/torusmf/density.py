@@ -54,13 +54,20 @@ def theta_grid(m: int) -> np.ndarray:
 # for any grid data.
 
 
+@lru_cache(maxsize=32)
+def _scaled_phase(m: int, scale: float) -> np.ndarray:
+    p = _phase(m) * scale
+    p.flags.writeable = False
+    return p
+
+
 def grid_to_fourier(values: np.ndarray) -> np.ndarray:
     m = values.shape[-1]
-    return np.fft.rfft(values) * (_phase(m) / m)
+    return np.fft.rfft(values) * _scaled_phase(m, 1.0 / m)
 
 
 def fourier_to_grid(fourier: np.ndarray, m: int) -> np.ndarray:
-    return np.fft.irfft(fourier * (_phase(m) * m), n=m)
+    return np.fft.irfft(fourier * _scaled_phase(m, m), n=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +295,15 @@ def free_energy(q: Density, w, coupling: float) -> float:
     return relative_entropy(q) - coupling * interaction_energy(q, w, tol=None)
 
 
+def kernel_spectrum(w, m: int) -> np.ndarray:
+    """what(k) for k = 0..M/2, what(0) = 0: the half-spectrum of W *."""
+    return np.concatenate(([0.0], w.coeff_array(m // 2)))
+
+
 def convolve(w, q: Density) -> np.ndarray:
     """Grid profile of (w * q)(theta_j); coefficients what(k) qhat(k)."""
     m = q.grid_size
-    ck = q.fourier * np.concatenate(([0.0], w.coeff_array(m // 2)))
-    return fourier_to_grid(ck, m)
+    return fourier_to_grid(q.fourier * kernel_spectrum(w, m), m)
 
 
 # ---------------------------------------------------------------------------
