@@ -1,11 +1,31 @@
 """Command-line runner.
 
 Verbs: thresholds, scan, minimize, flow, particles, verify, report.
-Numerical settings come from an optional JSON config file; command-line
-flags win over the file.  Every run directory gets a manifest with the
-resolved config and package version, results go to CSV + JSON, and for
-models with a proven continuity class the exit code reports whether the
-computed verdict agrees (disable with --no-assert).
+
+Each run resolves one settings record: the verb's defaults, then an
+optional JSON config file (--config), then the command-line flags, each
+overriding the one before.  Config keys are the long flag names with
+dashes as underscores (``--grid-size`` sets ``grid_size``, ``--R`` sets
+``radius``, the model argument sets ``model``); ``particles`` also reads
+``grid_size`` and ``dt_particles``, which have no flag there.  A config
+key the verb does not read ends the run with exit status 2.  Only
+``particles`` and ``verify`` take --seed, and only ``particles`` takes
+--workers.
+
+The verb runs from that record alone and writes it, under "config", to
+``manifest.json`` in its run directory, next to the command, the package
+version, the Python, numpy and scipy versions and the platform.  Feeding
+the record back as a config file reproduces every other output file byte
+for byte:
+
+    python -c "import json, sys; json.dump(json.load(sys.stdin)['config'], sys.stdout)" \\
+        < runs/scan_doi_onsager/manifest.json > rerun.json
+    torusmf scan --config rerun.json --out rerun
+
+Results go to CSV + JSON.  For models with a proven continuity class,
+``thresholds`` and ``scan`` exit 1 when the computed verdict disagrees,
+and ``particles`` exits 1 when the particles miss the flow by more than
+three standard errors (disable both with --no-assert).
 
 The default output root is $TORUSMF_OUT or ./runs.
 """
@@ -31,9 +51,11 @@ from .inequalities import (
     run_entropy_suite,
     run_exponential_suite,
 )
-from .loggas import integrate_hierarchy, loggas_rhs, stationary_coeffs
-from .particles import chaos_check, simulate
+from .loggas import loggas_rhs, stationary_coeffs
+from .particles import chaos_check
 from .potentials import (
+    ALIASES,
+    MODELS,
     beta_star,
     check_decay,
     k_sharp,
@@ -41,6 +63,9 @@ from .potentials import (
     normalize,
     r_star,
 )
+
+#: default of a setting that the config file or the command line must give
+_REQUIRED = object()
 
 
 def _default_out() -> str:
@@ -60,30 +85,31 @@ def predicted_continuity(model: str, params: dict) -> str | None:
     return None
 
 
-def _build_potential(args, config):
-    model = args.model
-    if model in ("do",):
-        model = "doi_onsager"
-    if model in ("hk",):
-        model = "hegselmann_krause"
-    trunc = _get(args, config, "truncation", 512)
-    params = {}
-    if model == "transformer":
-        if args.beta is None:
-            raise SystemExit("transformer needs --beta")
-        params["beta"] = args.beta
-    elif model == "hegselmann_krause":
-        if args.radius is None:
-            raise SystemExit("hegselmann_krause needs --R")
-        params["radius"] = args.radius
-    elif model == "custom":
-        if not args.coeffs:
-            raise SystemExit("custom needs --coeffs")
-        params["coeffs"] = [float(c) for c in args.coeffs.split(",")]
-    return make_potential(model, trunc, **params), model, params
+#: the one parameter each model takes, and its flag
+_MODEL_PARAMS = {"transformer": ("beta", "--beta"),
+                 "hegselmann_krause": ("radius", "--R"),
+                 "custom": ("coeffs", "--coeffs")}
 
 
-def _resolve_coupling(spec: str, w) -> float:
+def _keep_model_params(s: dict) -> None:
+    """Require the model's own parameter and drop the others from ``s``."""
+    model = ALIASES.get(s["model"], s["model"])
+    own, flag = _MODEL_PARAMS.get(model, (None, None))
+    if own is not None and s[own] in (None, ""):
+        raise SystemExit(f"{model} needs {flag}")
+    for name, flag in _MODEL_PARAMS.values():
+        if name != own and s.pop(name) is not None:
+            raise SystemExit(f"{model} takes no {flag}")
+
+
+def _build_potential(s: dict):
+    params = {k: s[k] for k in ("beta", "radius") if k in s}
+    if "coeffs" in s:
+        params["coeffs"] = [float(c) for c in s["coeffs"].split(",")]
+    return make_potential(s["model"], s["truncation"], **params)
+
+
+def _resolve_coupling(spec, w) -> float:
     ks, _ = k_sharp(w)
     named = {"subcritical": 0.5 * ks, "critical": ks, "supercritical": 1.2 * ks}
     if spec in named:
@@ -91,32 +117,17 @@ def _resolve_coupling(spec: str, w) -> float:
     return float(spec)
 
 
-def _get(args, config, name, default):
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    return config.get(name, default)
-
-
-def _outdir(args, config, stem: str) -> Path:
-    root = _get(args, config, "out", None)
-    if root is None:
-        root = _default_out()
-    p = Path(root) / stem
+def _run_dir(s: dict, command: str, stem: str) -> Path:
+    """Create ``<out>/<command>_<stem>`` and write the run's manifest."""
+    p = Path(s["out"]) / f"{command}_{stem}"
     p.mkdir(parents=True, exist_ok=True)
+    io.write_manifest(p, command, s)
     return p
 
 
-def _config_of(args) -> dict:
-    if args.config:
-        with open(args.config) as f:
-            return json.load(f)
-    return {}
-
-
-def _model_stem(model: str, params: dict) -> str:
-    bits = [model] + [f"{k}{v:g}" for k, v in sorted(params.items())
-                      if isinstance(v, (int, float))]
+def _model_stem(w) -> str:
+    bits = [w.name] + [f"{k}{v:g}" for k, v in sorted(w.params.items())
+                       if isinstance(v, (int, float))]
     return "_".join(bits)
 
 
@@ -124,17 +135,16 @@ def _model_stem(model: str, params: dict) -> str:
 # verbs
 
 
-def cmd_thresholds(args) -> int:
-    config = _config_of(args)
-    w, model, params = _build_potential(args, config)
+def cmd_thresholds(s: dict) -> int:
+    w = _build_potential(s)
     n = w.periodicity
     ks, mode = k_sharp(w)
     kst = k_star(w, n)
     decay = check_decay(w, n)
-    pred = predicted_continuity(model, params)
+    pred = predicted_continuity(w.name, w.params)
     table = {
-        "model": model,
-        "params": params,
+        "model": w.name,
+        "params": w.params,
         "periodicity_n": n,
         "K_sharp": ks,
         "sharp_mode": mode,
@@ -144,74 +154,47 @@ def cmd_thresholds(args) -> int:
         "decay_tail_certified": decay.tail_certified,
         "predicted_continuity": pred,
     }
-    if model == "transformer":
+    if w.name == "transformer":
         table["beta_star"] = beta_star()
-    if model == "hegselmann_krause":
+    if w.name == "hegselmann_krause":
         table["R_star"] = r_star()
-    if model == "log_gas":
+    if w.name == "log_gas":
         table["note"] = "free energy unbounded below for K > 1 (no minimizer)"
-    outdir = _outdir(args, config, f"thresholds_{_model_stem(model, params)}")
-    io.write_manifest(outdir, {"command": "thresholds", **table,
-                               "seed": _get(args, config, "seed", 0)})
+    outdir = _run_dir(s, "thresholds", _model_stem(w))
     io.write_json(outdir / "thresholds.json", table)
     io.save_coeffs_csv(outdir / "coefficients.csv", w)
     for k, v in table.items():
         print(f"{k}: {v}")
-    if args.no_assert or pred is None:
+    if s["no_assert"] or pred is None:
         return 0
     consistent = decay.passed == (pred == "continuous")
     return 0 if consistent else 1
 
 
-def cmd_scan(args) -> int:
-    config = _config_of(args)
-    w, model, params = _build_potential(args, config)
-    bracket = None
-    if args.k_lo is not None and args.k_hi is not None:
-        bracket = (args.k_lo, args.k_hi)
-    pd = scan_kc(
-        w,
-        bracket=bracket,
-        m=_get(args, config, "grid_size", 512),
-        tol_K=_get(args, config, "tol_k", 5e-3),
-        tol_F=_get(args, config, "tol_f", 1e-10),
-        max_iter=_get(args, config, "max_iter", 20000),
-    )
-    outdir = _outdir(args, config, f"scan_{_model_stem(model, params)}")
-    io.write_manifest(outdir, {
-        "command": "scan", "model": model, "params": params,
-        "grid_size": _get(args, config, "grid_size", 512),
-        "tol_k": _get(args, config, "tol_k", 5e-3),
-        "seed": _get(args, config, "seed", 0),
-    })
+def cmd_scan(s: dict) -> int:
+    w = _build_potential(s)
+    bracket = None if s["k_lo"] is None else (s["k_lo"], s["k_hi"])
+    pd = scan_kc(w, bracket=bracket, m=s["grid_size"], tol_K=s["tol_k"],
+                 tol_F=s["tol_f"], max_iter=s["max_iter"])
+    outdir = _run_dir(s, "scan", _model_stem(w))
     io.save_phase_diagram(outdir, pd)
     print(f"K_c = {pd.k_c_estimate:.6g} +/- {pd.bracket_width / 2:.2g}"
           f"  (K_# = {pd.k_sharp:.6g}, K_* = {pd.k_star:.6g})")
     print(f"continuity: {pd.continuity}   jump estimate: {pd.jump_estimate:.4g}"
           f"   order parameter at K_c+delta: {pd.op_at_delta:.4g}")
     print(f"wrote {outdir}/phase_diagram.csv and verdict.json")
-    pred = predicted_continuity(model, params)
-    if args.no_assert or pred is None:
+    pred = predicted_continuity(w.name, w.params)
+    if s["no_assert"] or pred is None:
         return 0
     return 0 if pd.continuity == pred else 1
 
 
-def cmd_minimize(args) -> int:
-    config = _config_of(args)
-    w, model, params = _build_potential(args, config)
-    coupling = _resolve_coupling(args.K, w)
-    best, reports = find_minimizer(
-        w, coupling,
-        m=_get(args, config, "grid_size", 512),
-        tol=_get(args, config, "tol", 1e-12),
-        max_iter=_get(args, config, "max_iter", 20000),
-    )
-    outdir = _outdir(args, config,
-                     f"minimize_{_model_stem(model, params)}_K{coupling:g}")
-    io.write_manifest(outdir, {
-        "command": "minimize", "model": model, "params": params,
-        "coupling": coupling, "seed": _get(args, config, "seed", 0),
-    })
+def cmd_minimize(s: dict) -> int:
+    w = _build_potential(s)
+    coupling = _resolve_coupling(s["K"], w)
+    best, reports = find_minimizer(w, coupling, m=s["grid_size"], tol=s["tol"],
+                                   max_iter=s["max_iter"])
+    outdir = _run_dir(s, "minimize", f"{_model_stem(w)}_K{coupling:g}")
     io.save_solve_report(outdir, best)
     print(f"best seed {best.seed_id}: F = {best.free_energy:.6e}, "
           f"order parameter = {best.order_parameter:.6g}, "
@@ -220,71 +203,46 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def cmd_flow(args) -> int:
-    config = _config_of(args)
-    w, model, params = _build_potential(args, config)
-    coupling = _resolve_coupling(args.K, w)
-    m = _get(args, config, "grid_size", 512)
-    eps = args.perturbation
-    lead = w.periodicity + 1
-    q0 = dens.cosine_profile({lead: eps}, m)
-    policy = RecordPolicy(args.record, n_records=args.records)
-    trace = integrate(
-        q0, w, coupling, args.T,
-        dt=_get(args, config, "dt", 1e-4),
-        record=policy,
-    )
-    outdir = _outdir(args, config,
-                     f"flow_{_model_stem(model, params)}_K{coupling:g}")
-    io.write_manifest(outdir, {
-        "command": "flow", "model": model, "params": params,
-        "coupling": coupling, "T": args.T,
-        "dt": _get(args, config, "dt", 1e-4),
-        "grid_size": m, "perturbation": eps,
-        "seed": _get(args, config, "seed", 0),
-    })
+def cmd_flow(s: dict) -> int:
+    w = _build_potential(s)
+    coupling = _resolve_coupling(s["K"], w)
+    q0 = dens.cosine_profile({w.lead_mode: s["perturbation"]}, s["grid_size"])
+    policy = RecordPolicy(s["record"], n_records=s["records"])
+    trace = integrate(q0, w, coupling, s["T"], dt=s["dt"], record=policy)
+    outdir = _run_dir(s, "flow", f"{_model_stem(w)}_K{coupling:g}")
     io.save_trace(outdir, trace)
     print(f"integrated to t = {trace.times[-1]:.4g} "
           f"({'stationary' if trace.terminated_early else 'horizon reached'}, "
           f"residual {trace.final_residual:.2e})")
-    if args.fit != "none":
-        fit = fit_rate(trace, observable="w2", model=args.fit)
+    if s["fit"] != "none":
+        fit = fit_rate(trace, observable="w2", model=s["fit"])
         io.write_json(outdir / "rate_fit.json", {
             "model": fit.model, "rate": fit.rate, "goodness": fit.goodness,
             "window": list(fit.window), "n_points": fit.n_points,
         })
         lam = lambda_star(w, coupling)
-        print(f"fitted {args.fit} rate: {fit.rate:.6g} (R^2 = {fit.goodness:.6f}); "
+        print(f"fitted {s['fit']} rate: {fit.rate:.6g} (R^2 = {fit.goodness:.6f}); "
               f"linear prediction {lam.rate:.6g} at mode {lam.mode}")
     return 0
 
 
-def cmd_particles(args) -> int:
-    config = _config_of(args)
-    w, model, params = _build_potential(args, config)
-    coupling = _resolve_coupling(args.K, w)
-    lead = w.periodicity + 1
-    m = _get(args, config, "grid_size", 512)
-    q0 = dens.cosine_profile({lead: args.perturbation}, m)
+def cmd_particles(s: dict) -> int:
+    w = _build_potential(s)
+    coupling = _resolve_coupling(s["K"], w)
+    m = s["grid_size"]
+    q0 = dens.cosine_profile({w.lead_mode: s["perturbation"]}, m)
     report = chaos_check(
         w, coupling,
-        n=args.N,
-        horizon=args.T,
-        replicates=args.replicates,
-        dt=_get(args, config, "dt_particles", 1e-3),
+        n=s["N"],
+        horizon=s["T"],
+        replicates=s["replicates"],
+        dt=s["dt_particles"],
         q0=q0,
-        seed=_get(args, config, "seed", 2024),
+        seed=s["seed"],
         m_pde=m,
-        workers=_get(args, config, "workers", 1),
+        workers=s["workers"],
     )
-    outdir = _outdir(args, config,
-                     f"particles_{_model_stem(model, params)}_K{coupling:g}")
-    io.write_manifest(outdir, {
-        "command": "particles", "model": model, "params": params,
-        "coupling": coupling, "N": args.N, "T": args.T,
-        "replicates": args.replicates,
-        "seed": _get(args, config, "seed", 2024),
-    })
+    outdir = _run_dir(s, "particles", f"{_model_stem(w)}_K{coupling:g}")
     io.write_json(outdir / "chaos_report.json", {
         "mode": report.mode,
         "pde_value_sq": report.pde_value_sq,
@@ -293,38 +251,33 @@ def cmd_particles(args) -> int:
         "z_score": report.z_score,
         "replicates": report.replicates,
     })
-    traj = simulate(w, coupling, args.N, args.T,
-                    dt=_get(args, config, "dt_particles", 1e-3),
-                    seed=_get(args, config, "seed", 2024), q0=q0)
-    rows = zip(traj.times.tolist(),
-               *(traj.mode_abs[k].tolist() for k in sorted(traj.mode_abs)))
+    traj = report.trajectories[0]
+    modes = sorted(traj.mode_abs)
+    rows = zip(traj.times.tolist(), *(traj.mode_abs[k].tolist() for k in modes))
     io.write_csv(outdir / "replicate0_modes.csv", rows,
-                 ["t"] + [f"mode{k}" for k in sorted(traj.mode_abs)])
+                 ["t"] + [f"mode{k}" for k in modes])
     print(f"|z| = {abs(report.z_score):.3f} on mode {report.mode} "
           f"(particles {report.particle_mean_sq:.5g} vs flow "
           f"{report.pde_value_sq:.5g}, se {report.particle_se:.2g})")
-    if args.no_assert:
+    if s["no_assert"]:
         return 0
     return 0 if abs(report.z_score) <= 3.0 else 1
 
 
-def cmd_verify(args) -> int:
-    config = _config_of(args)
-    ns = [int(x) for x in args.n]
-    samples = args.samples
-    seed = _get(args, config, "seed", 0)
+def cmd_verify(s: dict) -> int:
+    suite, samples, seed = s["suite"], s["samples"], s["seed"]
     out = {}
     failures = 0
-    for n in ns:
-        if args.suite in ("inequality", "all"):
+    for n in s["n"]:
+        if suite in ("inequality", "all"):
             r = run_entropy_suite(n, samples, seed=seed + n)
             out[f"entropy_n{n}"] = r.__dict__
             failures += r.violations
-        if args.suite in ("lebedev", "all"):
+        if suite in ("lebedev", "all"):
             r = run_exponential_suite(n, samples, seed=seed + 100 + n)
             out[f"lebedev_n{n}"] = r.__dict__
             failures += r.violations
-    if args.suite in ("coercivity", "all"):
+    if suite in ("coercivity", "all"):
         rng = np.random.default_rng(seed)
         worst = 0.0
         wnorm, _ = normalize(make_potential("doi_onsager"), 1)
@@ -335,7 +288,7 @@ def cmd_verify(args) -> int:
             worst = max(worst, abs(t1 + t2 - tot))
         out["coercivity_identity_worst"] = worst
         failures += int(worst > 1e-9)
-    if args.suite in ("loggas", "all"):
+    if suite in ("loggas", "all"):
         worst = 0.0
         for n in (1, 2):
             for c in (0.3, 0.5, 0.7):
@@ -343,9 +296,7 @@ def cmd_verify(args) -> int:
                 worst = max(worst, float(np.abs(loggas_rhs(q0, n)).max()))
         out["loggas_stationary_residual"] = worst
         failures += int(worst > 1e-14)
-    outdir = _outdir(args, config, f"verify_{args.suite}")
-    io.write_manifest(outdir, {"command": "verify", "suite": args.suite,
-                               "n": ns, "samples": samples, "seed": seed})
+    outdir = _run_dir(s, "verify", suite)
     io.write_json(outdir / "verify_report.json", out)
     for k, v in out.items():
         print(f"{k}: {v}")
@@ -353,8 +304,8 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_report(args) -> int:
-    root = Path(args.dir)
+def cmd_report(s: dict) -> int:
+    root = Path(s["dir"])
     rows = []
     for vf in sorted(root.glob("**/verdict.json")):
         rec = io.read_json(vf)
@@ -375,24 +326,35 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("model", choices=[
-        "doi_onsager", "do", "transformer", "hegselmann_krause", "hk",
-        "log_gas", "custom",
-    ])
-    p.add_argument("--beta", type=float, help="transformer inverse temperature")
-    p.add_argument("--R", dest="radius", type=float, help="confidence radius")
-    p.add_argument("--coeffs", help="comma-separated what(1..M) for custom")
-    p.add_argument("--truncation", type=int, help="kernel mode cutoff")
+def _setting(p: argparse.ArgumentParser, *flags, default=None, **kw) -> None:
+    """Add a flag to verb parser ``p``; ``default`` applies only when
+    neither the config file nor the command line sets it."""
+    dest = p.add_argument(*flags, default=None, **kw).dest
+    p.get_default("settings")[dest] = default
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override)")
-    p.add_argument("--out", help="output root (default $TORUSMF_OUT or ./runs)")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--workers", type=int, help="thread budget")
-    p.add_argument("--no-assert", action="store_true",
-                   help="always exit 0 on successful runs")
+def _verb(sub, name: str, func, help: str, model: bool = True,
+          config: bool = True) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, settings={})
+    if model:
+        _setting(p, "model", nargs="?", choices=MODELS + tuple(ALIASES),
+                 default=_REQUIRED, help="kernel (or `model` in the config)")
+        _setting(p, "--beta", type=float, help="transformer inverse temperature")
+        _setting(p, "--R", dest="radius", type=float, help="confidence radius")
+        _setting(p, "--coeffs", help="comma-separated what(1..M) for custom")
+        _setting(p, "--truncation", type=int, default=512,
+                 help="kernel mode cutoff")
+    if config:
+        p.add_argument("--config", help="JSON config file (flags override)")
+        _setting(p, "--out", default=_default_out(),
+                 help="output root (default $TORUSMF_OUT or ./runs)")
+    return p
+
+
+def _no_assert(p: argparse.ArgumentParser) -> None:
+    _setting(p, "--no-assert", action="store_true", default=False,
+             help="always exit 0 on successful runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,76 +365,90 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("thresholds", help="closed-form thresholds and decay check")
-    _add_model_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_thresholds)
+    p = _verb(sub, "thresholds", cmd_thresholds,
+              "closed-form thresholds and decay check")
+    _no_assert(p)
 
-    p = sub.add_parser("scan", help="locate K_c and classify the transition")
-    _add_model_args(p)
-    p.add_argument("--k-lo", type=float)
-    p.add_argument("--k-hi", type=float)
-    p.add_argument("--tol-k", dest="tol_k", type=float)
-    p.add_argument("--tol-f", dest="tol_f", type=float)
-    p.add_argument("--grid-size", "-M", dest="grid_size", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
+    p = _verb(sub, "scan", cmd_scan, "locate K_c and classify the transition")
+    _setting(p, "--k-lo", type=float)
+    _setting(p, "--k-hi", type=float)
+    _setting(p, "--tol-k", type=float, default=5e-3)
+    _setting(p, "--tol-f", type=float, default=1e-10)
+    _setting(p, "--grid-size", "-M", type=int, default=512)
+    _setting(p, "--max-iter", type=int, default=20000)
+    _no_assert(p)
 
-    p = sub.add_parser("minimize", help="multistart minimizer at one coupling")
-    _add_model_args(p)
-    p.add_argument("--K", required=True,
-                   help="coupling (number or subcritical/critical/supercritical)")
-    p.add_argument("--grid-size", "-M", dest="grid_size", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_minimize)
+    p = _verb(sub, "minimize", cmd_minimize, "multistart minimizer at one coupling")
+    _setting(p, "--K", default=_REQUIRED,
+             help="coupling (number or subcritical/critical/supercritical)")
+    _setting(p, "--grid-size", "-M", type=int, default=512)
+    _setting(p, "--tol", type=float, default=1e-12)
+    _setting(p, "--max-iter", type=int, default=20000)
 
-    p = sub.add_parser("flow", help="integrate the gradient flow")
-    _add_model_args(p)
-    p.add_argument("--K", required=True)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--grid-size", "-M", dest="grid_size", type=int)
-    p.add_argument("--perturbation", type=float, default=1e-2)
-    p.add_argument("--record", choices=["uniform", "geometric"],
-                   default="uniform")
-    p.add_argument("--records", type=int, default=400)
-    p.add_argument("--fit", choices=["exponential", "algebraic", "none"],
-                   default="none")
-    _add_common(p)
-    p.set_defaults(func=cmd_flow)
+    p = _verb(sub, "flow", cmd_flow, "integrate the gradient flow")
+    _setting(p, "--K", default=_REQUIRED)
+    _setting(p, "--T", type=float, default=1.0)
+    _setting(p, "--dt", type=float, default=1e-4)
+    _setting(p, "--grid-size", "-M", type=int, default=512)
+    _setting(p, "--perturbation", type=float, default=1e-2)
+    _setting(p, "--record", choices=["uniform", "geometric"], default="uniform")
+    _setting(p, "--records", type=int, default=400)
+    _setting(p, "--fit", choices=["exponential", "algebraic", "none"],
+             default="none")
 
-    p = sub.add_parser("particles", help="particle system vs mean-field flow")
-    _add_model_args(p)
-    p.add_argument("--K", required=True)
-    p.add_argument("--N", type=int, default=5000)
-    p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--replicates", type=int, default=16)
-    p.add_argument("--perturbation", type=float, default=0.2)
-    _add_common(p)
-    p.set_defaults(func=cmd_particles)
+    p = _verb(sub, "particles", cmd_particles, "particle system vs mean-field flow")
+    _setting(p, "--K", default=_REQUIRED)
+    _setting(p, "--N", type=int, default=5000)
+    _setting(p, "--T", type=float, default=5.0)
+    _setting(p, "--replicates", type=int, default=16)
+    _setting(p, "--perturbation", type=float, default=0.2)
+    _setting(p, "--seed", type=int, default=2024, help="Philox key")
+    _setting(p, "--workers", type=int, default=1,
+             help="threads running replicates")
+    _no_assert(p)
+    # set by the config file only
+    p.get_default("settings").update(grid_size=512, dt_particles=1e-3)
 
-    p = sub.add_parser("verify", help="randomized inequality suites")
-    p.add_argument("--suite", choices=["inequality", "lebedev", "coercivity",
-                                       "loggas", "all"], default="all")
-    p.add_argument("--n", nargs="*", default=["0", "1", "2"])
-    p.add_argument("--samples", type=int, default=500)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p = _verb(sub, "verify", cmd_verify, "randomized inequality suites",
+              model=False)
+    _setting(p, "--suite", choices=["inequality", "lebedev", "coercivity",
+                                    "loggas", "all"], default="all")
+    _setting(p, "--n", nargs="*", type=int, default=[0, 1, 2])
+    _setting(p, "--samples", type=int, default=500)
+    _setting(p, "--seed", type=int, default=0, help="base RNG seed")
 
-    p = sub.add_parser("report", help="summarize run directories")
-    p.add_argument("--dir", default=_default_out())
-    p.set_defaults(func=cmd_report)
+    p = _verb(sub, "report", cmd_report, "summarize run directories",
+              model=False, config=False)
+    _setting(p, "--dir", default=_default_out())
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    command, func, settings = (args.pop(k) for k in ("command", "func",
+                                                     "settings"))
+    config = {}
+    config_path = args.pop("config", None)
+    if config_path:
+        with open(config_path) as f:
+            config = json.load(f)
+    unknown = sorted(set(config) - set(settings))
+    if unknown:
+        parser.error(f"{command} reads no config key {', '.join(unknown)}")
+    # a flag left off the command line parses as None
+    settings = {**settings, **config,
+                **{k: v for k, v in args.items() if v is not None}}
+    missing = [k for k, v in settings.items() if v is _REQUIRED]
+    if missing:
+        parser.error(f"{command} needs {', '.join(missing)}")
+    if (settings.get("k_lo") is None) != (settings.get("k_hi") is None):
+        parser.error("scan takes --k-lo and --k-hi together or neither")
+    if "model" in settings:
+        _keep_model_params(settings)
     try:
-        return args.func(args)
+        return func(settings)
     except TorusMFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

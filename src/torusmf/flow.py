@@ -173,6 +173,11 @@ class FlowTrace:
     meta: dict = field(default_factory=dict)
 
 
+def _default_modes(w) -> list[int]:
+    """The first four multiples of the lead mode."""
+    return [w.lead_mode * j for j in (1, 2, 3, 4)]
+
+
 def integrate(
     q0: Density,
     w,
@@ -195,8 +200,7 @@ def integrate(
     if record is None:
         record = RecordPolicy()
     if track_modes is None:
-        lead = w.periodicity + 1
-        track_modes = [lead * j for j in (1, 2, 3, 4)]
+        track_modes = _default_modes(w)
     vsym = _velocity_symbol(w, m)
     qu = dens.uniform(m)
 

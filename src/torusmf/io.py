@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import density as dens
@@ -166,9 +168,16 @@ def save_trace(outdir, trace: FlowTrace) -> None:
 # manifests
 
 
-def write_manifest(outdir, config: dict) -> None:
-    """Record everything needed to reproduce the run bit-identically."""
+def write_manifest(outdir, command: str, config: dict) -> None:
+    """Record everything needed to reproduce the run bit-identically: the
+    command, its resolved settings (``config``), and the versions and
+    platform it ran on."""
     write_json(Path(outdir) / "manifest.json", {
-        "package_version": __version__,
+        "command": command,
         "config": config,
+        "package_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
     })

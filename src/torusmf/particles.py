@@ -22,8 +22,9 @@ from scipy.special import ndtri
 from . import density as dens
 from .density import Density
 from .errors import NoClosedForm, TimeStepTooLarge
-from .flow import RecordPolicy, integrate
-from .potentials import Potential, k_sharp
+from .flow import RecordPolicy, _default_modes, integrate
+from .metrics import _cdf_nodes
+from .potentials import Potential, _wrap, k_sharp
 
 _INV_2_53 = 2.0 ** -53
 #: modes per block of powers in the truncated-Fourier drift
@@ -48,8 +49,9 @@ class ParticleState:
         return len(self.positions)
 
 
-def _wrap(theta: np.ndarray) -> np.ndarray:
-    return theta - np.round(theta)
+def _unit_uniform(raw: np.ndarray) -> np.ndarray:
+    # top 53 bits of each Philox word, centred in its cell: never 0 or 1
+    return (np.right_shift(raw, 11) + 0.5) * _INV_2_53
 
 
 def _normals(seed: int, replicate: int, step: int, n: int) -> np.ndarray:
@@ -58,25 +60,18 @@ def _normals(seed: int, replicate: int, step: int, n: int) -> np.ndarray:
     bg = np.random.Philox(key=(seed, replicate))
     blocks_per_step = (n + 1) // 2
     bg.advance((step + 1) * blocks_per_step)
-    raw = bg.random_raw(n)
-    u = (np.right_shift(raw, 11) + 0.5) * _INV_2_53
-    return ndtri(u)
+    return ndtri(_unit_uniform(bg.random_raw(n)))
 
 
 def init_state(q0: Density | None, n: int, seed: int,
-               replicate: int = 0, m_default: int = 512) -> ParticleState:
+               replicate: int = 0) -> ParticleState:
     """Draw i.i.d. initial positions from q0 (uniform when None)."""
     bg = np.random.Philox(key=(seed, replicate))
-    raw = bg.random_raw(n)
-    u = (np.right_shift(raw, 11) + 0.5) * _INV_2_53
+    u = _unit_uniform(bg.random_raw(n))
     if q0 is None:
         pos = u - 0.5
     else:
-        m = q0.grid_size
-        edges = -0.5 + np.arange(m + 1) / m
-        cdf = np.concatenate(([0.0], np.cumsum(q0.grid_values) / m))
-        cdf[-1] = 1.0
-        pos = np.interp(u, cdf, edges)
+        pos = np.interp(u, *_cdf_nodes(q0))
     return ParticleState(_wrap(pos), 0.0, seed, replicate, 0)
 
 
@@ -163,14 +158,13 @@ def simulate(
     seed: int = 0,
     replicate: int = 0,
     q0: Density | None = None,
-    mode: str = "fourier_truncated",
     track_modes: Optional[list[int]] = None,
     record_every: int = 50,
 ) -> ParticleTrajectory:
-    """Run one replicate, recording |qhat_N(k)| for the tracked modes."""
+    """Run one replicate, recording |qhat_N(k)| for the tracked modes
+    (default: the first four multiples of the lead mode)."""
     if track_modes is None:
-        lead = w.periodicity + 1
-        track_modes = [lead * j for j in (1, 2, 3, 4)]
+        track_modes = _default_modes(w)
     state = init_state(q0, n, seed, replicate)
     n_steps = int(round(horizon / dt))
     times = [0.0]
@@ -178,7 +172,7 @@ def simulate(
         k: [abs(empirical_fourier(state.positions, k))] for k in track_modes
     }
     for step in range(1, n_steps + 1):
-        state = em_step(state, w, coupling, dt, mode)
+        state = em_step(state, w, coupling, dt)
         if step % record_every == 0 or step == n_steps:
             times.append(state.time)
             for k in track_modes:
@@ -190,7 +184,6 @@ def simulate(
         meta={
             "model": w.name, "params": w.params, "coupling": coupling,
             "n": n, "dt": dt, "seed": seed, "replicate": replicate,
-            "mode": mode,
         },
     )
 
@@ -212,6 +205,9 @@ class ChaosReport:
     z_score: float
     replicates: int
     initial_law: str
+    #: each replicate's trajectory at ``simulate``'s default modes and
+    #: cadence, plus ``mode`` when it is not among them
+    trajectories: tuple[ParticleTrajectory, ...] = field(repr=False)
 
 
 def chaos_check(
@@ -226,7 +222,6 @@ def chaos_check(
     seed: int = 2024,
     m_pde: int = 512,
     dt_pde: float = 1e-4,
-    force_mode: str = "fourier_truncated",
     workers: int = 1,
 ) -> ChaosReport:
     """Compare the replicate-averaged empirical mode against the flow.
@@ -261,20 +256,23 @@ def chaos_check(
         raise TimeStepTooLarge("flow side of the consistency check")
     pde_sq = float(trace.mode_abs[mode_k][-1] ** 2)
 
-    def one(r: int) -> float:
-        traj = simulate(w, coupling, n, horizon, dt, seed=seed, replicate=r,
-                        q0=q0, mode=force_mode, track_modes=[mode_k],
-                        record_every=10**9)
-        amp2 = traj.mode_abs[mode_k][-1] ** 2
-        return (amp2 - 1.0 / n) / (1.0 - 1.0 / n)
+    tracked = _default_modes(w)
+    if mode_k not in tracked:
+        tracked.append(mode_k)
+
+    def one(r: int) -> ParticleTrajectory:
+        return simulate(w, coupling, n, horizon, dt, seed=seed, replicate=r,
+                        q0=q0, track_modes=tracked)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            ests = np.array(list(pool.map(one, range(replicates))))
+            trajs = tuple(pool.map(one, range(replicates)))
     else:
-        ests = np.array([one(r) for r in range(replicates)])
+        trajs = tuple(one(r) for r in range(replicates))
+    amp2 = np.array([t.mode_abs[mode_k][-1] ** 2 for t in trajs])
+    ests = (amp2 - 1.0 / n) / (1.0 - 1.0 / n)
     mean = float(ests.mean())
     se = float(ests.std(ddof=1) / math.sqrt(replicates))
     z = (mean - pde_sq) / se if se > 0 else math.inf
@@ -286,4 +284,5 @@ def chaos_check(
         z_score=float(z),
         replicates=replicates,
         initial_law="uniform" if q0 is None else "given density",
+        trajectories=trajs,
     )

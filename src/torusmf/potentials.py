@@ -37,6 +37,8 @@ from .errors import (
 )
 
 MODELS = ("doi_onsager", "transformer", "hegselmann_krause", "log_gas", "custom")
+#: short names ``make_potential`` also accepts
+ALIASES = {"do": "doi_onsager", "hk": "hegselmann_krause"}
 
 
 def _wrap(theta):
@@ -244,12 +246,13 @@ def custom_potential(coeffs, tail: Callable[[int], float] | None = None,
 
 
 def make_potential(model: str, truncation: int = 512, **params) -> Potential:
-    """Factory dispatch by model name (see MODELS)."""
-    if model in ("doi_onsager", "do"):
+    """Factory dispatch by model name (see MODELS and ALIASES)."""
+    model = ALIASES.get(model, model)
+    if model == "doi_onsager":
         return doi_onsager(truncation)
     if model == "transformer":
         return transformer(params["beta"], truncation)
-    if model in ("hegselmann_krause", "hk"):
+    if model == "hegselmann_krause":
         return hegselmann_krause(params.get("radius", params.get("R")), truncation)
     if model == "log_gas":
         return log_gas(truncation)

@@ -106,3 +106,120 @@ class TestConfigAndReport:
         out = capsys.readouterr().out
         assert "thresholds_doi_onsager" in out
         assert (tmp_path / "summary.json").exists()
+
+
+class TestSettings:
+    # every value off its default, so a setting missing from the manifest
+    # changes the rerun's outputs
+    RUNS = {
+        "thresholds": ["thresholds", "transformer", "--beta", "3",
+                       "--truncation", "64"],
+        "scan": ["scan", "do", "-M", "128", "--tol-k", "0.05",
+                 "--tol-f", "1e-9", "--max-iter", "5000",
+                 "--truncation", "64"],
+        "minimize": ["minimize", "do", "--K", "supercritical", "-M", "128",
+                     "--tol", "1e-11", "--max-iter", "5000",
+                     "--truncation", "64"],
+        "flow": ["flow", "do", "--K", "1.0", "--T", "0.2", "--dt", "2e-4",
+                 "-M", "128", "--perturbation", "0.05",
+                 "--record", "geometric", "--records", "50",
+                 "--fit", "exponential", "--truncation", "64"],
+        "particles": ["particles", "do", "--K", "supercritical", "--N", "200",
+                      "--T", "0.06", "--replicates", "2",
+                      "--perturbation", "0.3", "--seed", "5", "--no-assert",
+                      "--truncation", "64"],
+        "verify": ["verify", "--suite", "inequality", "--n", "0",
+                   "--samples", "10", "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(RUNS))
+    def test_rerun_from_manifest_is_byte_identical(self, verb, tmp_path,
+                                                   capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        main(self.RUNS[verb] + ["--out", str(first)])
+        (run,) = first.iterdir()
+        man = json.loads((run / "manifest.json").read_text())
+        assert man["command"] == verb
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(man["config"]))
+        main([verb, "--config", str(cfg), "--out", str(second)])
+        rerun = second / run.name
+        files = sorted(p.name for p in run.iterdir())
+        assert files == sorted(p.name for p in rerun.iterdir())
+        for name in files:
+            if name != "manifest.json":
+                assert (run / name).read_bytes() == (rerun / name).read_bytes(), name
+        man2 = json.loads((rerun / "manifest.json").read_text())
+        assert man2["config"] == {**man["config"], "out": str(second)}
+
+    def test_manifest_holds_the_settings_read(self, tmp_path, capsys):
+        main(self.RUNS["scan"] + ["--out", str(tmp_path)])
+        man = json.loads(
+            (tmp_path / "scan_doi_onsager" / "manifest.json").read_text())
+        assert man["config"] == {
+            "model": "do", "truncation": 64, "k_lo": None, "k_hi": None,
+            "tol_k": 0.05, "tol_f": 1e-9, "grid_size": 128, "max_iter": 5000,
+            "no_assert": False, "out": str(tmp_path),
+        }
+
+    def test_other_models_parameter_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="takes no --beta"):
+            main(["thresholds", "doi_onsager", "--beta", "3",
+                  "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["--k-lo", "2.0"], {}),
+        ([], {"k_hi": 3.0}),
+    ])
+    def test_half_bracket_is_a_usage_error(self, argv, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "do", "--config", str(path), "--out", str(tmp_path)]
+                 + argv)
+        assert exc.value.code == 2
+        assert "--k-lo and --k-hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,key", [
+        (["minimize", "do", "--K", "0.5"], "grid-size"),
+        (["scan", "do"], "seed"),
+        (["flow", "do", "--K", "0.5"], "workers"),
+    ])
+    def test_unknown_config_key_is_rejected(self, verb, key, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_*"))
+
+    def test_particles_writes_replicate0_from_the_check(self, tmp_path,
+                                                        monkeypatch, capsys):
+        import torusmf as tm
+        import torusmf.cli
+        from torusmf import io, particles
+
+        calls = []
+        real = particles.simulate
+
+        def counting(*args, **kw):
+            calls.append(kw.get("replicate"))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(particles, "simulate", counting)
+        monkeypatch.setattr(torusmf.cli, "simulate", counting, raising=False)
+        main(self.RUNS["particles"] + ["--out", str(tmp_path)])
+        assert len(calls) == 2
+        (run,) = tmp_path.glob("particles_*")
+        w = tm.doi_onsager(truncation=64)
+        q0 = tm.cosine_profile({2: 0.3}, 512)
+        traj = real(w, 1.2 * tm.k_sharp(w)[0], 200, 0.06, dt=1e-3, seed=5,
+                    replicate=0, q0=q0)
+        modes = sorted(traj.mode_abs)
+        io.write_csv(tmp_path / "direct.csv",
+                     zip(traj.times.tolist(),
+                         *(traj.mode_abs[k].tolist() for k in modes)),
+                     ["t"] + [f"mode{k}" for k in modes])
+        assert ((run / "replicate0_modes.csv").read_bytes()
+                == (tmp_path / "direct.csv").read_bytes())

@@ -1,8 +1,10 @@
 """Serialization formats and run persistence."""
 
 import json
+import platform
 
 import numpy as np
+import scipy
 
 import torusmf as tm
 from torusmf import io
@@ -62,11 +64,17 @@ class TestRunArtifacts:
         tr = integrate(q0, do_kernel, 1.0, 0.01, dt=1e-4,
                        record=RecordPolicy("uniform", 5, snapshot_every=2))
         io.save_trace(tmp_path, tr)
-        io.write_manifest(tmp_path, {"command": "flow", "seed": 0})
+        io.write_manifest(tmp_path, "flow", {"dt": 1e-4})
         header = (tmp_path / "trace.csv").read_text().split("\n")[0]
         assert header.startswith("t,l2_dist,w2_dist,mode2")
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["package_version"] == tm.__version__
+        assert man["command"] == "flow"
+        assert man["config"] == {"dt": 1e-4}
+        assert man["python"] == platform.python_version()
+        assert man["numpy"] == np.__version__
+        assert man["scipy"] == scipy.__version__
+        assert man["platform"] == platform.platform()
         assert (tmp_path / "snapshots.npz").exists()
 
     def test_write_csv_full_precision(self, tmp_path):
