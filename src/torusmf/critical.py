@@ -49,13 +49,16 @@ def _km_map_values(values: np.ndarray, wk: np.ndarray, coupling: float,
     ck = grid_to_fourier(values) * wk
     conv = fourier_to_grid(ck, m)
     expo = 2.0 * coupling * conv
-    peak = expo.max()
-    if peak - expo.min() > EXP_LIMIT:
+    # ufunc reductions rather than the array methods: same values, without
+    # the methods' Python-level argument handling on this hot path
+    peak = np.maximum.reduce(expo)
+    spread = peak - np.minimum.reduce(expo)
+    if spread > EXP_LIMIT:
         raise ExpOverflow(
-            f"Gibbs exponent range {peak - expo.min():.1f} exceeds {EXP_LIMIT}"
+            f"Gibbs exponent range {spread:.1f} exceeds {EXP_LIMIT}"
         )
     gibbs = np.exp(expo - peak)
-    return gibbs / gibbs.mean()
+    return gibbs / (np.add.reduce(gibbs) / m)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def solve_fixed_point(
     it = 0
     for it in range(1, max_iter + 1):
         t = _km_map_values(v, wk, coupling, m)
-        residual = float(np.abs(t - v).max())
+        residual = float(np.maximum.reduce(np.abs(t - v)))
         v = t
         if residual <= tol:
             break

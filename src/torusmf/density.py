@@ -61,13 +61,32 @@ def _scaled_phase(m: int, scale: float) -> np.ndarray:
     return p
 
 
+try:
+    # numpy >= 2 runs numpy.fft through these ufuncs.  Calling them directly
+    # gives the same bits and skips numpy.fft's per-call argument handling,
+    # which at M = 128 costs more than the transform itself.
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:  # numpy 1.x
+    _pocketfft = None
+
+
 def grid_to_fourier(values: np.ndarray) -> np.ndarray:
     m = values.shape[-1]
-    return np.fft.rfft(values) * _scaled_phase(m, 1.0 / m)
+    if _pocketfft is None or values.dtype != np.float64:
+        raw = np.fft.rfft(values)
+    else:
+        rfft = _pocketfft.rfft_n_even if m % 2 == 0 else _pocketfft.rfft_n_odd
+        raw = rfft(values, 1.0, out=np.empty(values.shape[:-1] + (m // 2 + 1,),
+                                             dtype=complex))
+    return raw * _scaled_phase(m, 1.0 / m)
 
 
 def fourier_to_grid(fourier: np.ndarray, m: int) -> np.ndarray:
-    return np.fft.irfft(fourier * _scaled_phase(m, m), n=m)
+    spectrum = fourier * _scaled_phase(m, m)
+    if _pocketfft is None or spectrum.dtype != np.complex128:
+        return np.fft.irfft(spectrum, n=m)
+    return _pocketfft.irfft(spectrum, 1.0 / m,
+                            out=np.empty(spectrum.shape[:-1] + (m,)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,7 +75,7 @@ def _transport_hat(qhat: np.ndarray, vsym: np.ndarray, coupling: float,
     np.multiply(qhat, _dealias_mask(m), out=qv[0])
     np.multiply(qv[0], vsym, out=qv[1])
     qg, vg = fourier_to_grid(qv, m)
-    vmax = abs(coupling) * np.abs(vg).max()
+    vmax = abs(coupling) * np.maximum.reduce(np.abs(vg))
     if math.isfinite(dt) and vmax > 0.0 and dt > CFL_SAFETY / (m * vmax):
         raise TimeStepTooLarge(
             f"dt={dt:.3e} exceeds transport CFL bound "

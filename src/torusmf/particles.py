@@ -13,6 +13,7 @@ reproducible, parallelizable, and couplable across step sizes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -264,6 +265,8 @@ def chaos_check(
         return simulate(w, coupling, n, horizon, dt, seed=seed, replicate=r,
                         q0=q0, track_modes=tracked)
 
+    # threads beyond the cores only contend for the interpreter lock
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
