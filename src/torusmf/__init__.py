@@ -6,7 +6,6 @@ gradient flow and particle dynamics, and numerical verification of the
 sharp entropy inequalities behind the continuity theory.
 """
 
-from .bessel import bessel_i, bessel_i_array
 from .critical import (
     PhaseDiagram,
     ScanRow,

@@ -8,7 +8,9 @@ overriding the one before.  Config keys are the long flag names with
 dashes as underscores (``--grid-size`` sets ``grid_size``, ``--R`` sets
 ``radius``, the model argument sets ``model``); ``particles`` also reads
 ``grid_size`` and ``dt_particles``, which have no flag there.  A config
-key the verb does not read ends the run with exit status 2.  Only
+key the verb does not read ends the run with exit status 2, as does a
+--K that is neither a number nor subcritical, critical or supercritical
+(multiples 0.5, 1 and 1.2 of K_sharp).  Only
 ``particles`` and ``verify`` take --seed, and only ``particles`` takes
 --workers.
 
@@ -109,11 +111,13 @@ def _build_potential(s: dict):
     return make_potential(s["model"], s["truncation"], **params)
 
 
+#: --K words, as multiples of K_sharp
+_NAMED_COUPLINGS = {"subcritical": 0.5, "critical": 1.0, "supercritical": 1.2}
+
+
 def _resolve_coupling(spec, w) -> float:
-    ks, _ = k_sharp(w)
-    named = {"subcritical": 0.5 * ks, "critical": ks, "supercritical": 1.2 * ks}
-    if spec in named:
-        return named[spec]
+    if spec in _NAMED_COUPLINGS:
+        return _NAMED_COUPLINGS[spec] * k_sharp(w)[0]
     return float(spec)
 
 
@@ -445,6 +449,13 @@ def main(argv=None) -> int:
         parser.error(f"{command} needs {', '.join(missing)}")
     if (settings.get("k_lo") is None) != (settings.get("k_hi") is None):
         parser.error("scan takes --k-lo and --k-hi together or neither")
+    k = settings.get("K")
+    if k is not None and str(k) not in _NAMED_COUPLINGS:
+        try:
+            float(k)
+        except (TypeError, ValueError):
+            parser.error(f"--K takes a number or one of "
+                         f"{', '.join(_NAMED_COUPLINGS)}, got {k!r}")
     if "model" in settings:
         _keep_model_params(settings)
     try:

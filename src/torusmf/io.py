@@ -21,7 +21,7 @@ from . import density as dens
 from .critical import PhaseDiagram, SolveReport
 from .density import Density
 from .flow import FlowTrace
-from .potentials import Potential, make_potential
+from .potentials import Potential
 
 _FLOAT_FMT = "%.17g"
 
@@ -85,19 +85,6 @@ def save_densities_npz(path, densities: list[Density], times=None) -> None:
 
 # ---------------------------------------------------------------------------
 # potentials
-
-
-def save_potential_json(path, w: Potential) -> None:
-    write_json(path, {
-        "model": w.name,
-        "params": {k: v for k, v in w.params.items() if k != "scale"},
-        "truncation": w.truncation,
-    })
-
-
-def load_potential_json(path) -> Potential:
-    rec = read_json(path)
-    return make_potential(rec["model"], rec["truncation"], **rec["params"])
 
 
 def save_coeffs_csv(path, w: Potential) -> None:

@@ -43,16 +43,24 @@ _DRIFT_BLOCK = 8
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Positions in [-1/2, 1/2) plus the RNG bookkeeping."""
+    """Positions in [-1/2, 1/2) plus the RNG bookkeeping.
+
+    ``normals`` is this step's draw xi_step when the step before made it
+    (``em_step`` carries it forward), None to draw it afresh.
+    """
 
     positions: np.ndarray
     time: float
     seed: int
     replicate: int = 0
     step: int = 0
+    normals: Optional[np.ndarray] = field(default=None, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         self.positions.flags.writeable = False
+        if self.normals is not None:
+            self.normals.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -149,21 +157,24 @@ def em_step(state: ParticleState, w: Potential, coupling: float, dt: float,
     so that the displacement after n steps at K = 0,
     sqrt(dt) (sqrt(3)/2 xi_0 + xi_1 + ... + xi_{n-1} + xi_n / 2),
     is exactly N(0, n dt) as for Brownian motion; plain LM gives
-    (n - 1/2) dt.  Each step still makes one drift evaluation.
+    (n - 1/2) dt.  Each step makes one drift evaluation and one draw:
+    xi_{s+1} rides to the next step in ``state.normals``.
 
     The name is kept from the Euler-Maruyama scheme this replaced: callers
     and the benchmark's tracer address the particle step by it.
     """
     if dt > 1e-3:
         raise ValueError("dt above 1e-3 is outside the validated range")
-    xi = _normals(state.seed, state.replicate, state.step, state.n)
+    xi = state.normals
+    if xi is None:
+        xi = _normals(state.seed, state.replicate, state.step, state.n)
     xi_next = _normals(state.seed, state.replicate, state.step + 1, state.n)
     a = math.sqrt(0.75) if state.step == 0 else 0.5
     force = drift(state.positions, w, coupling, mode)
     pos = _wrap(state.positions + force * dt
                 + math.sqrt(dt) * (a * xi + 0.5 * xi_next))
     return replace(state, positions=pos, time=state.time + dt,
-                   step=state.step + 1)
+                   step=state.step + 1, normals=xi_next)
 
 
 def empirical_fourier(positions: np.ndarray, k: int) -> complex:

@@ -9,7 +9,7 @@ the discarded tail, pointwise evaluators, and certificates used by the
 coefficient-decay check:
 
     doi_onsager          what(2l) = (2/pi) / (4 l^2 - 1)
-    transformer(beta)    what(l)  = I_l(beta) / beta
+    transformer(beta)    what(l)  = I_l(beta) / beta   (scipy.special.iv)
     hegselmann_krause(R) what(l)  = (2 / (pi l^3)) (l R - sin(l R))
     log_gas              what(l)  = 1 / (2 l)
 
@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import iv
 
-from .bessel import bessel_i, bessel_i_array, log_bessel_i_upper
 from .errors import (
     BadParams,
     NoAttractivePart,
@@ -39,6 +39,8 @@ from .errors import (
 MODELS = ("doi_onsager", "transformer", "hegselmann_krause", "log_gas", "custom")
 #: short names ``make_potential`` also accepts
 ALIASES = {"do": "doi_onsager", "hk": "hegselmann_krause"}
+#: largest inverse temperature the attention kernel accepts
+_BETA_MAX = 50.0
 
 
 def _wrap(theta):
@@ -155,20 +157,33 @@ def doi_onsager(truncation: int = 512) -> Potential:
                      _decay_certified_from=2)
 
 
+def _log_bessel_i_upper(order: int, x: float) -> float:
+    """log of the bound I_order(x) <= (x/2)^order e^{x^2/4} / order!.
+
+    Safe in log space for large orders where the value itself underflows;
+    used for the certified transformer tail.
+    """
+    return order * math.log(0.5 * x) + 0.25 * x * x - math.lgamma(order + 1)
+
+
 def transformer(beta: float, truncation: int = 512) -> Potential:
-    """Attention-style kernel (exp(beta cos(2 pi theta)) - 1)/beta."""
-    if not beta > 0.0:
-        raise BadParams(f"beta must be positive, got {beta}")
+    """Attention-style kernel (exp(beta cos(2 pi theta)) - 1)/beta.
+
+    Takes beta in (0, 50]; the coefficients I_l(beta)/beta come from
+    ``scipy.special.iv``.
+    """
+    if not 0.0 < beta <= _BETA_MAX:
+        raise BadParams(f"beta must lie in (0, {_BETA_MAX:g}], got {beta}")
     _check_truncation(truncation, 1)
-    coeffs = bessel_i_array(truncation, beta)[1:] / beta
-    i0 = bessel_i(0, beta)
+    coeffs = iv(np.arange(1, truncation + 1), beta) / beta
+    i0 = float(iv(0, beta))
 
     def tail(m: int) -> float:
         # I_{k+1}/I_k <= beta/(2(k+1)) gives a geometric envelope
         r = beta / (2.0 * (m + 1))
         if r >= 1.0:
             return math.inf
-        log_im = log_bessel_i_upper(m, beta)
+        log_im = _log_bessel_i_upper(m, beta)
         bound = math.exp(max(log_im, math.log(1e-300)))
         return bound / beta * r / (1.0 - r)
 
@@ -246,18 +261,26 @@ def custom_potential(coeffs, tail: Callable[[int], float] | None = None,
 
 
 def make_potential(model: str, truncation: int = 512, **params) -> Potential:
-    """Factory dispatch by model name (see MODELS and ALIASES)."""
+    """Factory dispatch by model name (see MODELS and ALIASES).
+
+    A custom coefficient list is cut or zero-padded to ``truncation``.
+    """
     model = ALIASES.get(model, model)
     if model == "doi_onsager":
         return doi_onsager(truncation)
     if model == "transformer":
         return transformer(params["beta"], truncation)
     if model == "hegselmann_krause":
-        return hegselmann_krause(params.get("radius", params.get("R")), truncation)
+        return hegselmann_krause(params["radius"], truncation)
     if model == "log_gas":
         return log_gas(truncation)
     if model == "custom":
-        return custom_potential(params["coeffs"])
+        coeffs = np.asarray(params["coeffs"], dtype=float)
+        if coeffs.ndim == 1 and coeffs.size:
+            # cut or zero-pad the list to the requested truncation
+            coeffs = np.pad(coeffs[:truncation],
+                            (0, max(truncation - len(coeffs), 0)))
+        return custom_potential(coeffs)
     raise BadParams(f"unknown model {model!r}; expected one of {MODELS}")
 
 
@@ -373,7 +396,7 @@ def beta_star() -> float:
     second mode is too strong and the transition turns discontinuous.
     """
     return float(
-        brentq(lambda b: bessel_i(2, b) - 0.5 * bessel_i(1, b), 2.4, 2.5,
+        brentq(lambda b: iv(2, b) - 0.5 * iv(1, b), 2.4, 2.5,
                xtol=1e-14, rtol=8.9e-16)
     )
 

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import iv
 
 import torusmf as tm
 from torusmf.critical import multistart
@@ -72,7 +73,7 @@ def test_c02_transformer_dichotomy():
 
     for beta in betas_cont:
         w = tm.transformer(beta)
-        ks = beta / (2 * tm.bessel_i(1, beta))
+        ks = beta / (2 * iv(1, beta))
         pd = tm.scan_kc(w, m=512, tol_K=5e-3)
         err = abs(pd.k_c_estimate - ks)
         details.append(f"b={beta:.3f}: {pd.continuity} K_c err {err:.1e}")

@@ -33,6 +33,16 @@ class TestThresholds:
         out = capsys.readouterr().out
         assert "predicted_continuity: continuous" in out
 
+    def test_custom_kernel_takes_the_truncation(self, tmp_path, capsys):
+        code = main(["thresholds", "custom", "--coeffs", "0.1,0.3,0.05",
+                     "--truncation", "8", "--out", str(tmp_path)])
+        assert code == 0
+        run = tmp_path / "thresholds_custom"
+        rows = (run / "coefficients.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [0.1, 0.3, 0.05] + [0.0] * 5
+        man = json.loads((run / "manifest.json").read_text())
+        assert man["config"]["truncation"] == 8
+
     def test_missing_param_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["thresholds", "transformer", "--out", str(tmp_path)])
@@ -50,6 +60,17 @@ class TestMinimize:
         assert (run / "minimizer_density.csv").exists()
         rec = json.loads((run / "minimizer.json").read_text())
         assert rec["free_energy"] < 0.0
+
+
+    def test_unknown_coupling_word_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "do", "--K", "foo", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'foo'" in err
+        for word in ("subcritical", "critical", "supercritical", "number"):
+            assert word in err
+        assert not list(tmp_path.glob("*_*"))
 
 
 class TestFlow:

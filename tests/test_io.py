@@ -40,14 +40,6 @@ class TestDensityIO:
 
 
 class TestPotentialIO:
-    def test_round_trip(self, tmp_path):
-        w = tm.transformer(2.5, truncation=64)
-        p = tmp_path / "w.json"
-        io.save_potential_json(p, w)
-        w2 = io.load_potential_json(p)
-        assert w2.name == "transformer"
-        assert np.abs(w2.coeffs - w.coeffs).max() == 0.0
-
     def test_coeff_csv(self, tmp_path):
         w = tm.log_gas(8)
         p = tmp_path / "c.csv"

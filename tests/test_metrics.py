@@ -80,3 +80,70 @@ class TestW2Circle:
             q = tm.from_grid(1 + eps * np.cos(2 * np.pi * theta_grid(512)))
             ds.append(tm.distance(tm.uniform(512), q, "W2_circle"))
         assert abs(ds[0] / ds[1] - 10.0) < 0.1
+
+
+def step_density(rng, m, floor):
+    # piecewise-constant two-level density on random arcs; floor 0 leaves
+    # empty cells, where the quantile function jumps
+    levels = np.where(rng.random(m // 8) < 0.5, floor, rng.uniform(1.0, 3.0, m // 8))
+    vals = np.roll(levels.repeat(8), rng.integers(m))
+    return tm.from_grid(vals / vals.mean())
+
+
+class TestW2Minimization:
+    def random_pairs(self, rng, n=120):
+        pairs = []
+        for i in range(n):
+            m = (64, 128, 512)[i % 3]
+            kind = i % 4
+            if kind == 0:
+                pairs.append((random_density(rng, m), random_density(rng, m)))
+            elif kind == 1:
+                pairs.append((step_density(rng, m, rng.uniform(0.05, 0.5)),
+                              random_density(rng, m)))
+            elif kind == 2:
+                pairs.append((step_density(rng, m, 0.2),
+                              step_density(rng, m, 0.5)))
+            else:
+                # a flow's relaxation to uniform; below W2 ~ 1e-4 the
+                # rounding of the cost itself nears 1e-12 relative
+                eps = 10.0 ** rng.uniform(-3, -1)
+                q = tm.from_grid(1 + eps * np.cos(2 * np.pi * (theta_grid(m)
+                                                               - rng.random())))
+                pairs.append((tm.uniform(m), q))
+        return pairs
+
+    def test_against_ternary_oracle(self, rng, monkeypatch):
+        from torusmf import metrics
+
+        pairs = self.random_pairs(rng)
+        ref = [oracles.w2_circle_ternary(p, q) for p, q in pairs]
+        calls = []
+        cost = metrics._offset_cost
+        monkeypatch.setattr(metrics, "_offset_cost",
+                            lambda *a: calls.append(1) or cost(*a))
+        got, evals = [], []
+        for p, q in pairs:
+            before = len(calls)
+            got.append(tm.w2_circle(p, q))
+            evals.append(len(calls) - before)
+        assert np.max(np.abs(np.subtract(got, ref)) / np.asarray(ref)) < 1e-12
+        # the ternary search makes 119 evaluations a call
+        assert np.mean(evals) <= 20 and max(evals) <= 40
+
+    def test_empty_cells_keep_the_cost_convex(self, rng):
+        # densities that vanish on whole cells: the offset cost stays
+        # convex, and the minimizer is not above a dense offset grid.  The
+        # cost has kinks here, where Brent's stop (relative offset
+        # tolerance 1.5e-8) leaves the distance within ~1e-8 of the minimum
+        from torusmf.metrics import _cdf_nodes, _offset_cost
+
+        alphas = np.linspace(-1.0, 1.0, 2001)
+        for m in (64, 128, 512):
+            p, q = step_density(rng, m, 0.0), step_density(rng, m, 0.0)
+            nodes = (*_cdf_nodes(p), *_cdf_nodes(q))
+            costs = np.array([_offset_cost(a, *nodes) for a in alphas])
+            assert np.diff(costs, 2).min() > -1e-12
+            d = tm.w2_circle(p, q)
+            assert d <= np.sqrt(costs.min()) * (1 + 1e-9)
+            assert abs(d - oracles.w2_circle_ternary(p, q)) < 1e-6 * d

@@ -1,7 +1,10 @@
 """Particle dynamics: forces, noise, reproducibility, mean-field limit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.special import iv
 
 import torusmf as tm
 from torusmf.errors import NoClosedForm
@@ -40,7 +43,7 @@ class TestDrift:
         coupling = 0.8
         # derivative tail: 4 pi K sum_{k>M} k I_k(beta)/beta, geometric
         r = 1.0 / (2 * 65)
-        tail = (4 * np.pi * coupling / 1.0 * 65 * tm.bessel_i(65, 1.0)
+        tail = (4 * np.pi * coupling / 1.0 * 65 * iv(65, 1.0)
                 / (1 - r))
         for _ in range(20):
             pos = rng.uniform(-0.5, 0.5, 100)
@@ -132,6 +135,28 @@ class TestEmStep:
         expect = np.sqrt(dt) * (np.sqrt(3.0) / 2 * xi[0] + sum(xi[1:-1])
                                 + 0.5 * xi[-1])
         assert np.abs(_wrap(state.positions - x0) - expect).max() < 1e-14
+
+    def test_each_step_draws_its_normals_once(self, do128, monkeypatch):
+        # xi_{s+1} rides from step s to step s + 1: n steps, n + 1 draws
+        import torusmf.particles as particles
+
+        calls = []
+        monkeypatch.setattr(particles, "_normals",
+                            lambda *a: calls.append(a[2]) or _normals(*a))
+        state = init_state(None, 32, seed=4)
+        for _ in range(7):
+            state = em_step(state, do128, 1.0, 1e-3)
+        assert calls == list(range(8))
+
+    def test_carried_normals_match_fresh_draws(self, do128):
+        # dropping the carried draw redraws it: bit-identical paths
+        carried = fresh = init_state(None, 64, seed=21)
+        for _ in range(6):
+            carried = em_step(carried, do128, 1.0, 1e-3)
+            fresh = em_step(replace(fresh, normals=None), do128, 1.0, 1e-3)
+            assert np.array_equal(carried.positions, fresh.positions)
+        assert np.array_equal(carried.normals, _normals(21, 0, 6, 64))
+        assert not carried.normals.flags.writeable
 
     def test_dt_guard(self, do128):
         state = init_state(None, 8, seed=1)
