@@ -10,7 +10,8 @@ dashes as underscores (``--grid-size`` sets ``grid_size``, ``--R`` sets
 ``grid_size`` and ``dt_particles``, which have no flag there.  A config
 key the verb does not read ends the run with exit status 2, as does a
 --K that is neither a number nor subcritical, critical or supercritical
-(multiples 0.5, 1 and 1.2 of K_sharp).  Only
+(multiples 0.5, 1 and 1.2 of K_sharp), or a value the computation
+rejects (a nonpositive --T, too few particles or replicates).  Only
 ``particles`` and ``verify`` take --seed, and only ``particles`` takes
 --workers.
 
@@ -24,7 +25,9 @@ for byte:
         < runs/scan_doi_onsager/manifest.json > rerun.json
     torusmf scan --config rerun.json --out rerun
 
-Results go to CSV + JSON.  For models with a proven continuity class,
+Results go to CSV + JSON.  ``flow``'s --dt is its largest step, and
+``trace_meta.json`` records the split the CFL bound forced (``substeps``)
+and the ETD2 steps taken.  For models with a proven continuity class,
 ``thresholds`` and ``scan`` exit 1 when the computed verdict disagrees,
 and ``particles`` exits 1 when the particles miss the flow by more than
 three standard errors (disable both with --no-assert).
@@ -249,6 +252,7 @@ def cmd_particles(s: dict) -> int:
     outdir = _run_dir(s, "particles", f"{_model_stem(w)}_K{coupling:g}")
     io.write_json(outdir / "chaos_report.json", {
         "mode": report.mode,
+        "substeps": report.substeps,
         "pde_value_sq": report.pde_value_sq,
         "particle_mean_sq": report.particle_mean_sq,
         "particle_se": report.particle_se,
@@ -460,7 +464,7 @@ def main(argv=None) -> int:
         _keep_model_params(settings)
     try:
         return func(settings)
-    except TorusMFError as exc:
+    except (TorusMFError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

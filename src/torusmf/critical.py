@@ -377,25 +377,18 @@ class SpectralGap(NamedTuple):
     supercritical: bool
 
 
-def lambda_star(w: Potential, coupling: float,
-                modes: str = "active") -> SpectralGap:
+def lambda_star(w: Potential, coupling: float) -> SpectralGap:
     """Relaxation rate of the linearization at the uniform state.
 
     min_k 2 pi^2 k^2 (1 - 2 K what(k)) in the time units of the flow on
     the unit-circumference circle (the usual (k^2/2)(1 - 2 K what(k))
     pattern of the radian parametrization carries the extra (2 pi)^2
-    here).  The mode set "active" restricts to the kernel's period
-    lattice, which is what a flow started on the lattice relaxes with;
-    "all" ranges over every k >= 1.  Beyond the truncation the rate only
-    grows, so the finite minimum is certified.  A nonpositive value is
-    flagged supercritical.
+    here).  k ranges over the kernel's period lattice, which is what a
+    flow started on the lattice relaxes with.  Beyond the truncation the
+    rate only grows, so the finite minimum is certified.  A nonpositive
+    value is flagged supercritical.
     """
-    if modes == "active":
-        ks = np.arange(w.lead_mode, w.truncation + 1, w.lead_mode)
-    elif modes == "all":
-        ks = np.arange(1, w.truncation + 1)
-    else:
-        raise ValueError("modes must be 'active' or 'all'")
+    ks = np.arange(w.lead_mode, w.truncation + 1, w.lead_mode)
     rates = (2.0 * np.pi**2 * ks.astype(float) ** 2
              * (1.0 - 2.0 * coupling * w.coeff(ks)))
     i = int(np.argmin(rates))

@@ -76,6 +76,8 @@ def _transport_hat(qhat: np.ndarray, vsym: np.ndarray, coupling: float,
     np.multiply(qv[0], vsym, out=qv[1])
     qg, vg = fourier_to_grid(qv, m)
     vmax = abs(coupling) * np.maximum.reduce(np.abs(vg))
+    if not math.isfinite(vmax):
+        raise BlowUp("transport velocity is non-finite")
     if math.isfinite(dt) and vmax > 0.0 and dt > CFL_SAFETY / (m * vmax):
         raise TimeStepTooLarge(
             f"dt={dt:.3e} exceeds transport CFL bound "
@@ -191,6 +193,11 @@ def integrate(
     """Run the flow to the horizon, recording distances to the uniform
     state, tracked Fourier amplitudes, free energy, and the mass defect.
 
+    ``dt`` is the largest step: a step that breaks the CFL bound is redone
+    from the same state as 2, 4, ... equal substeps until it passes, and
+    that split is kept.  Records stay on multiples of ``dt``.  ``meta``
+    holds the final split (``substeps``) and the steps taken (``steps``).
+
     Terminates early (flagged) once the stationarity residual drops below
     ``stop_residual``.
     """
@@ -204,12 +211,9 @@ def integrate(
     vsym = _velocity_symbol(w, m)
     qu = dens.uniform(m)
 
-    times = record.times(horizon)
     n_steps_total = int(round(horizon / dt))
-    record_steps = set(
-        np.unique(np.clip(np.round(times / dt), 0, n_steps_total).astype(int))
-        .tolist()
-    )
+    steps_at = np.round(record.times(horizon) / dt).clip(0, n_steps_total)
+    record_steps = set(steps_at.astype(int).tolist())
 
     qhat = q0.fourier.copy()
     out = {k: [] for k in ("t", "l2", "w2", "f", "mass")}
@@ -219,9 +223,8 @@ def integrate(
     terminated = False
     residual = math.nan
 
-    step = 0
+    substeps, n_etd = 1, 0
     n_recorded = 0
-    last_q, last_t = None, 0.0
     for step in range(n_steps_total + 1):
         if step in record_steps:
             q = dens.from_fourier(qhat, m)
@@ -236,20 +239,27 @@ def integrate(
             if n_recorded % record.snapshot_every == 0:
                 snapshots.append(q)
                 snapshot_times.append(t)
-            last_q, last_t = q, t
             n_recorded += 1
             residual = stationarity_residual(q, w, coupling)
             if residual < stop_residual:
                 terminated = True
                 break
         if step < n_steps_total:
-            qhat = _etd2_step(qhat, vsym, coupling, m, dt)
+            while True:
+                try:
+                    nxt = qhat
+                    for _ in range(substeps):
+                        nxt = _etd2_step(nxt, vsym, coupling, m, dt / substeps)
+                    break
+                except TimeStepTooLarge:
+                    substeps *= 2
+            qhat = nxt
+            n_etd += substeps
             if step % 200 == 0:
                 _check_state(fourier_to_grid(qhat, m))
-    if last_q is not None and (not snapshot_times
-                               or snapshot_times[-1] != last_t):
-        snapshots.append(last_q)
-        snapshot_times.append(last_t)
+    if snapshot_times[-1] != out["t"][-1]:  # q is the last record
+        snapshots.append(q)
+        snapshot_times.append(out["t"][-1])
 
     return FlowTrace(
         times=np.asarray(out["t"]),
@@ -269,6 +279,8 @@ def integrate(
             "grid_size": m,
             "dt": dt,
             "horizon": horizon,
+            "substeps": substeps,
+            "steps": n_etd,
         },
     )
 
@@ -304,15 +316,14 @@ def fit_rate(
     observable: str = "w2",
     model: str = "exponential",
     window: Optional[tuple[float, float]] = None,
-    floor: float = 1e-13,
-    local_r2: float = 0.999,
 ) -> RateFit:
     """Fit a decay law to a trace observable.
 
     exponential: log(obs) against t, rate = -slope; algebraic: log(obs)
     against log(t), rate = slope (the exponent).  Without an explicit
-    window the longest tail span whose rolling local fits stay above
-    ``local_r2`` is used; early transients drop out automatically.
+    window the longest tail span whose rolling local fits keep R^2 above
+    0.999 is used; early transients drop out automatically.  Values at or
+    below 1e-13 are left out as rounding noise.
     """
     t = trace.times
     if observable in ("w2", "l2"):
@@ -321,7 +332,7 @@ def fit_rate(
         y = trace.mode_abs[int(observable[4:])]
     else:
         raise ValueError(f"unknown observable {observable!r}")
-    keep = (y > floor) & (t > 0.0)
+    keep = (y > 1e-13) & (t > 0.0)
     t, y = t[keep], y[keep]
     if window is not None:
         inside = (t >= window[0]) & (t <= window[1])
@@ -335,7 +346,7 @@ def fit_rate(
     if window is None:
         wlen = max(7, len(x) // 10)
         good = np.array([
-            _r_squared(x[i:i + wlen], z[i:i + wlen]) > local_r2
+            _r_squared(x[i:i + wlen], z[i:i + wlen]) > 0.999
             for i in range(len(x) - wlen + 1)
         ])
         if not good.any():

@@ -31,7 +31,7 @@ from scipy.special import ndtri
 
 from . import density as dens
 from .density import Density
-from .errors import NoClosedForm, TimeStepTooLarge
+from .errors import NoClosedForm
 from .flow import RecordPolicy, _default_modes, integrate
 from .metrics import _cdf_nodes
 from .potentials import Potential, _wrap, k_sharp
@@ -140,8 +140,8 @@ def drift(positions: np.ndarray, w: Potential, coupling: float,
     raise ValueError("mode must be 'pairwise_exact' or 'fourier_truncated'")
 
 
-def em_step(state: ParticleState, w: Potential, coupling: float, dt: float,
-            mode: str = "fourier_truncated") -> ParticleState:
+def em_step(state: ParticleState, w: Potential, coupling: float,
+            dt: float) -> ParticleState:
     """One Leimkuhler-Matthews (noise-averaged) step with wrapped positions.
 
         x_{s+1} = x_s + F(x_s) dt + sqrt(dt) (a_s xi_s + xi_{s+1} / 2)
@@ -170,7 +170,7 @@ def em_step(state: ParticleState, w: Potential, coupling: float, dt: float,
         xi = _normals(state.seed, state.replicate, state.step, state.n)
     xi_next = _normals(state.seed, state.replicate, state.step + 1, state.n)
     a = math.sqrt(0.75) if state.step == 0 else 0.5
-    force = drift(state.positions, w, coupling, mode)
+    force = drift(state.positions, w, coupling)
     pos = _wrap(state.positions + force * dt
                 + math.sqrt(dt) * (a * xi + 0.5 * xi_next))
     return replace(state, positions=pos, time=state.time + dt,
@@ -242,12 +242,12 @@ class ChaosReport:
     """
 
     mode: int
+    substeps: int  #: the flow side's final split of ``dt_pde``
     pde_value_sq: float
     particle_mean_sq: float
     particle_se: float
     z_score: float
     replicates: int
-    initial_law: str
     #: each replicate's trajectory at ``simulate``'s default modes and
     #: cadence, plus ``mode`` when it is not among them
     trajectories: tuple[ParticleTrajectory, ...] = field(repr=False)
@@ -261,13 +261,12 @@ def chaos_check(
     replicates: int = 16,
     dt: float = 1e-3,
     q0: Density | None = None,
-    mode_k: Optional[int] = None,
     seed: int = 2024,
     m_pde: int = 512,
     dt_pde: float = 1e-4,
     workers: int = 1,
 ) -> ChaosReport:
-    """Compare the replicate-averaged empirical mode against the flow.
+    """Compare the replicate-averaged sharp mode against the flow.
 
     Particles start i.i.d. from the flow's initial density (uniform when
     q0 is None), which fixes the mean-field initial law; the flow side
@@ -276,30 +275,23 @@ def chaos_check(
     for any worker count.  The particles are stepped by ``em_step``, whose
     noise averaging keeps the time-discretization bias of the stationary
     law at O(dt^2); Euler-Maruyama's O(dt) bias puts a supercritical
-    comparison at dt = 1e-3 many standard errors off.
+    comparison at dt = 1e-3 many standard errors off.  ``dt_pde`` is the
+    flow side's largest step: ``integrate`` splits it where the CFL bound
+    requires, and the report carries the split.
     """
     if n < 10:
         raise ValueError("need at least a few particles")
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates for a standard error")
     if q0 is not None and q0.grid_size != m_pde:
         raise ValueError(
             f"q0 lives on M={q0.grid_size} but the flow grid is m_pde={m_pde}"
         )
-    if mode_k is None:
-        mode_k = k_sharp(w)[1]
+    mode_k = k_sharp(w)[1]
     pde_q0 = q0 if q0 is not None else dens.uniform(m_pde)
-    trace = None
-    for _ in range(4):  # supercritical states can tighten the CFL bound
-        try:
-            trace = integrate(
-                pde_q0, w, coupling, horizon, dt=dt_pde,
-                record=RecordPolicy("uniform", 10, snapshot_every=10**9),
-                track_modes=[mode_k], stop_residual=0.0,
-            )
-            break
-        except TimeStepTooLarge:
-            dt_pde *= 0.5
-    if trace is None:
-        raise TimeStepTooLarge("flow side of the consistency check")
+    trace = integrate(pde_q0, w, coupling, horizon, dt=dt_pde,
+                      record=RecordPolicy("uniform", 10, snapshot_every=10**9),
+                      track_modes=[mode_k], stop_residual=0.0)
     pde_sq = float(trace.mode_abs[mode_k][-1] ** 2)
 
     tracked = _default_modes(w)
@@ -326,11 +318,11 @@ def chaos_check(
     z = (mean - pde_sq) / se if se > 0 else math.inf
     return ChaosReport(
         mode=mode_k,
+        substeps=trace.meta["substeps"],
         pde_value_sq=pde_sq,
         particle_mean_sq=mean,
         particle_se=se,
         z_score=float(z),
         replicates=replicates,
-        initial_law="uniform" if q0 is None else "given density",
         trajectories=trajs,
     )

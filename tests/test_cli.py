@@ -85,6 +85,32 @@ class TestFlow:
         fit = json.loads((run / "rate_fit.json").read_text())
         assert fit["goodness"] > 0.999
 
+    def test_split_steps_go_to_trace_meta(self, tmp_path, capsys):
+        # dt = 1e-4 breaks the CFL bound on the way to the clustered state
+        code = main(["flow", "do", "--K", "supercritical", "--T", "0.6",
+                     "--dt", "1e-4", "-M", "256", "--out", str(tmp_path)])
+        assert code == 0
+        (run,) = tmp_path.glob("flow_*")
+        meta = json.loads((run / "trace_meta.json").read_text())
+        assert meta["substeps"] == 2
+        assert meta["dt"] == 1e-4
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv, message", [
+        (["particles", "do", "--K", "subcritical", "--N", "5", "--T", "0.01"],
+         "particles"),
+        (["particles", "do", "--K", "subcritical", "--N", "100", "--T", "0.01",
+          "--replicates", "1"], "replicates"),
+        (["flow", "do", "--K", "1.0", "--T", "-1"], "horizon"),
+    ])
+    def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
 
 class TestVerify:
     def test_loggas_suite(self, tmp_path, capsys):
@@ -118,6 +144,8 @@ class TestConfigAndReport:
         (run,) = tmp_path.glob("particles_*")
         header = (run / "replicate0_modes.csv").read_text().split("\n")[0]
         assert header.startswith("t,mode2,")
+        report = json.loads((run / "chaos_report.json").read_text())
+        assert report["substeps"] == 1
 
     def test_report_aggregates(self, tmp_path, capsys):
         main(["thresholds", "doi_onsager", "--out", str(tmp_path)])

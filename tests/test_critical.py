@@ -220,11 +220,6 @@ class TestSpectralGap:
         lam2 = tm.lambda_star(do_kernel, 1.01 * ks)
         assert lam2.supercritical
 
-    def test_all_modes_option(self, do_kernel):
-        lam = tm.lambda_star(do_kernel, 3 * np.pi / 8, modes="all")
-        assert lam.mode == 1  # inactive mode 1 relaxes at the bare rate
-        assert abs(lam.rate - 2 * np.pi**2) < 1e-12
-
 
 class TestKStar:
     def test_do_equals_k_sharp(self, do_kernel):

@@ -5,10 +5,12 @@ import pytest
 
 import torusmf as tm
 from torusmf.density import theta_grid
-from torusmf.errors import DegenerateWindow, TimeStepTooLarge
+from torusmf.errors import BlowUp, DegenerateWindow, TimeStepTooLarge
 from torusmf.flow import (
     FlowTrace,
     RecordPolicy,
+    _transport_hat,
+    _velocity_symbol,
     fit_rate,
     integrate,
     mv_step,
@@ -49,6 +51,14 @@ class TestStep:
         q = tm.extremal(0.9, 1, 0.0, 256)
         with pytest.raises(TimeStepTooLarge):
             mv_step(q, do_kernel, 5.0, 1e-2)
+
+    def test_nonfinite_velocity_blows_up(self, do_kernel):
+        # an infinite velocity gives a CFL bound of 0, which no split meets
+        m = 256
+        qhat = tm.cosine_profile({2: 0.2}, m).fourier.copy()
+        qhat[2] = np.inf
+        with pytest.raises(BlowUp), np.errstate(invalid="ignore"):
+            _transport_hat(qhat, _velocity_symbol(do_kernel, m), 1.0, m, 1e-4)
 
 
 class TestResidual:
@@ -129,6 +139,31 @@ class TestIntegrate:
         # halving dt should cut the error by about 4 (second order, with
         # Richardson slack since the reference is the finest grid)
         assert e2 < e1 / 2.5
+
+    def test_below_the_bound_takes_one_step_per_dt(self, do_kernel):
+        q0 = tm.cosine_profile({2: 0.2}, 256)
+        tr = integrate(q0, do_kernel, 3 * np.pi / 8, 0.05, dt=1e-4,
+                       record=RecordPolicy("uniform", 5), stop_residual=0.0)
+        assert tr.meta["substeps"] == 1
+        assert tr.meta["steps"] == 500
+
+    def test_step_split_at_the_cfl_bound(self):
+        # the flow side of the scaled-down C10 check: dt = 1e-4 breaks the
+        # CFL bound at t = 0.065 and 5e-5 at t = 0.137, so the run ends on
+        # quarter steps and agrees with a fixed 2.5e-5 run from t = 0
+        w = tm.doi_onsager(truncation=128)
+        q0 = tm.cosine_profile({2: 0.2}, 512)
+        coupling = 1.2 * 3 * np.pi / 4
+        record = RecordPolicy("uniform", 10, snapshot_every=10**9)
+        split, fixed = (integrate(q0, w, coupling, 0.5, dt=dt, record=record,
+                                  track_modes=[2], stop_residual=0.0)
+                        for dt in (1e-4, 2.5e-5))
+        assert split.meta["substeps"] == 4
+        assert fixed.meta["substeps"] == 1
+        assert split.meta["steps"] < fixed.meta["steps"]
+        np.testing.assert_allclose(split.times, np.linspace(0.0, 0.5, 11))
+        assert abs(split.mode_abs[2][-1] ** 2
+                   - fixed.mode_abs[2][-1] ** 2) < 1e-9
 
 
 class TestFitRate:

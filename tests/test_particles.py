@@ -112,11 +112,11 @@ class TestEmStep:
     def test_deterministic_two_particles(self, do128):
         # zero noise by construction: compare one drift-only Euler step
         pos = np.array([0.125, -0.125])
-        f = drift(pos, do128, 1.0, "pairwise_exact")
+        f = drift(pos, do128, 1.0)
         expect = _wrap(pos + f * 1e-3)
         state = init_state(None, 2, seed=3)
         state = type(state)(pos, 0.0, 3, 0, 0)
-        out = em_step(state, do128, 1.0, 1e-3, "pairwise_exact")
+        out = em_step(state, do128, 1.0, 1e-3)
         noise = out.positions - expect
         # subtracting the deterministic part leaves pure N(0, dt) noise
         assert np.all(np.abs(noise) < 6 * np.sqrt(1e-3))
@@ -239,3 +239,25 @@ class TestChaos:
         with pytest.raises(ValueError, match="m_pde"):
             chaos_check(do128, 1.0, n=100, horizon=0.01, replicates=2,
                         q0=q0, m_pde=1024)
+
+    def test_fewer_than_two_replicates_rejected(self, do128):
+        with pytest.raises(ValueError, match="replicates"):
+            chaos_check(do128, 1.0, n=100, horizon=0.01, replicates=1)
+
+    def test_flow_side_is_one_integrate_call(self, do128, monkeypatch):
+        from torusmf import particles
+
+        calls = []
+        real = particles.integrate
+
+        def counting(*args, **kw):
+            calls.append(kw["dt"])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(particles, "integrate", counting)
+        rep = chaos_check(do128, 1.2 * 3 * np.pi / 4, n=100, horizon=0.5,
+                          replicates=2, dt=1e-3,
+                          q0=tm.cosine_profile({2: 0.2}, 512), seed=2024,
+                          m_pde=512, dt_pde=1e-4)
+        assert calls == [1e-4]
+        assert rep.substeps == 4
