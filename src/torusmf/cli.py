@@ -10,10 +10,10 @@ dashes as underscores (``--grid-size`` sets ``grid_size``, ``--R`` sets
 ``grid_size`` and ``dt_particles``, which have no flag there.  A config
 key the verb does not read ends the run with exit status 2, as does a
 --K that is neither a number nor subcritical, critical or supercritical
-(multiples 0.5, 1 and 1.2 of K_sharp), or a value the computation
-rejects (a nonpositive --T, too few particles or replicates).  Only
-``particles`` and ``verify`` take --seed, and only ``particles`` takes
---workers.
+(multiples 0.5, 1 and 1.2 of K_sharp), a value the computation rejects
+(a nonpositive --T, too few particles or replicates), or a ``report``
+--dir that is not a directory.  Only ``particles`` and ``verify`` take
+--seed, and only ``particles`` takes --workers.
 
 The verb runs from that record alone and writes it, under "config", to
 ``manifest.json`` in its run directory, next to the command, the package
@@ -314,13 +314,15 @@ def cmd_verify(s: dict) -> int:
 
 def cmd_report(s: dict) -> int:
     root = Path(s["dir"])
+    if not root.is_dir():
+        raise ValueError(f"--dir {root} is not a directory")
     rows = []
-    for vf in sorted(root.glob("**/verdict.json")):
-        rec = io.read_json(vf)
-        rows.append((str(vf.parent.name), rec))
-    for tf in sorted(root.glob("**/thresholds.json")):
-        rec = io.read_json(tf)
-        rows.append((str(tf.parent.name), rec))
+    for result in ("verdict.json", "thresholds.json"):
+        for f in sorted(root.glob(f"**/{result}")):
+            # keyed by path under root: same-named runs elsewhere stay apart
+            rel = f.parent.relative_to(root)
+            rows.append((rel.as_posix() if rel.parts else f.parent.name,
+                         io.read_json(f)))
     summary = {name: rec for name, rec in rows}
     io.write_json(root / "summary.json", summary)
     for name, rec in rows:

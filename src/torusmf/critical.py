@@ -117,15 +117,15 @@ def solve_fixed_point(
 # multistart minimization
 
 
-def standard_seeds(w: Potential, m: int = 512,
-                   extended: bool = False) -> list[tuple[str, Density]]:
+def standard_seeds(w: Potential, m: int = 512) -> list[tuple[str, Density]]:
     """The fixed seed set spanning small and large amplitude basins.
 
-    Eight standard seeds: the uniform state, three cosine perturbations on
-    the kernel's lead mode, three members of the Poisson-kernel family,
-    and a sharply concentrated bump.  The extended set adds each
-    nonuniform seed rotated by a quarter period to guard against symmetry
-    traps.
+    Eight seeds: the uniform state, three cosine perturbations on the
+    kernel's lead mode, three members of the Poisson-kernel family, and a
+    sharply concentrated bump.  No rotated copies are needed: the map
+    commutes with rotations of the circle, so a rotated seed's solve is
+    its parent's solve rotated, with the same free energy and order
+    parameter.
     """
     n = w.periodicity
     lead = n + 1
@@ -135,10 +135,6 @@ def standard_seeds(w: Potential, m: int = 512,
     for c in (0.3, 0.7, 0.95):
         seeds.append((f"extremal_c{c}", dens.extremal(c, n, 0.0, m)))
     seeds.append(("bump_c0.99", dens.extremal(0.99, n, 0.0, m)))
-    if extended:
-        shift = 1.0 / (4.0 * lead)
-        for name, q in list(seeds[1:]):
-            seeds.append((name + "_shifted", q.shift(shift)))
     return seeds
 
 
@@ -150,13 +146,9 @@ def multistart(
     tol: float = 1e-12,
     max_iter: int = 20000,
 ) -> list[SolveReport]:
-    """Run the fixed-point solve from every seed; reports in seed order."""
-    if seeds == "standard":
-        seed_list = standard_seeds(w, m)
-    elif seeds == "extended":
-        seed_list = standard_seeds(w, m, extended=True)
-    else:
-        seed_list = list(seeds)
+    """Solve from every seed, ``"standard"`` (``standard_seeds(w, m)``) or
+    a list of (id, density) pairs; reports in seed order."""
+    seed_list = standard_seeds(w, m) if seeds == "standard" else list(seeds)
     return [
         solve_fixed_point(w, coupling, q0, tol, max_iter, seed_id=sid)
         for sid, q0 in seed_list
@@ -167,11 +159,11 @@ def find_minimizer(
     w: Potential,
     coupling: float,
     m: int = 512,
-    seeds: str | Sequence[tuple[str, Density]] = "extended",
+    seeds: str | Sequence[tuple[str, Density]] = "standard",
     tol: float = 1e-12,
     max_iter: int = 20000,
 ) -> tuple[SolveReport, list[SolveReport]]:
-    """Best critical point over the multistart seed set.
+    """Best critical point over the eight ``standard_seeds`` or ``seeds``.
 
     Returns the converged report of minimal free energy (ties within
     1e-11 broken toward the smaller order parameter) plus all reports.
@@ -248,7 +240,6 @@ def scan_kc(
     tol_K: float = 5e-3,
     tol_F: float = 1e-10,
     seeds: str | Sequence[tuple[str, Density]] = "standard",
-    tol: float = 1e-11,
     max_iter: int = 20000,
 ) -> PhaseDiagram:
     """Locate the critical coupling and classify the transition.
@@ -256,7 +247,8 @@ def scan_kc(
     Bisection on the predicate "some seed reaches free energy below
     -tol_F" over the bracket (defaults to [0.95 K_*, 1.1 K_#]); the
     predicate needs no converged solves because iterate energies are
-    always upper bounds for the minimum.
+    always upper bounds for the minimum.  Solves stop at residual 1e-11
+    (or ``max_iter``), from ``seeds`` as in ``multistart``.
 
     Continuity is decided by the global-minimality probe at K_#: the
     transition is discontinuous precisely when a state strictly below the
@@ -276,7 +268,7 @@ def scan_kc(
 
     def evaluate(coupling: float) -> ScanRow:
         if coupling not in rows:
-            reports = multistart(w, coupling, m, seeds, tol, max_iter)
+            reports = multistart(w, coupling, m, seeds, 1e-11, max_iter)
             gap, state = _best_gap(reports)
             rows[coupling] = ScanRow(
                 coupling=coupling,

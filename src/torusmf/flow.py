@@ -315,15 +315,15 @@ def fit_rate(
     trace: FlowTrace,
     observable: str = "w2",
     model: str = "exponential",
-    window: Optional[tuple[float, float]] = None,
 ) -> RateFit:
     """Fit a decay law to a trace observable.
 
     exponential: log(obs) against t, rate = -slope; algebraic: log(obs)
-    against log(t), rate = slope (the exponent).  Without an explicit
-    window the longest tail span whose rolling local fits keep R^2 above
-    0.999 is used; early transients drop out automatically.  Values at or
-    below 1e-13 are left out as rounding noise.
+    against log(t), rate = slope (the exponent).  The fit window is the
+    latest contiguous span whose rolling local fits keep R^2 above 0.999,
+    so early transients and a late noise floor drop out; it is reported
+    in ``RateFit.window``.  Values at or below 1e-13 are left out as
+    rounding noise.
     """
     t = trace.times
     if observable in ("w2", "l2"):
@@ -334,35 +334,29 @@ def fit_rate(
         raise ValueError(f"unknown observable {observable!r}")
     keep = (y > 1e-13) & (t > 0.0)
     t, y = t[keep], y[keep]
-    if window is not None:
-        inside = (t >= window[0]) & (t <= window[1])
-        t, y = t[inside], y[inside]
     if len(t) < 20:
         raise DegenerateWindow(f"only {len(t)} usable points")
     x = t if model == "exponential" else np.log(t)
     if model not in ("exponential", "algebraic"):
         raise ValueError("model must be 'exponential' or 'algebraic'")
     z = np.log(y)
-    if window is None:
-        wlen = max(7, len(x) // 10)
-        good = np.array([
-            _r_squared(x[i:i + wlen], z[i:i + wlen]) > 0.999
-            for i in range(len(x) - wlen + 1)
-        ])
-        if not good.any():
-            raise DegenerateWindow("no log-linear span in the trace")
-        # latest contiguous run of locally linear windows (skips both the
-        # early transient and any late noise floor)
-        end = len(good) - 1 - int(np.argmax(good[::-1]))
-        begin = end
-        while begin > 0 and good[begin - 1]:
-            begin -= 1
-        sl = slice(begin, end + wlen)
-        t, x, z = t[sl], x[sl], z[sl]
-        if len(x) < 20:
-            raise DegenerateWindow(
-                f"log-linear span has only {len(x)} points"
-            )
+    wlen = max(7, len(x) // 10)
+    good = np.array([
+        _r_squared(x[i:i + wlen], z[i:i + wlen]) > 0.999
+        for i in range(len(x) - wlen + 1)
+    ])
+    if not good.any():
+        raise DegenerateWindow("no log-linear span in the trace")
+    # latest contiguous run of locally linear windows (skips both the
+    # early transient and any late noise floor)
+    end = len(good) - 1 - int(np.argmax(good[::-1]))
+    begin = end
+    while begin > 0 and good[begin - 1]:
+        begin -= 1
+    sl = slice(begin, end + wlen)
+    t, x, z = t[sl], x[sl], z[sl]
+    if len(x) < 20:
+        raise DegenerateWindow(f"log-linear span has only {len(x)} points")
     slope, _ = np.polyfit(x, z, 1)
     r2 = _r_squared(x, z)
     rate = -float(slope) if model == "exponential" else float(slope)

@@ -76,15 +76,16 @@ def extremal_phi(c: float, n: int, theta0: float = 0.0,
     )
 
 
-def check_periodic(q: Density, n: int, tol: float = CONSTRAINT_TOL) -> None:
-    """Raise unless q's spectrum lives on the (n+1) lattice within tol."""
+def check_periodic(q: Density, n: int) -> None:
+    """Raise unless q's off-lattice Fourier content is <= CONSTRAINT_TOL."""
     m = q.grid_size
     k = np.arange(m // 2 + 1)
     off = (k % (n + 1) != 0)
     worst = float(np.abs(q.fourier[off]).max()) if off.any() else 0.0
-    if worst > tol:
+    if worst > CONSTRAINT_TOL:
         raise PeriodicityViolated(
-            f"off-lattice Fourier content {worst:.2e} exceeds {tol:.0e}"
+            f"off-lattice Fourier content {worst:.2e} exceeds "
+            f"{CONSTRAINT_TOL:.0e}"
         )
 
 
@@ -134,26 +135,29 @@ def coercivity_gap(q: Density, w: Potential, coupling: float,
 # randomized admissible inputs
 
 
-def random_tilted_density(n: int, m: int = 2048, rng=None,
-                          n_modes: int = 8, amp: float = 1.2) -> Density:
+def random_tilted_density(n: int, m: int = 2048, rng=None) -> Density:
     """Random smooth 1/(n+1)-periodic density by exponential tilting.
 
-    q = e^psi / Z with psi a random trigonometric polynomial on the
-    (n+1) lattice; positivity and periodicity hold by construction, and
-    smoothness keeps the 1e-9 scale quadrature-clean.
+    q = e^psi / Z with psi from ``random_tilted_phi``; positivity and
+    periodicity hold by construction, and smoothness keeps the 1e-9 scale
+    quadrature-clean.
     """
-    psi = random_tilted_phi(n, m, rng, n_modes, amp)
+    psi = random_tilted_phi(n, m, rng)
     e = np.exp(psi)
     return dens.from_grid(e / e.mean())
 
 
-def random_tilted_phi(n: int, m: int = 2048, rng=None,
-                      n_modes: int = 8, amp: float = 1.2) -> np.ndarray:
-    """Random (n+1)-periodic trigonometric polynomial with decaying modes."""
+def random_tilted_phi(n: int, m: int = 2048, rng=None) -> np.ndarray:
+    """Random (n+1)-periodic trigonometric polynomial with decaying modes.
+
+    Eight modes on the (n+1) lattice; mode j has normal cosine and sine
+    coefficients of standard deviation (1.2 / sqrt 8) 0.7^(j-1).
+    """
     rng = np.random.default_rng(rng)
     th = dens.theta_grid(m)
     psi = np.zeros(m)
-    scale = amp / np.sqrt(n_modes)
+    n_modes = 8
+    scale = 1.2 / np.sqrt(n_modes)
     for j in range(1, n_modes + 1):
         k = (n + 1) * j
         sigma = scale * 0.7 ** (j - 1)
@@ -185,28 +189,31 @@ class SuiteReport:
 
 
 def run_entropy_suite(n: int, samples: int = 500, m: int = 2048,
-                      seed: int = 0, tol: float = 1e-9) -> SuiteReport:
-    """Randomized check of the entropy inequality at periodicity n."""
+                      seed: int = 0) -> SuiteReport:
+    """Randomized check of the entropy inequality at periodicity n; a gap
+    below -1e-9 is a violation."""
     rng = np.random.default_rng(seed)
     gaps = np.empty(samples)
     for i in range(samples):
         q = random_tilted_density(n, m, rng)
         gaps[i] = entropy_seminorm_gap(q, n)
-    return _report("entropy_seminorm", n, gaps, tol)
+    return _report("entropy_seminorm", n, gaps)
 
 
 def run_exponential_suite(n: int, samples: int = 500, m: int = 2048,
-                          seed: int = 0, tol: float = 1e-9) -> SuiteReport:
-    """Randomized check of the exponential inequality at periodicity n."""
+                          seed: int = 0) -> SuiteReport:
+    """Randomized check of the exponential inequality at periodicity n; a
+    gap below -1e-9 is a violation."""
     rng = np.random.default_rng(seed)
     gaps = np.empty(samples)
     for i in range(samples):
         phi = random_tilted_phi(n, m, rng)
         gaps[i] = lebedev_milin_gap(phi, n)
-    return _report("lebedev_milin", n, gaps, tol)
+    return _report("lebedev_milin", n, gaps)
 
 
-def _report(name: str, n: int, gaps: np.ndarray, tol: float) -> SuiteReport:
+def _report(name: str, n: int, gaps: np.ndarray) -> SuiteReport:
+    tol = 1e-9
     return SuiteReport(
         suite=name,
         n=n,

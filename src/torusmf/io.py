@@ -75,10 +75,9 @@ def save_density_csv(path, q: Density) -> None:
     write_csv(path, rows, ["theta", "q"])
 
 
-def save_densities_npz(path, densities: list[Density], times=None) -> None:
+def save_densities_npz(path, densities: list[Density], times) -> None:
     arrays = {f"q{i:05d}": d.grid_values for i, d in enumerate(densities)}
-    if times is not None:
-        arrays["times"] = np.asarray(times)
+    arrays["times"] = np.asarray(times)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **arrays)
 
@@ -108,11 +107,11 @@ def save_phase_diagram(outdir, pd: PhaseDiagram) -> None:
     write_json(outdir / "verdict.json", pd.as_verdict())
 
 
-def save_solve_report(outdir, report: SolveReport, stem: str = "minimizer") -> None:
+def save_solve_report(outdir, report: SolveReport) -> None:
     outdir = Path(outdir)
-    save_density_csv(outdir / f"{stem}_density.csv", report.density)
-    save_density_json(outdir / f"{stem}_density.json", report.density)
-    write_json(outdir / f"{stem}.json", {
+    save_density_csv(outdir / "minimizer_density.csv", report.density)
+    save_density_json(outdir / "minimizer_density.json", report.density)
+    write_json(outdir / "minimizer.json", {
         "residual": report.residual,
         "free_energy": report.free_energy,
         "iterations": report.iterations,

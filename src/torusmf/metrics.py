@@ -72,13 +72,13 @@ def _offset_cost(alpha: float, fp, xp, fq, xq) -> float:
     return float(np.sum(dt * (d2[0] + d2[1])) / 2.0)
 
 
-def w2_circle(p: Density, q: Density, tol: float = 1e-10) -> float:
+def w2_circle(p: Density, q: Density) -> float:
     """Quadratic Wasserstein distance on the circle.
 
     Bounded Brent minimization over the CDF offset of the circular
     quantile coupling; the cost is convex and piecewise quadratic in the
     offset, so parabolic steps reach the minimizer in a few evaluations.
-    The offset is resolved to ``tol`` plus scipy's fixed relative term
+    The offset is resolved to 1e-10 plus scipy's fixed relative term
     1.5e-8 |offset|; where the cost is smooth (positive densities) that
     moves the distance only at rounding level.
     """
@@ -86,5 +86,5 @@ def w2_circle(p: Density, q: Density, tol: float = 1e-10) -> float:
     fq, xq = _cdf_nodes(q)
     res = minimize_scalar(_offset_cost, bounds=(-1.0, 1.0),
                           args=(fp, xp, fq, xq), method="bounded",
-                          options={"xatol": tol})
+                          options={"xatol": 1e-10})
     return float(np.sqrt(max(res.fun, 0.0)))

@@ -247,17 +247,16 @@ def log_gas(truncation: int = 512) -> Potential:
                      _decay_certified_from=1)
 
 
-def custom_potential(coeffs, tail: Callable[[int], float] | None = None,
-                     name: str = "custom") -> Potential:
-    """Kernel from an explicit finite list what(1..len(coeffs))."""
+def custom_potential(coeffs) -> Potential:
+    """Kernel "custom" from an explicit finite list what(1..len(coeffs)),
+    which is the whole kernel: no tail, so its decay is certified."""
     coeffs = np.asarray(coeffs, dtype=float).copy()
     if coeffs.ndim != 1 or len(coeffs) == 0:
         raise BadParams("custom kernel needs a nonempty 1-D coefficient list")
     n = _periodicity_of(coeffs)
-    return Potential(name, {"coeffs": coeffs.tolist()}, coeffs, n,
-                     tail if tail is not None else (lambda m: 0.0),
-                     None, None,
-                     _decay_certified_from=len(coeffs) if tail is None else None)
+    return Potential("custom", {"coeffs": coeffs.tolist()}, coeffs, n,
+                     lambda m: 0.0, None, None,
+                     _decay_certified_from=len(coeffs))
 
 
 def make_potential(model: str, truncation: int = 512, **params) -> Potential:
@@ -320,12 +319,13 @@ class DecayReport:
     lead_scale: float  # 2 what(n+1) used for normalization
 
 
-def check_decay(w: Potential, n: int, rel_slack: float = 1e-12) -> DecayReport:
+def check_decay(w: Potential, n: int) -> DecayReport:
     """Verify 2 what(k) <= (n+1)/k for all k after lead normalization.
 
     The kernel must be 1/(n+1)-periodic.  Modes up to the truncation are
-    checked numerically; the remainder is certified from the model's
-    analytic envelope when one is attached.
+    checked numerically, with a relative slack of 1e-12 for rounding; the
+    remainder is certified from the model's analytic envelope when one is
+    attached.
     """
     lead = 2.0 * float(w.coeff(n + 1))
     if lead <= 0.0:
@@ -339,7 +339,7 @@ def check_decay(w: Potential, n: int, rel_slack: float = 1e-12) -> DecayReport:
         )
     ratio = 2.0 * w.coeffs / lead
     allowed = (n + 1) / k
-    bad = ratio > allowed * (1.0 + rel_slack)
+    bad = ratio > allowed * (1.0 + 1e-12)
     first = int(k[bad][0]) if bad.any() else None
     cert = w._decay_certified_from
     certified = (

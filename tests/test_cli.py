@@ -156,6 +156,23 @@ class TestConfigAndReport:
         assert "thresholds_doi_onsager" in out
         assert (tmp_path / "summary.json").exists()
 
+    def test_report_on_missing_dir_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        code = main(["report", "--dir", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not missing.exists()
+
+    def test_report_keeps_nested_runs_apart(self, tmp_path, capsys):
+        for sub, k_c in (("a", 1.0), ("b", 2.0)):
+            run = tmp_path / sub / "scan_x"
+            run.mkdir(parents=True)
+            (run / "verdict.json").write_text(json.dumps({"K_c": k_c}))
+        code = main(["report", "--dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == {"a/scan_x": {"K_c": 1.0}, "b/scan_x": {"K_c": 2.0}}
+
 
 class TestSettings:
     # every value off its default, so a setting missing from the manifest

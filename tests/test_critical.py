@@ -81,12 +81,29 @@ class TestSolve:
         assert odd.max() <= 1e-11
 
     def test_translation_covariance(self, do_normalized):
-        base = tm.extremal(0.5, 1, 0.0, 512)
-        r1 = tm.solve_fixed_point(do_normalized, 1.2, base, tol=1e-12)
-        r2 = tm.solve_fixed_point(do_normalized, 1.2, base.roll(64), tol=1e-12)
-        assert abs(r1.free_energy - r2.free_energy) < 1e-11
-        assert np.abs(r1.density.roll(64).grid_values
-                      - r2.density.grid_values).max() < 1e-8
+        # rolls of M/(4 lead) cells, the quarter lead period: a solve from
+        # a rotated seed is the seed's solve rotated, so the standard seed
+        # set needs no rotated copies
+        m = 512
+        attention, hk = tm.transformer(3.0), tm.hegselmann_krause(1.0)
+        cases = [
+            (do_normalized, 1.2, tm.extremal(0.5, 1, 0.0, m)),
+            (do_normalized, 1.3,
+             dict(standard_seeds(do_normalized, m))["extremal_c0.7"]),
+            (attention, 0.37634,
+             dict(standard_seeds(attention, m))["cos_a0.6"]),
+            (hk, 1.05 * tm.k_sharp(hk)[0],
+             dict(standard_seeds(hk, m))["cos_a0.2"]),
+        ]
+        for w, coupling, base in cases:
+            shift = m // (4 * w.lead_mode)
+            r1 = tm.solve_fixed_point(w, coupling, base, tol=1e-12)
+            r2 = tm.solve_fixed_point(w, coupling, base.roll(shift),
+                                      tol=1e-12)
+            assert r1.converged and r2.converged
+            assert abs(r1.free_energy - r2.free_energy) < 1e-11
+            assert np.abs(r1.density.roll(shift).grid_values
+                          - r2.density.grid_values).max() < 1e-8
 
 
 class TestAttentionAboveKc:
@@ -121,6 +138,12 @@ class TestFindMinimizer:
     def test_zero_coupling_uniform(self, do_kernel):
         best, _ = tm.find_minimizer(do_kernel, 0.0, m=256)
         assert best.order_parameter < 1e-12
+
+    def test_default_seeds_are_the_standard_set(self, do_kernel):
+        _, reports = tm.find_minimizer(do_kernel, 0.5, m=256)
+        ids = [sid for sid, _ in standard_seeds(do_kernel, 256)]
+        assert len(ids) == 8
+        assert [r.seed_id for r in reports] == ids
 
     def test_just_subcritical_uniform_wins(self, do_normalized):
         best, reports = tm.find_minimizer(do_normalized, 0.99, m=512,

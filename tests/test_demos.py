@@ -1,0 +1,24 @@
+"""Smoke test: demos that call the public API run to the end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", [
+    "01_thresholds_and_decay.py",
+    "07_sharp_inequalities.py",
+])
+def test_demo_exits_zero(demo, tmp_path):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.iterdir())
