@@ -27,10 +27,12 @@ for byte:
 
 Results go to CSV + JSON.  ``flow``'s --dt is its largest step, and
 ``trace_meta.json`` records the split the CFL bound forced (``substeps``)
-and the ETD2 steps taken.  For models with a proven continuity class,
-``thresholds`` and ``scan`` exit 1 when the computed verdict disagrees,
-and ``particles`` exits 1 when the particles miss the flow by more than
-three standard errors (disable both with --no-assert).
+and the ETD2 steps taken.  ``flow`` records about --records times: evenly
+spaced, or with --record geometric spaced geometrically from t = 0.01 to
+--T (records on the same step of --dt merge).  For models with a proven
+continuity class, ``thresholds`` and ``scan`` exit 1 when the computed
+verdict disagrees, and ``particles`` exits 1 when the particles miss the
+flow by more than three standard errors (disable both with --no-assert).
 
 The default output root is $TORUSMF_OUT or ./runs.
 """
@@ -214,7 +216,15 @@ def cmd_flow(s: dict) -> int:
     w = _build_potential(s)
     coupling = _resolve_coupling(s["K"], w)
     q0 = dens.cosine_profile({w.lead_mode: s["perturbation"]}, s["grid_size"])
-    policy = RecordPolicy(s["record"], n_records=s["records"])
+    if s["record"] == "geometric":
+        # `records` geometric steps from the policy's t0 up to T
+        t0 = RecordPolicy.t0
+        if s["T"] <= t0:
+            raise ValueError(f"--record geometric needs --T above t0 = {t0}")
+        policy = RecordPolicy("geometric", t0=t0,
+                              factor=(s["T"] / t0) ** (1.0 / s["records"]))
+    else:
+        policy = RecordPolicy("uniform", n_records=s["records"])
     trace = integrate(q0, w, coupling, s["T"], dt=s["dt"], record=policy)
     outdir = _run_dir(s, "flow", f"{_model_stem(w)}_K{coupling:g}")
     io.save_trace(outdir, trace)

@@ -4,8 +4,9 @@ Critical points solve the self-consistency (Kirkwood--Monroe) equation
 
     q = exp(2 K (W * q)) / Z,
 
-found here by Picard iteration q <- T(q) from a fixed multistart seed
-set.  The scanner locates the critical coupling by bisection on the sign
+found here from a fixed multistart seed set by Anderson mixing of the
+map's exponent, guarded so that no kept iterate raises the free energy.
+The scanner locates the critical coupling by bisection on the sign
 of the best free-energy gap and classifies the transition as continuous
 or discontinuous by probing whether the uniform state is still a global
 minimizer at the linear stability threshold.
@@ -30,6 +31,10 @@ from .potentials import Potential, k_sharp
 
 #: Gibbs exponent beyond which the iteration refuses to exponentiate
 EXP_LIMIT = 700.0
+#: secant steps remembered by the Anderson mixing of ``solve_fixed_point``
+ANDERSON_DEPTH = 5
+# relative rounding of the free energy that its guard tolerates (16 ulps)
+_F_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +52,11 @@ def km_map(q: Density, w: Potential, coupling: float) -> Density:
 def _km_map_values(values: np.ndarray, wk: np.ndarray, coupling: float,
                    m: int) -> np.ndarray:
     ck = grid_to_fourier(values) * wk
-    conv = fourier_to_grid(ck, m)
-    expo = 2.0 * coupling * conv
+    return _gibbs(2.0 * coupling * fourier_to_grid(ck, m), m)[0]
+
+
+def _gibbs(expo: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The density e^expo / Z and log Z."""
     # ufunc reductions rather than the array methods: same values, without
     # the methods' Python-level argument handling on this hot path
     peak = np.maximum.reduce(expo)
@@ -58,7 +66,8 @@ def _km_map_values(values: np.ndarray, wk: np.ndarray, coupling: float,
             f"Gibbs exponent range {spread:.1f} exceeds {EXP_LIMIT}"
         )
     gibbs = np.exp(expo - peak)
-    return gibbs / (np.add.reduce(gibbs) / m)
+    mass = np.add.reduce(gibbs) / m
+    return gibbs / mass, peak + math.log(mass)
 
 
 @dataclass(frozen=True)
@@ -82,26 +91,99 @@ def solve_fixed_point(
     max_iter: int = 20000,
     seed_id: str = "",
 ) -> SolveReport:
-    """Picard iteration q <- T(q) until sup|q - T(q)| <= tol.
+    """Safeguarded Anderson mixing for q = T(q) until sup|q - T(q)| <= tol.
 
-    Non-convergence within ``max_iter`` map applications is reported in
-    the ``converged`` flag, not raised.
+    The mixing acts on the exponent u, q = e^u / Z, where the map reads
+    u <- g(u) = 2K W*q (the log of T up to its normalizer): a mixed
+    exponent is again a positive unit-mass density, so every iterate
+    stays a density and its free energy an upper bound for min F.  Each
+    step mixes the last ``ANDERSON_DEPTH`` secant steps (Walker & Ni,
+    SIAM J. Numer. Anal. 49, 2011).
+
+    A mixed iterate is kept only if it does not raise the free energy;
+    otherwise the solve takes the plain step T(q) from the last kept
+    iterate and forgets its history.  Unguarded mixing can converge onto
+    a saddle: on transformer(3) at K = 0.37634 it lands on the unstable
+    branch (order parameter 0.27, F > 0) from seeds whose plain iterates
+    reach the minimizer (0.49, F < 0).  For what >= 0 the plain step
+    never raises F (it is the concave-convex procedure), so the guard
+    only ever falls back to a descent step.
+
+    Returns T(q) of the last kept iterate q with residual sup|T(q) - q|;
+    ``iterations`` counts map applications, rejected mixed steps
+    included.  Non-convergence within ``max_iter`` map applications is
+    reported in the ``converged`` flag, not raised.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
     m = q0.grid_size
     _, mode = k_sharp(w)
-    wk = dens.kernel_spectrum(w, m)
-    v = q0.grid_values
+    # 2K what: the map's exponent is fourier_to_grid(qhat * wk2)
+    wk2 = 2.0 * coupling * dens.kernel_spectrum(w, m)
+    # ring buffers of the secant differences of the residual f = g(u) - u
+    # and of g, and the Gram matrix of the f differences
+    d_f = np.empty((ANDERSON_DEPTH, m))
+    d_g = np.empty((ANDERSON_DEPTH, m))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    n_hist = slot = 0
+    f_prev = None
+    # the iterate mapped next, v = e^(u - lz) on the grid; the seed's u is
+    # never formed (it would take a log), so its energy is not known
+    v, u, lz, mixed = q0.grid_values, None, 0.0, False
+    t = v
+    energy_kept = math.inf
     residual = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        t = _km_map_values(v, wk, coupling, m)
+        qhat = grid_to_fourier(v)
+        ck = qhat * wk2
+        expo = fourier_to_grid(ck, m)
+        if u is not None:
+            # F(v) from the map's own coefficients: entropy mean(v log v)
+            # with log v = u - lz, interaction K * 2 sum what |qhat|^2
+            entropy = np.dot(v, u) / m
+            interaction = np.vdot(qhat, ck).real
+            energy = entropy - lz - interaction
+            # a rise within the rounding of those terms is no rise (near
+            # the fixed point F moves by residual^2, far below it); NaN
+            # from a wild mixed step is a rise
+            rounding = _F_ROUNDING * (abs(entropy) + abs(lz)
+                                      + abs(interaction))
+            if mixed and not energy <= energy_kept + rounding:
+                n_hist, f_prev = 0, None
+                v, u, lz, mixed = t, g_prev, lz_t, False
+                continue
+            energy_kept = energy
+        t, lz_t = _gibbs(expo, m)
         residual = float(np.maximum.reduce(np.abs(t - v)))
-        v = t
         if residual <= tol:
             break
-    q = dens.from_grid(v)
+        if u is not None:
+            f = expo - u
+            if f_prev is not None:
+                np.subtract(f, f_prev, out=d_f[slot])
+                np.subtract(expo, g_prev, out=d_g[slot])
+                n_hist = min(n_hist + 1, ANDERSON_DEPTH)
+                row = d_f[:n_hist] @ d_f[slot]
+                gram[slot, :n_hist] = row
+                gram[:n_hist, slot] = row
+                slot = (slot + 1) % ANDERSON_DEPTH
+            f_prev, g_prev = f, expo
+        if n_hist:
+            # least squares in the history's dimension: min |f - dF^T gamma|
+            # through the Gram matrix, rank-truncated where the secant
+            # steps are nearly dependent
+            gamma = np.linalg.lstsq(gram[:n_hist, :n_hist], d_f[:n_hist] @ f,
+                                    rcond=None)[0]
+            u = expo - gamma @ d_g[:n_hist]
+            peak = np.maximum.reduce(u)
+            v = np.exp(u - peak)
+            mass = np.add.reduce(v) / m
+            v /= mass
+            lz, mixed = peak + math.log(mass), True
+        else:
+            v, u, lz, mixed = t, expo, lz_t, False
+    q = dens.from_grid(t)
     return SolveReport(
         density=q,
         residual=residual,
@@ -201,6 +283,7 @@ class ScanRow:
     order_parameter: float
     n_seeds_converged: int
     l1_to_uniform: float
+    map_applications: int  # over all seeds, capped solves included
 
 
 @dataclass(frozen=True)
@@ -246,9 +329,13 @@ def scan_kc(
 
     Bisection on the predicate "some seed reaches free energy below
     -tol_F" over the bracket (defaults to [0.95 K_*, 1.1 K_#]); the
-    predicate needs no converged solves because iterate energies are
-    always upper bounds for the minimum.  Solves stop at residual 1e-11
-    (or ``max_iter``), from ``seeds`` as in ``multistart``.
+    predicate needs no converged solves because every iterate of
+    ``solve_fixed_point``, mixed or not, is a density, so its energy is
+    an upper bound for the minimum.  Solves stop at residual 1e-11 (or
+    ``max_iter``), from ``seeds`` as in ``multistart``; each row records
+    the map applications its solves took.  The mixing's energy guard
+    keeps a solve from converging onto a saddle, which would put a
+    state of too high an energy into a row.
 
     Continuity is decided by the global-minimality probe at K_#: the
     transition is discontinuous precisely when a state strictly below the
@@ -278,6 +365,7 @@ def scan_kc(
                 l1_to_uniform=float(
                     np.abs(state.density.grid_values - 1.0).mean()
                 ),
+                map_applications=sum(r.iterations for r in reports),
             )
         return rows[coupling]
 

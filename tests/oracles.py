@@ -6,8 +6,15 @@ transport over cuts, arbitrary-precision series), so agreement is a real
 cross-check rather than a reflection.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+
+from torusmf import density as dens
+from torusmf.critical import SolveReport, _km_map_values
+from torusmf.density import free_energy
+from torusmf.potentials import k_sharp
 
 
 def entropy_quad(q_callable, tol=1e-12):
@@ -147,3 +154,36 @@ def bessel_series_30(order, x):
     ratio = half * half / (31 * (31 + order))
     bound = term / (1.0 - ratio) if ratio < 1 else np.inf
     return total, bound
+
+
+def picard_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000,
+                       seed_id=""):
+    """Picard iteration q <- T(q) until sup|q - T(q)| <= tol.
+
+    Non-convergence within ``max_iter`` map applications is reported in
+    the ``converged`` flag, not raised.
+    """
+    if tol < 1e-13:
+        raise ValueError("tol below 1e-13 is not resolvable in double precision")
+    m = q0.grid_size
+    _, mode = k_sharp(w)
+    wk = dens.kernel_spectrum(w, m)
+    v = q0.grid_values
+    residual = math.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        t = _km_map_values(v, wk, coupling, m)
+        residual = float(np.maximum.reduce(np.abs(t - v)))
+        v = t
+        if residual <= tol:
+            break
+    q = dens.from_grid(v)
+    return SolveReport(
+        density=q,
+        residual=residual,
+        free_energy=free_energy(q, w, coupling),
+        iterations=it,
+        seed_id=seed_id,
+        converged=residual <= tol,
+        order_parameter=q.order_parameter(mode),
+    )

@@ -95,6 +95,21 @@ class TestFlow:
         assert meta["substeps"] == 2
         assert meta["dt"] == 1e-4
 
+    def test_geometric_record_count_follows_records(self, tmp_path, capsys):
+        lengths = {}
+        for records in (5, 400):
+            out = tmp_path / str(records)
+            code = main(["flow", "do", "--K", "1.0", "--T", "0.05",
+                         "--dt", "1e-5", "-M", "64", "--record", "geometric",
+                         "--records", str(records), "--out", str(out)])
+            assert code == 0
+            (run,) = out.glob("flow_*")
+            lines = (run / "trace.csv").read_text().strip().split("\n")
+            lengths[records] = len(lines) - 1  # header
+        # t = 0 and t = T ride along with the geometric times
+        for records, n in lengths.items():
+            assert records <= n <= records + 2
+
 
 class TestBadValues:
     @pytest.mark.parametrize("argv, message", [
@@ -103,6 +118,8 @@ class TestBadValues:
         (["particles", "do", "--K", "subcritical", "--N", "100", "--T", "0.01",
           "--replicates", "1"], "replicates"),
         (["flow", "do", "--K", "1.0", "--T", "-1"], "horizon"),
+        (["flow", "do", "--K", "1.0", "--T", "0.01", "--record", "geometric"],
+         "geometric"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])

@@ -8,6 +8,8 @@ from torusmf.critical import _best_gap, multistart, standard_seeds
 from torusmf.density import theta_grid
 from torusmf.errors import BracketNotStraddling, ExpOverflow
 
+from oracles import picard_fixed_point
+
 
 class TestKmMap:
     def test_uniform_fixed_for_any_coupling(self, do_kernel):
@@ -105,10 +107,38 @@ class TestSolve:
             assert np.abs(r1.density.roll(shift).grid_values
                           - r2.density.grid_values).max() < 1e-8
 
+    @pytest.mark.parametrize("case", ["rod_1.2", "rod_1.3", "attention",
+                                      "hk"])
+    def test_agrees_with_picard_oracle(self, case, do_normalized):
+        m = 512
+        hk = tm.hegselmann_krause(1.0)
+        w, coupling, seed = {
+            "rod_1.2": (do_normalized, 1.2, "extremal_c0.7"),
+            "rod_1.3": (do_normalized, 1.3, "extremal_c0.7"),
+            "attention": (tm.transformer(3.0), 0.37634, "extremal_c0.7"),
+            "hk": (hk, 1.05 * tm.k_sharp(hk)[0], "cos_a0.2"),
+        }[case]
+        q0 = dict(standard_seeds(w, m))[seed]
+        ref = picard_fixed_point(w, coupling, q0, tol=1e-12)
+        rep = tm.solve_fixed_point(w, coupling, q0, tol=1e-12)
+        assert ref.converged and rep.converged
+        assert np.abs(rep.density.grid_values
+                      - ref.density.grid_values).max() < 1e-9
+        assert abs(rep.free_energy - ref.free_energy) < 1e-11
+        assert rep.iterations <= ref.iterations
+
+    def test_degenerate_threshold_within_500_maps(self, do_kernel):
+        # at K_# = 3 pi/4 the map's linear rate is 1; Picard is capped at
+        # 20000 maps from this seed
+        seed = dict(standard_seeds(do_kernel, 512))["cos_a0.6"]
+        rep = tm.solve_fixed_point(do_kernel, 3 * np.pi / 4, seed)
+        assert rep.converged and rep.iterations <= 500
+
 
 class TestAttentionAboveKc:
-    """transformer(3.0) just above its first-order K_c, where the cosine
-    seed's Picard iterates creep slowly toward the nonuniform branch."""
+    """transformer(3.0) just above its first-order K_c.  The cosine seed
+    starts next to the unstable branch (order parameter 0.27, F about
+    +2.7e-4), which mixing without the free-energy guard converges onto."""
 
     coupling = 0.37634
 
@@ -123,6 +153,21 @@ class TestAttentionAboveKc:
                                    tol=1e-11)
         assert rep.converged and rep.iterations < 20000
         assert rep.free_energy < 0.0
+
+    @pytest.mark.parametrize("coupling", [0.3762, 0.37634])
+    @pytest.mark.parametrize("seed", ["cos_a0.6", "bump_c0.99"])
+    def test_guard_keeps_off_the_saddle(self, setup, coupling, seed):
+        w, seeds = setup
+        rep = tm.solve_fixed_point(w, coupling, seeds[seed])
+        assert rep.converged
+        if (coupling, seed) == (0.3762, "cos_a0.6"):
+            # below K_# the uniform state is a local minimum, and this
+            # seed lies in its basin (Picard ends there too)
+            assert rep.order_parameter < 1e-6
+            assert abs(rep.free_energy) < 1e-12
+        else:
+            assert rep.free_energy < 0.0
+            assert rep.order_parameter > 0.45
 
     def test_minimizer_is_nonuniform(self, setup):
         w, seeds = setup
@@ -171,6 +216,13 @@ class TestFindMinimizer:
 
 
 class TestScan:
+    def test_rows_count_map_applications(self, do_kernel):
+        seeds = standard_seeds(do_kernel, 128)[:2]
+        pd = tm.scan_kc(do_kernel, m=128, tol_K=0.05, seeds=seeds)
+        row = pd.rows[0]
+        reports = multistart(do_kernel, row.coupling, 128, seeds, tol=1e-11)
+        assert row.map_applications == sum(r.iterations for r in reports)
+
     def test_bad_bracket_rejected(self, do_kernel):
         with pytest.raises(BracketNotStraddling):
             tm.scan_kc(do_kernel, bracket=(3.0, 2.0))

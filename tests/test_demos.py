@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", [
     "01_thresholds_and_decay.py",
+    "03_attention_kernel_dichotomy.py",
+    "04_bounded_confidence_dichotomy.py",
     "07_sharp_inequalities.py",
 ])
 def test_demo_exits_zero(demo, tmp_path):
