@@ -216,6 +216,8 @@ def cmd_flow(s: dict) -> int:
     w = _build_potential(s)
     coupling = _resolve_coupling(s["K"], w)
     q0 = dens.cosine_profile({w.lead_mode: s["perturbation"]}, s["grid_size"])
+    if s["records"] < 1:
+        raise ValueError(f"--records must be at least 1, got {s['records']}")
     if s["record"] == "geometric":
         # `records` geometric steps from the policy's t0 up to T
         t0 = RecordPolicy.t0

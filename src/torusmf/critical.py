@@ -150,7 +150,10 @@ def solve_fixed_point(
             rounding = _F_ROUNDING * (abs(entropy) + abs(lz)
                                       + abs(interaction))
             if mixed and not energy <= energy_kept + rounding:
-                n_hist, f_prev = 0, None
+                # the ring restarts at row 0: the live secants are rows
+                # [:n_hist] only while slot == n_hist or the ring is full
+                n_hist = slot = 0
+                f_prev = None
                 v, u, lz, mixed = t, g_prev, lz_t, False
                 continue
             energy_kept = energy
@@ -176,6 +179,8 @@ def solve_fixed_point(
             gamma = np.linalg.lstsq(gram[:n_hist, :n_hist], d_f[:n_hist] @ f,
                                     rcond=None)[0]
             u = expo - gamma @ d_g[:n_hist]
+            # _gibbs without its range check: a wild mixed exponent must
+            # not raise ExpOverflow, the free-energy guard rejects it
             peak = np.maximum.reduce(u)
             v = np.exp(u - peak)
             mass = np.add.reduce(v) / m

@@ -12,7 +12,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from torusmf import density as dens
-from torusmf.critical import SolveReport, _km_map_values
+from torusmf.critical import (ANDERSON_DEPTH, SolveReport, _gibbs,
+                              _km_map_values)
 from torusmf.density import free_energy
 from torusmf.potentials import k_sharp
 
@@ -187,3 +188,71 @@ def picard_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000,
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),
     )
+
+
+def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
+    """Free-energy-guarded Anderson mixing of the Gibbs exponent, with the
+    secant history kept as plain lists, oldest first, and its least-squares
+    problem rebuilt from them at every step.
+
+    Returns (SolveReport, number of rejected mixed steps).  The mixed
+    iterate e^u / Z is kept only if its free energy, evaluated by
+    ``free_energy``, does not exceed the last kept one by more than
+    rounding; otherwise the plain step from the last kept iterate is
+    taken and the history emptied.
+    """
+    m = q0.grid_size
+    _, mode = k_sharp(w)
+    wk = dens.kernel_spectrum(w, m)
+
+    def exponent(v):
+        return 2.0 * coupling * dens.fourier_to_grid(
+            dens.grid_to_fourier(v) * wk, m)
+
+    hist_f, hist_g = [], []
+    f_prev = g_prev = None
+    v, u, mixed = q0.grid_values, None, False
+    t = v
+    energy_kept = math.inf
+    residual = math.inf
+    rejected = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        expo = exponent(v)
+        if u is not None:
+            energy = free_energy(dens.from_grid(v), w, coupling)
+            if mixed and not energy <= energy_kept + 1e-14 * (1 + abs(energy)):
+                rejected += 1
+                hist_f, hist_g, f_prev = [], [], None
+                v, u, mixed = t, g_prev, False
+                continue
+            energy_kept = energy
+        t = _gibbs(expo, m)[0]
+        residual = float(np.max(np.abs(t - v)))
+        if residual <= tol:
+            break
+        if u is not None:
+            f = expo - u
+            if f_prev is not None:
+                hist_f.append(f - f_prev)
+                hist_g.append(expo - g_prev)
+                del hist_f[:-ANDERSON_DEPTH], hist_g[:-ANDERSON_DEPTH]
+            f_prev, g_prev = f, expo
+        if hist_f:
+            df, dg = np.array(hist_f), np.array(hist_g)
+            gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
+            u = expo - gamma @ dg
+            q = np.exp(u - u.max())
+            v, mixed = q / q.mean(), True
+        else:
+            v, u, mixed = t, expo, False
+    q = dens.from_grid(t)
+    return SolveReport(
+        density=q,
+        residual=residual,
+        free_energy=free_energy(q, w, coupling),
+        iterations=it,
+        seed_id="",
+        converged=residual <= tol,
+        order_parameter=q.order_parameter(mode),
+    ), rejected

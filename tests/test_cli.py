@@ -120,6 +120,10 @@ class TestBadValues:
         (["flow", "do", "--K", "1.0", "--T", "-1"], "horizon"),
         (["flow", "do", "--K", "1.0", "--T", "0.01", "--record", "geometric"],
          "geometric"),
+        (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
+          "--records", "0"], "--records"),
+        (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
+          "--records", "-3"], "--records"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
