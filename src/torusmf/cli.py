@@ -25,11 +25,15 @@ for byte:
         < runs/scan_doi_onsager/manifest.json > rerun.json
     torusmf scan --config rerun.json --out rerun
 
-Results go to CSV + JSON.  ``flow``'s --dt is its largest step, and
-``trace_meta.json`` records the split the CFL bound forced (``substeps``)
-and the ETD2 steps taken.  ``flow`` records about --records times: evenly
-spaced, or with --record geometric spaced geometrically from t = 0.01 to
---T (records on the same step of --dt merge).  For models with a proven
+Results go to CSV + JSON.  ``flow``'s --dt is the first trial step of
+its adaptive integrator, and ``trace_meta.json`` records the ETD2 steps
+accepted and rejected (``steps``, ``rejected``), the smallest and largest
+accepted step (``step_min``, ``step_max``) and how many steps the CFL
+bound capped (``cfl_capped``).  ``flow`` records about --records times:
+evenly spaced, or with --record geometric spaced geometrically from
+t = 0.01 to --T; the steps land on every record time.  ``report``
+summarizes the verdicts, thresholds, flow trace metadata and particle
+reports under its --dir.  For models with a proven
 continuity class, ``thresholds`` and ``scan`` exit 1 when the computed
 verdict disagrees, and ``particles`` exits 1 when the particles miss the
 flow by more than three standard errors (disable both with --no-assert).
@@ -264,7 +268,7 @@ def cmd_particles(s: dict) -> int:
     outdir = _run_dir(s, "particles", f"{_model_stem(w)}_K{coupling:g}")
     io.write_json(outdir / "chaos_report.json", {
         "mode": report.mode,
-        "substeps": report.substeps,
+        "flow_steps": report.flow_steps,
         "pde_value_sq": report.pde_value_sq,
         "particle_mean_sq": report.particle_mean_sq,
         "particle_se": report.particle_se,
@@ -329,7 +333,8 @@ def cmd_report(s: dict) -> int:
     if not root.is_dir():
         raise ValueError(f"--dir {root} is not a directory")
     rows = []
-    for result in ("verdict.json", "thresholds.json"):
+    for result in ("verdict.json", "thresholds.json", "trace_meta.json",
+                   "chaos_report.json"):
         for f in sorted(root.glob(f"**/{result}")):
             # keyed by path under root: same-named runs elsewhere stay apart
             rel = f.parent.relative_to(root)

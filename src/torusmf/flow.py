@@ -3,10 +3,19 @@
     dq/dt = (1/2) q'' - K (q (W * q)')'
 
 on the circle, which is the 2-Wasserstein gradient flow of the free
-energy.  Diffusion is integrated exactly through the factor
-exp(-2 pi^2 k^2 dt); the transport term is advanced with the two-stage
-exponential scheme ETD2RK (Cox & Matthews, J. Comput. Phys. 176, 2002)
-and the pointwise product is de-aliased with the 2/3 rule.
+energy.  The flow linearised about the uniform state is diagonal in
+Fourier space, L_k = -2 pi^2 k^2 (1 - 2 K what(k)) on the de-aliased
+band, and is integrated exactly through exp(L_k h); the remainder of the
+transport term is advanced with the two-stage exponential scheme ETD2RK
+(Cox & Matthews, J. Comput. Phys. 176, 2002; Hochbruck & Ostermann, Acta
+Numerica 19, 2010), and the pointwise product is de-aliased with the 2/3
+rule.  With the linearisation in the exponential the critical mode at
+K_# is neutral to rounding, whatever the step.
+
+``integrate`` adapts the step: the difference between the ETD1 stage and
+the ETD2 result is a free local error estimate, held below ``STEP_TOL``;
+steps are capped below the transport CFL bound and land on the record
+times.
 """
 
 from __future__ import annotations
@@ -23,14 +32,21 @@ from .density import Density, free_energy, fourier_to_grid, grid_to_fourier
 from .errors import BlowUp, DegenerateWindow, TimeStepTooLarge
 from .metrics import distance
 
-#: CFL safety factor for the explicit transport substep
+#: CFL safety factor for the explicit transport stages
 CFL_SAFETY = 0.2
+#: L^2 norm of the ETD1/ETD2 difference that an accepted step may reach
+STEP_TOL = 1e-6
+#: share of the CFL bound of the current state a step may take; at 1.0
+#: the second stage breaks the bound on almost every step
+CFL_CAP = 0.9
+#: steps sit on the ladder 2^(j / STEP_LADDER), so a run reuses its tables
+STEP_LADDER = 64
 
 
-@lru_cache(maxsize=16)
-def _etd_tables(m: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    k = np.arange(m // 2 + 1, dtype=float)
-    z = -2.0 * np.pi**2 * k**2 * dt
+def _etd_tables(lin: np.ndarray, h: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(L h), h phi1(L h) and h phi2(L h) for the linear symbol L."""
+    z = lin * h
     e1 = np.exp(z)
     small = np.abs(z) < 1e-3
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -40,7 +56,7 @@ def _etd_tables(m: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zs = z[small]
     phi1[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
     phi2[small] = 0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0
-    return e1, dt * phi1, dt * phi2
+    return e1, h * phi1, h * phi2
 
 
 @lru_cache(maxsize=16)
@@ -59,42 +75,72 @@ def _derivative(m: int) -> np.ndarray:
     return d
 
 
-def _velocity_symbol(w, m: int) -> np.ndarray:
-    """Symbol 2 pi i k what(k) of q -> (W * q)' on the de-aliased band."""
-    return _derivative(m) * dens.kernel_spectrum(w, m)
+def _transport_symbols(w, coupling: float, m: int) -> np.ndarray:
+    """Rows taking qhat to q and to -K (W * q)' on the de-aliased band:
+    the 2/3-rule mask and -K 2 pi i k what(k)."""
+    syms = np.stack((_dealias_mask(m).astype(complex),
+                     -coupling * _derivative(m) * dens.kernel_spectrum(w, m)))
+    syms.flags.writeable = False
+    return syms
 
 
-def _transport_hat(qhat: np.ndarray, vsym: np.ndarray, coupling: float,
-                   m: int, dt: float) -> np.ndarray:
-    """-2 pi i k K * FFT(q * (W*q)') with 2/3 de-aliasing; also CFL-checks.
+def _transport_hat(qhat: np.ndarray, syms: np.ndarray, m: int, dt: float
+                   ) -> tuple[np.ndarray, float]:
+    """-2 pi i k K * FFT(q * (W*q)') with 2/3 de-aliasing, and the CFL
+    bound of q; raises ``TimeStepTooLarge`` when ``dt`` exceeds it.
 
-    ``vsym`` is the velocity symbol from ``_velocity_symbol``; q and its
-    velocity go to the grid in one stacked transform.
+    ``syms`` comes from ``_transport_symbols``; q and its velocity go to
+    the grid in one stacked transform.
     """
-    qv = np.empty((2, len(qhat)), dtype=complex)
-    np.multiply(qhat, _dealias_mask(m), out=qv[0])
-    np.multiply(qv[0], vsym, out=qv[1])
-    qg, vg = fourier_to_grid(qv, m)
-    vmax = abs(coupling) * np.maximum.reduce(np.abs(vg))
+    qg, vg = fourier_to_grid(qhat * syms, m)
+    vmax = float(np.maximum.reduce(np.abs(vg)))
     if not math.isfinite(vmax):
         raise BlowUp("transport velocity is non-finite")
-    if math.isfinite(dt) and vmax > 0.0 and dt > CFL_SAFETY / (m * vmax):
+    bound = CFL_SAFETY / (m * vmax) if vmax > 0.0 else math.inf
+    if math.isfinite(dt) and dt > bound:
         raise TimeStepTooLarge(
-            f"dt={dt:.3e} exceeds transport CFL bound "
-            f"{CFL_SAFETY / (m * vmax):.3e}"
-        )
-    return (-coupling * _derivative(m)) * grid_to_fourier(qg * vg)
+            f"dt={dt:.3e} exceeds transport CFL bound {bound:.3e}")
+    return _derivative(m) * grid_to_fourier(qg * vg), bound
 
 
-def _etd2_step(qhat: np.ndarray, vsym: np.ndarray, coupling: float,
-               m: int, dt: float) -> np.ndarray:
-    e1, p1, p2 = _etd_tables(m, dt)
-    n0 = _transport_hat(qhat, vsym, coupling, m, dt)
-    stage = e1 * qhat + p1 * n0
-    n1 = _transport_hat(stage, vsym, coupling, m, dt)
-    out = stage + p2 * (n1 - n0)
-    out[0] = qhat[0]  # mass is exact: the k = 0 mode never moves
-    return out
+class _Split:
+    """The flow split into L q, exact in the exponential, and the explicit
+    rest N(q), for one kernel, coupling and grid.
+
+    Transport is bilinear, T(q) = B(q, q), and B(1, .) is diagonal with
+    symbol L_k + 2 pi^2 k^2, so N(q) = T(q) - (L + 2 pi^2 k^2) q is
+    B(q - 1, q - 1): the transport of the deviation from the uniform state.
+    """
+
+    def __init__(self, w, coupling: float, m: int):
+        k2 = np.arange(m // 2 + 1, dtype=float) ** 2
+        self.m = m
+        self.syms = _transport_symbols(w, coupling, m)
+        self.uniform = np.zeros(m // 2 + 1)
+        self.uniform[0] = 1.0
+        self.lin = 2.0 * np.pi**2 * k2 * (
+            2.0 * coupling * _dealias_mask(m) * dens.kernel_spectrum(w, m)
+            - 1.0)
+
+    def rest(self, qhat: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+        """N(q) and the CFL bound of q (checked against ``dt``)."""
+        # q - 1 moves with the velocity of q: W * 1 is constant
+        return _transport_hat(qhat - self.uniform, self.syms, self.m, dt)
+
+    def step(self, qhat: np.ndarray, n0: np.ndarray, h: float, tables
+             ) -> tuple[np.ndarray, float]:
+        """One ETD2RK step of size ``h`` from q with N(q) = ``n0`` and
+        ``tables`` from ``_etd_tables(self.lin, h)``; returns the new state
+        and the L^2 norm of its difference from the ETD1 stage."""
+        e1, p1, p2 = tables
+        stage = e1 * qhat + p1 * n0
+        n1, _ = self.rest(stage, h)
+        corr = p2 * (n1 - n0)
+        out = stage + corr
+        out[0] = qhat[0]  # mass is exact: the k = 0 mode never moves
+        # corr vanishes at k = 0 and above the de-aliased band, so each
+        # mode it keeps stands for the pair +-k
+        return out, math.sqrt(2.0 * np.vdot(corr, corr).real)
 
 
 def _check_state(values: np.ndarray) -> None:
@@ -105,7 +151,9 @@ def _check_state(values: np.ndarray) -> None:
 def mv_step(q: Density, w, coupling: float, dt: float) -> Density:
     """One ETD2RK step of the flow; mass exactly conserved."""
     m = q.grid_size
-    out = _etd2_step(q.fourier, _velocity_symbol(w, m), coupling, m, dt)
+    split = _Split(w, coupling, m)
+    n0, _ = split.rest(q.fourier, dt)
+    out, _ = split.step(q.fourier, n0, dt, _etd_tables(split.lin, dt))
     g = fourier_to_grid(out, m)
     _check_state(g)
     return dens.from_fourier(out, m)
@@ -116,8 +164,8 @@ def stationarity_residual(q: Density, w, coupling: float) -> float:
     m = q.grid_size
     k = np.arange(m // 2 + 1)
     diff = -2.0 * np.pi**2 * k**2 * q.fourier
-    transport = _transport_hat(q.fourier, _velocity_symbol(w, m), coupling,
-                               m, math.inf)
+    syms = _transport_symbols(w, coupling, m)
+    transport, _ = _transport_hat(q.fourier, syms, m, math.inf)
     rhs = diff + transport
     weights = np.full(m // 2 + 1, 2.0)
     weights[0] = 1.0
@@ -150,7 +198,8 @@ class RecordPolicy:
         if self.kind == "geometric":
             ts = [0.0]
             t = self.t0
-            while t < horizon:
+            # a product that misses the horizon by rounding is the horizon
+            while t < horizon * (1.0 - 1e-12):
                 ts.append(t)
                 t *= self.factor
             ts.append(horizon)
@@ -193,27 +242,37 @@ def integrate(
     """Run the flow to the horizon, recording distances to the uniform
     state, tracked Fourier amplitudes, free energy, and the mass defect.
 
-    ``dt`` is the largest step: a step that breaks the CFL bound is redone
-    from the same state as 2, 4, ... equal substeps until it passes, and
-    that split is kept.  Records stay on multiples of ``dt``.  ``meta``
-    holds the final split (``substeps``) and the steps taken (``steps``).
+    ``dt`` is the first trial step.  A step h is accepted when the L^2
+    norm err of its ETD1/ETD2 difference is at most ``STEP_TOL``, and the
+    next trial is h min(5, max(0.2, 0.9 sqrt(STEP_TOL / err))); an accepted
+    step is kept as it is while that factor lies in [1, 1.2), so that runs
+    of equal steps share their exponential tables.  Each trial is capped
+    at ``CFL_CAP`` times the CFL bound of the current state, taken down to
+    the ladder 2^(j / STEP_LADDER), and cut to land on the next record
+    time, as two even steps where one would leave a sliver.  A step whose
+    second stage breaks the CFL bound is redone at half the size.
+    Records fall exactly on the unique times of ``record.times(horizon)``.
+    ``meta`` holds the accepted and rejected steps (``steps``,
+    ``rejected``), the smallest and largest accepted step (``step_min``,
+    ``step_max``), and how many accepted steps the CFL cap set
+    (``cfl_capped``).
 
     Terminates early (flagged) once the stationarity residual drops below
     ``stop_residual``.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     m = q0.grid_size
     if record is None:
         record = RecordPolicy()
     if track_modes is None:
         track_modes = _default_modes(w)
-    vsym = _velocity_symbol(w, m)
+    split = _Split(w, coupling, m)
+    tables = lru_cache(maxsize=32)(lambda h: _etd_tables(split.lin, h))
     qu = dens.uniform(m)
-
-    n_steps_total = int(round(horizon / dt))
-    steps_at = np.round(record.times(horizon) / dt).clip(0, n_steps_total)
-    record_steps = set(steps_at.astype(int).tolist())
+    record_times = np.unique(record.times(horizon)).tolist()
 
     qhat = q0.fourier.copy()
     out = {k: [] for k in ("t", "l2", "w2", "f", "mass")}
@@ -223,40 +282,65 @@ def integrate(
     terminated = False
     residual = math.nan
 
-    substeps, n_etd = 1, 0
-    n_recorded = 0
-    for step in range(n_steps_total + 1):
-        if step in record_steps:
-            q = dens.from_fourier(qhat, m)
-            t = step * dt
-            out["t"].append(t)
-            out["l2"].append(distance(q, qu, "L2"))
-            out["w2"].append(distance(q, qu, "W2_circle"))
-            out["f"].append(free_energy(q, w, coupling))
-            out["mass"].append(abs(float(qhat[0].real) - 1.0))
-            for k in track_modes:
-                mode_out[k].append(q.order_parameter(k))
-            if n_recorded % record.snapshot_every == 0:
-                snapshots.append(q)
-                snapshot_times.append(t)
-            n_recorded += 1
-            residual = stationarity_residual(q, w, coupling)
-            if residual < stop_residual:
-                terminated = True
-                break
-        if step < n_steps_total:
-            while True:
-                try:
-                    nxt = qhat
-                    for _ in range(substeps):
-                        nxt = _etd2_step(nxt, vsym, coupling, m, dt / substeps)
-                    break
-                except TimeStepTooLarge:
-                    substeps *= 2
-            qhat = nxt
-            n_etd += substeps
-            if step % 200 == 0:
+    t, h = 0.0, dt
+    steps = rejected = cfl_capped = 0
+    step_min, step_max = math.inf, 0.0
+    n0 = None  # N(q) at the current state, kept across rejected steps
+    for t_next in record_times:
+        while t < t_next:
+            if n0 is None:
+                n0, bound = split.rest(qhat, math.inf)
+            take = min(h, CFL_CAP * bound)
+            capped = take < h
+            # down to the ladder; the slack keeps a rung where it is
+            take = 2.0 ** (math.floor(STEP_LADDER * math.log2(take) + 1e-9)
+                           / STEP_LADDER)
+            left = t_next - t
+            land = take >= left
+            if land:
+                take = left
+            elif 2.0 * take > left:
+                take = 0.5 * left  # two even steps rather than a sliver
+            try:
+                nxt, err = split.step(qhat, n0, take, tables(take))
+            except TimeStepTooLarge:
+                rejected += 1
+                h = 0.5 * take
+                continue
+            grow = (5.0 if err == 0.0 else
+                    min(5.0, max(0.2, 0.9 * math.sqrt(STEP_TOL / err))))
+            if err > STEP_TOL:
+                rejected += 1
+                h = grow * take
+                continue
+            qhat, n0 = nxt, None
+            t = t_next if land else t + take
+            steps += 1
+            cfl_capped += capped
+            step_min, step_max = min(step_min, take), max(step_max, take)
+            if land:  # a step cut short says little about the next one
+                h = max(grow * take, h)
+            elif not 1.0 <= grow < 1.2:  # else keep the step and its tables
+                h = grow * take
+            else:
+                h = take
+            if steps % 200 == 0:
                 _check_state(fourier_to_grid(qhat, m))
+        q = dens.from_fourier(qhat, m)
+        out["t"].append(t)
+        out["l2"].append(distance(q, qu, "L2"))
+        out["w2"].append(distance(q, qu, "W2_circle"))
+        out["f"].append(free_energy(q, w, coupling))
+        out["mass"].append(abs(float(qhat[0].real) - 1.0))
+        for k in track_modes:
+            mode_out[k].append(q.order_parameter(k))
+        if (len(out["t"]) - 1) % record.snapshot_every == 0:
+            snapshots.append(q)
+            snapshot_times.append(t)
+        residual = stationarity_residual(q, w, coupling)
+        if residual < stop_residual:
+            terminated = True
+            break
     if snapshot_times[-1] != out["t"][-1]:  # q is the last record
         snapshots.append(q)
         snapshot_times.append(out["t"][-1])
@@ -279,8 +363,11 @@ def integrate(
             "grid_size": m,
             "dt": dt,
             "horizon": horizon,
-            "substeps": substeps,
-            "steps": n_etd,
+            "steps": steps,
+            "rejected": rejected,
+            "step_min": step_min if steps else None,
+            "step_max": step_max if steps else None,
+            "cfl_capped": cfl_capped,
         },
     )
 

@@ -18,6 +18,12 @@ from .density import Density
 _METRICS = ("L1", "L2", "W2_circle")
 #: half-offset of the two-point Gauss-Legendre nodes, 1 / (2 sqrt(3))
 _GAUSS_2 = 0.5 / np.sqrt(3.0)
+#: Brent's absolute offset tolerance, and scipy's relative one
+_XATOL = 1e-10
+_SQRT_EPS = np.sqrt(2.2e-16)
+#: offset tolerance of the search again over Brent's last bracket on
+#: kinked costs; a distance error there is linear in the offset error
+_KINK_XATOL = 1e-13
 
 
 def distance(p: Density, q: Density, metric: str = "L2") -> float:
@@ -78,13 +84,26 @@ def w2_circle(p: Density, q: Density) -> float:
     Bounded Brent minimization over the CDF offset of the circular
     quantile coupling; the cost is convex and piecewise quadratic in the
     offset, so parabolic steps reach the minimizer in a few evaluations.
-    The offset is resolved to 1e-10 plus scipy's fixed relative term
-    1.5e-8 |offset|; where the cost is smooth (positive densities) that
-    moves the distance only at rounding level.
+    Brent stops once the offset is known to 1e-10 plus scipy's fixed
+    relative term 1.5e-8 |offset|.  Where the cost is smooth that moves
+    the distance only at rounding level.  Where both densities vanish on
+    whole cells both quantile functions jump, the cost has kinks, and the
+    stop would leave the distance up to ~1e-8 relative high; there the
+    last bracket is searched again around its centre, where the relative
+    term vanishes, down to ``_KINK_XATOL``.
     """
     fp, xp = _cdf_nodes(p)
     fq, xq = _cdf_nodes(q)
-    res = minimize_scalar(_offset_cost, bounds=(-1.0, 1.0),
-                          args=(fp, xp, fq, xq), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(np.sqrt(max(res.fun, 0.0)))
+    args = (fp, xp, fq, xq)
+    res = minimize_scalar(_offset_cost, bounds=(-1.0, 1.0), args=args,
+                          method="bounded", options={"xatol": _XATOL})
+    best = res.fun
+    if np.any(p.grid_values <= 0.0) and np.any(q.grid_values <= 0.0):
+        # Brent's last bracket lies within x +- 2 (sqrt(eps) |x| + xatol/3)
+        x = res.x
+        half = 2.0 * (_SQRT_EPS * abs(x) + _XATOL / 3.0)
+        ref = minimize_scalar(lambda y: _offset_cost(x + y, *args),
+                              bounds=(-half, half), method="bounded",
+                              options={"xatol": _KINK_XATOL})
+        best = min(best, ref.fun)
+    return float(np.sqrt(max(best, 0.0)))

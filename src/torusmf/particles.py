@@ -242,7 +242,7 @@ class ChaosReport:
     """
 
     mode: int
-    substeps: int  #: the flow side's final split of ``dt_pde``
+    flow_steps: int  #: ETD2 steps the flow side took
     pde_value_sq: float
     particle_mean_sq: float
     particle_se: float
@@ -276,8 +276,8 @@ def chaos_check(
     noise averaging keeps the time-discretization bias of the stationary
     law at O(dt^2); Euler-Maruyama's O(dt) bias puts a supercritical
     comparison at dt = 1e-3 many standard errors off.  ``dt_pde`` is the
-    flow side's largest step: ``integrate`` splits it where the CFL bound
-    requires, and the report carries the split.
+    flow side's first trial step: ``integrate`` adapts the step from
+    there, and the report carries the steps it took.
     """
     if n < 10:
         raise ValueError("need at least a few particles")
@@ -318,7 +318,7 @@ def chaos_check(
     z = (mean - pde_sq) / se if se > 0 else math.inf
     return ChaosReport(
         mode=mode_k,
-        substeps=trace.meta["substeps"],
+        flow_steps=trace.meta["steps"],
         pde_value_sq=pde_sq,
         particle_mean_sq=mean,
         particle_se=se,

@@ -15,6 +15,7 @@ from torusmf import density as dens
 from torusmf.critical import (ANDERSON_DEPTH, SolveReport, _gibbs,
                               _km_map_values)
 from torusmf.density import free_energy
+from torusmf.flow import _etd_tables, _transport_hat, _transport_symbols
 from torusmf.potentials import k_sharp
 
 
@@ -256,3 +257,28 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),
     ), rejected
+
+
+def fixed_step_flow(q0, w, coupling, horizon, dt):
+    """The flow at ``horizon`` by fixed steps of ETD2RK with only the
+    diffusion in the exponential and the whole transport term explicit.
+
+    Its neutral mode at K_# is off by O(dt^2) per unit time, where the
+    library's scheme keeps it exact, so a small ``dt`` makes it a
+    reference for the library's adaptive steps.  Raises
+    ``TimeStepTooLarge`` where ``dt`` breaks the transport CFL bound.
+    """
+    m = q0.grid_size
+    syms = _transport_symbols(w, coupling, m)
+    e1, p1, p2 = _etd_tables(
+        -2.0 * np.pi**2 * np.arange(m // 2 + 1, dtype=float) ** 2, dt)
+
+    qhat = q0.fourier.copy()
+    for _ in range(int(round(horizon / dt))):
+        n0, _ = _transport_hat(qhat, syms, m, dt)
+        stage = e1 * qhat + p1 * n0
+        n1, _ = _transport_hat(stage, syms, m, dt)
+        out = stage + p2 * (n1 - n0)
+        out[0] = qhat[0]
+        qhat = out
+    return dens.from_fourier(qhat, m)

@@ -85,15 +85,22 @@ class TestFlow:
         fit = json.loads((run / "rate_fit.json").read_text())
         assert fit["goodness"] > 0.999
 
-    def test_split_steps_go_to_trace_meta(self, tmp_path, capsys):
-        # dt = 1e-4 breaks the CFL bound on the way to the clustered state
+    def test_step_counters_go_to_trace_meta(self, tmp_path, capsys):
+        # the CFL bound caps the steps on the way to the clustered state
         code = main(["flow", "do", "--K", "supercritical", "--T", "0.6",
                      "--dt", "1e-4", "-M", "256", "--out", str(tmp_path)])
         assert code == 0
         (run,) = tmp_path.glob("flow_*")
         meta = json.loads((run / "trace_meta.json").read_text())
-        assert meta["substeps"] == 2
         assert meta["dt"] == 1e-4
+        assert meta["steps"] > meta["cfl_capped"] > 0
+        assert meta["rejected"] >= 0
+        assert 0.0 < meta["step_min"] <= meta["step_max"]
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert f"steps={meta['steps']}" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary[run.name]["cfl_capped"] == meta["cfl_capped"]
 
     def test_geometric_record_count_follows_records(self, tmp_path, capsys):
         lengths = {}
@@ -124,6 +131,7 @@ class TestBadValues:
           "--records", "0"], "--records"),
         (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
           "--records", "-3"], "--records"),
+        (["flow", "do", "--K", "1.0", "--T", "1", "--dt", "0"], "dt"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
@@ -166,7 +174,10 @@ class TestConfigAndReport:
         header = (run / "replicate0_modes.csv").read_text().split("\n")[0]
         assert header.startswith("t,mode2,")
         report = json.loads((run / "chaos_report.json").read_text())
-        assert report["substeps"] == 1
+        assert report["flow_steps"] > 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert f"flow_steps={report['flow_steps']}" in capsys.readouterr().out
 
     def test_report_aggregates(self, tmp_path, capsys):
         main(["thresholds", "doi_onsager", "--out", str(tmp_path)])

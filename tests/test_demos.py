@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "03_attention_kernel_dichotomy.py",
     "04_bounded_confidence_dichotomy.py",
     "07_sharp_inequalities.py",
+    "08_loggas_hierarchy.py",
 ])
 def test_demo_exits_zero(demo, tmp_path):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])

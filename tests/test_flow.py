@@ -1,5 +1,7 @@
 """Gradient-flow integrator: exactness, dissipation, rates."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from torusmf.flow import (
     FlowTrace,
     RecordPolicy,
     _transport_hat,
-    _velocity_symbol,
+    _transport_symbols,
     fit_rate,
     integrate,
     mv_step,
     stationarity_residual,
 )
+
+import oracles
 
 
 class TestStep:
@@ -58,7 +62,8 @@ class TestStep:
         qhat = tm.cosine_profile({2: 0.2}, m).fourier.copy()
         qhat[2] = np.inf
         with pytest.raises(BlowUp), np.errstate(invalid="ignore"):
-            _transport_hat(qhat, _velocity_symbol(do_kernel, m), 1.0, m, 1e-4)
+            _transport_hat(qhat, _transport_symbols(do_kernel, 1.0, m), m,
+                           1e-4)
 
 
 class TestResidual:
@@ -130,40 +135,117 @@ class TestIntegrate:
         q0 = tm.from_grid(1 + 0.2 * np.cos(4 * np.pi * theta_grid(256)))
         finals = []
         for dt in (1e-4, 5e-5, 2.5e-5):
-            tr = integrate(q0, do_kernel, coupling, 0.5, dt=dt,
-                           record=RecordPolicy("uniform", 2,
-                                               snapshot_every=1))
-            finals.append(tr.snapshots[-1].grid_values)
+            q = q0
+            for _ in range(int(round(0.5 / dt))):
+                q = mv_step(q, do_kernel, coupling, dt)
+            finals.append(q.grid_values)
         e1 = np.abs(finals[0] - finals[2]).max()
         e2 = np.abs(finals[1] - finals[2]).max()
         # halving dt should cut the error by about 4 (second order, with
         # Richardson slack since the reference is the finest grid)
         assert e2 < e1 / 2.5
 
-    def test_below_the_bound_takes_one_step_per_dt(self, do_kernel):
+    def test_subcritical_steps_stay_below_the_cfl_cap(self, do_kernel):
         q0 = tm.cosine_profile({2: 0.2}, 256)
         tr = integrate(q0, do_kernel, 3 * np.pi / 8, 0.05, dt=1e-4,
                        record=RecordPolicy("uniform", 5), stop_residual=0.0)
-        assert tr.meta["substeps"] == 1
-        assert tr.meta["steps"] == 500
+        meta = tr.meta
+        assert meta["cfl_capped"] == 0
+        assert meta["rejected"] == 0
+        assert meta["dt"] == 1e-4
+        assert 0.0 < meta["step_min"] <= meta["step_max"]
+        # the accepted steps fill the horizon
+        assert 0.05 / meta["step_max"] <= meta["steps"] <= 0.05 / meta["step_min"]
 
-    def test_step_split_at_the_cfl_bound(self):
-        # the flow side of the scaled-down C10 check: dt = 1e-4 breaks the
-        # CFL bound at t = 0.065 and 5e-5 at t = 0.137, so the run ends on
-        # quarter steps and agrees with a fixed 2.5e-5 run from t = 0
+    @pytest.mark.parametrize("horizon, dt, record", [
+        (0.055, 1e-2, RecordPolicy("uniform", 200)),
+        (1.0, 0.1, RecordPolicy("geometric", t0=0.05, factor=1.5)),
+        # the CLI's geometric policy for --records 7, whose last product
+        # falls 3e-16 short of the horizon
+        (1.0, 1e-3, RecordPolicy("geometric", t0=0.01,
+                                 factor=(1.0 / 0.01) ** (1 / 7))),
+    ])
+    def test_records_land_on_the_policy_times(self, do_kernel, horizon, dt,
+                                              record):
+        q0 = tm.cosine_profile({2: 0.2}, 128)
+        tr = integrate(q0, do_kernel, 3 * np.pi / 8, horizon, dt=dt,
+                       record=record, stop_residual=0.0)
+        assert tr.times.tolist() == np.unique(record.times(horizon)).tolist()
+        assert tr.times[-1] == horizon
+        assert tr.meta["step_min"] > 1e-9  # no sliver step between records
+
+    def test_cfl_cap_on_the_c10_flow_side(self):
+        # the flow side of the scaled-down C10 check: past t = 0.065 the
+        # CFL bound, not the error estimate, sets the step; the run agrees
+        # with a fixed 2.5e-5 run of the explicit-transport scheme
         w = tm.doi_onsager(truncation=128)
         q0 = tm.cosine_profile({2: 0.2}, 512)
         coupling = 1.2 * 3 * np.pi / 4
         record = RecordPolicy("uniform", 10, snapshot_every=10**9)
-        split, fixed = (integrate(q0, w, coupling, 0.5, dt=dt, record=record,
-                                  track_modes=[2], stop_residual=0.0)
-                        for dt in (1e-4, 2.5e-5))
-        assert split.meta["substeps"] == 4
-        assert fixed.meta["substeps"] == 1
-        assert split.meta["steps"] < fixed.meta["steps"]
-        np.testing.assert_allclose(split.times, np.linspace(0.0, 0.5, 11))
-        assert abs(split.mode_abs[2][-1] ** 2
-                   - fixed.mode_abs[2][-1] ** 2) < 1e-9
+        tr = integrate(q0, w, coupling, 0.5, dt=1e-4, record=record,
+                       track_modes=[2], stop_residual=0.0)
+        assert tr.meta["cfl_capped"] > tr.meta["steps"] // 2
+        assert tr.meta["steps"] < 20000
+        np.testing.assert_allclose(tr.times, np.linspace(0.0, 0.5, 11))
+        fixed = oracles.fixed_step_flow(q0, w, coupling, 0.5, 2.5e-5)
+        assert abs(tr.mode_abs[2][-1] ** 2
+                   - fixed.order_parameter(2) ** 2) < 1e-9
+
+    def test_no_accepted_stage_exceeds_the_cfl_bound(self, monkeypatch):
+        from torusmf import flow
+
+        calls = []  # (dt, bound, raised) per transport evaluation
+        real = flow._transport_hat
+
+        def recording(qhat, syms, m, dt):
+            try:
+                out = real(qhat, syms, m, dt)
+            except TimeStepTooLarge:
+                calls.append((dt, None, True))
+                raise
+            calls.append((dt, out[1], False))
+            return out
+
+        monkeypatch.setattr(flow, "_transport_hat", recording)
+        w = tm.doi_onsager(truncation=128)
+        tr = integrate(tm.cosine_profile({2: 0.2}, 512), w,
+                       1.2 * 3 * np.pi / 4, 0.2, dt=1e-4,
+                       record=RecordPolicy("uniform", 4), stop_residual=0.0)
+        assert tr.meta["cfl_capped"] > 0
+        start_bound = None
+        for dt, bound, raised in calls:
+            if dt == np.inf:  # a step's first stage, or a record's residual
+                start_bound = bound
+                continue
+            assert dt <= start_bound
+            assert raised or dt <= bound
+
+    def test_critical_flow_matches_a_fine_fixed_step_run(self, do_kernel):
+        # the benchmark's critical flow: W2 at t = 20 against the
+        # explicit-transport scheme at dt = 6.25e-5, whose own error is
+        # about 9e-9 (Richardson estimate from dt = 1.25e-4)
+        m = 128
+        q0 = tm.cosine_profile({2: 0.3}, m)
+        tr = integrate(q0, do_kernel, 3 * np.pi / 4, 20.0, dt=5e-4,
+                       record=RecordPolicy("geometric", t0=0.05, factor=1.06),
+                       stop_residual=0.0)
+        ref = tm.distance(
+            oracles.fixed_step_flow(q0, do_kernel, 3 * np.pi / 4, 20.0,
+                                    6.25e-5),
+            tm.uniform(m), "W2_circle")
+        assert abs(tr.w2[-1] - ref) < 5e-5 * ref
+
+    def test_rod_c11_setting_is_cheap(self, do_kernel):
+        t0 = time.perf_counter()
+        tr = integrate(tm.cosine_profile({2: 0.3}, 128), do_kernel,
+                       3 * np.pi / 4, 400.0, dt=5e-4,
+                       record=RecordPolicy("geometric", t0=0.05, factor=1.06),
+                       stop_residual=0.0)
+        elapsed = time.perf_counter() - t0
+        fit = fit_rate(tr, "w2", "algebraic")
+        assert tr.meta["steps"] <= 100_000
+        assert elapsed <= 30.0
+        assert -0.6 <= fit.rate <= -0.4
 
 
 class TestFitRate:

@@ -247,12 +247,13 @@ class TestChaos:
     def test_flow_side_is_one_integrate_call(self, do128, monkeypatch):
         from torusmf import particles
 
-        calls = []
+        calls, traces = [], []
         real = particles.integrate
 
         def counting(*args, **kw):
             calls.append(kw["dt"])
-            return real(*args, **kw)
+            traces.append(real(*args, **kw))
+            return traces[-1]
 
         monkeypatch.setattr(particles, "integrate", counting)
         rep = chaos_check(do128, 1.2 * 3 * np.pi / 4, n=100, horizon=0.5,
@@ -260,4 +261,4 @@ class TestChaos:
                           q0=tm.cosine_profile({2: 0.2}, 512), seed=2024,
                           m_pde=512, dt_pde=1e-4)
         assert calls == [1e-4]
-        assert rep.substeps == 4
+        assert rep.flow_steps == traces[0].meta["steps"] > 0
