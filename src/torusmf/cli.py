@@ -26,10 +26,10 @@ for byte:
     torusmf scan --config rerun.json --out rerun
 
 Results go to CSV + JSON.  ``flow``'s --dt is the first trial step of
-its adaptive integrator, and ``trace_meta.json`` records the ETD2 steps
-accepted and rejected (``steps``, ``rejected``), the smallest and largest
-accepted step (``step_min``, ``step_max``) and how many steps the CFL
-bound capped (``cfl_capped``).  ``flow`` records about --records times:
+its adaptive integrator, whose ETD3RK steps are set by their error
+estimate alone, and ``trace_meta.json`` records the steps accepted and
+rejected (``steps``, ``rejected``) and the smallest and largest accepted
+step (``step_min``, ``step_max``).  ``flow`` records about --records times:
 evenly spaced, or with --record geometric spaced geometrically from
 t = 0.01 to --T; the steps land on every record time.  ``report``
 summarizes the verdicts, thresholds, flow trace metadata and particle

@@ -57,10 +57,6 @@ class BlowUp(TorusMFError):
     """Time integration produced non-finite or exploding values."""
 
 
-class TimeStepTooLarge(TorusMFError):
-    """dt violates the transport CFL bound."""
-
-
 class DegenerateWindow(TorusMFError):
     """Not enough usable points to fit a rate."""
 

@@ -6,16 +6,17 @@ on the circle, which is the 2-Wasserstein gradient flow of the free
 energy.  The flow linearised about the uniform state is diagonal in
 Fourier space, L_k = -2 pi^2 k^2 (1 - 2 K what(k)) on the de-aliased
 band, and is integrated exactly through exp(L_k h); the remainder of the
-transport term is advanced with the two-stage exponential scheme ETD2RK
-(Cox & Matthews, J. Comput. Phys. 176, 2002; Hochbruck & Ostermann, Acta
-Numerica 19, 2010), and the pointwise product is de-aliased with the 2/3
-rule.  With the linearisation in the exponential the critical mode at
-K_# is neutral to rounding, whatever the step.
+transport term is advanced with the three-stage exponential scheme ETD3RK
+(Cox & Matthews, J. Comput. Phys. 176, 2002, eq. 26; stiff order
+conditions in Hochbruck & Ostermann, SIAM J. Numer. Anal. 43, 2005), and
+the pointwise product is de-aliased with the 2/3 rule.  With the
+linearisation in the exponential the critical mode at K_# is neutral to
+rounding, whatever the step.
 
-``integrate`` adapts the step: the difference between the ETD1 stage and
-the ETD2 result is a free local error estimate, held below ``STEP_TOL``;
-steps are capped below the transport CFL bound and land on the record
-times.
+``integrate`` adapts the step from accuracy alone, with no CFL cap (the
+exponential damps the explicit transport of mode k by exp(-2 pi^2 k^2 h)):
+the second-order solution from the same stages is a free error estimate,
+and the steps land on the record times.
 """
 
 from __future__ import annotations
@@ -29,34 +30,42 @@ import numpy as np
 
 from . import density as dens
 from .density import Density, free_energy, fourier_to_grid, grid_to_fourier
-from .errors import BlowUp, DegenerateWindow, TimeStepTooLarge
+from .errors import BlowUp, DegenerateWindow
 from .metrics import distance
 
-#: CFL safety factor for the explicit transport stages
-CFL_SAFETY = 0.2
-#: L^2 norm of the ETD1/ETD2 difference that an accepted step may reach
-STEP_TOL = 1e-6
-#: share of the CFL bound of the current state a step may take; at 1.0
-#: the second stage breaks the bound on almost every step
-CFL_CAP = 0.9
+#: L^2 norm of the ETD3RK/ETD2 difference that an accepted step may reach
+STEP_TOL = 1e-8
+#: share of its own change a step's error may reach, so that steps near a
+#: stationary state stay stable: on y' = lambda y, Re lambda <= 0, every
+#: unstable step has a share above 1/2, its bound at h lambda = i sqrt(3)
+STABLE_SHARE = 0.5
 #: steps sit on the ladder 2^(j / STEP_LADDER), so a run reuses its tables
 STEP_LADDER = 64
+#: Taylor coefficients 1/(n + 3)! of phi3, highest first, for |L h| < 1
+_PHI3_SERIES = 1.0 / np.array([math.factorial(n) for n in range(18, 2, -1)])
 
 
-def _etd_tables(lin: np.ndarray, h: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(L h), h phi1(L h) and h phi2(L h) for the linear symbol L."""
+def _etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
+    """The rows of an ETD3RK step of size ``h`` for the linear symbol L, at
+    z = L h: exp(z/2), exp(z), (h/2) phi1(z/2), h phi1, 2 h phi1, 2 h phi2
+    and h (4 phi3 - phi2), from one expm1.  phi_{j+1} = (phi_j - 1/j!)/z
+    loses digits as |z| falls, so below |z| = 1 it runs up from phi3's
+    series; phi1(z/2) = 2 phi1(z) / (e^{z/2} + 1)."""
     z = lin * h
-    e1 = np.exp(z)
-    small = np.abs(z) < 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = np.expm1(z) / z
-        phi2 = (np.expm1(z) - z) / (z * z)
-    # series for tiny |z| where the quotients lose digits
-    zs = z[small]
-    phi1[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    phi2[small] = 0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0
-    return e1, h * phi1, h * phi2
+    em1 = np.expm1(0.5 * z)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, 1.0, z)
+    phi1 = em1 * (em1 + 2.0) / zs
+    phi2 = (phi1 - 1.0) / zs
+    phi3 = (phi2 - 0.5) / zs
+    zt = z[small]
+    phi3[small] = np.vander(zt, len(_PHI3_SERIES)) @ _PHI3_SERIES
+    phi2[small] = 0.5 + zt * phi3[small]
+    phi1[small] = 1.0 + zt * phi2[small]
+    e_half = em1 + 1.0
+    return np.stack((e_half, e_half * e_half, h * phi1 / (em1 + 2.0),
+                     h * phi1, 2.0 * h * phi1, 2.0 * h * phi2,
+                     h * (4.0 * phi3 - phi2)))
 
 
 @lru_cache(maxsize=16)
@@ -84,25 +93,6 @@ def _transport_symbols(w, coupling: float, m: int) -> np.ndarray:
     return syms
 
 
-def _transport_hat(qhat: np.ndarray, syms: np.ndarray, m: int, dt: float
-                   ) -> tuple[np.ndarray, float]:
-    """-2 pi i k K * FFT(q * (W*q)') with 2/3 de-aliasing, and the CFL
-    bound of q; raises ``TimeStepTooLarge`` when ``dt`` exceeds it.
-
-    ``syms`` comes from ``_transport_symbols``; q and its velocity go to
-    the grid in one stacked transform.
-    """
-    qg, vg = fourier_to_grid(qhat * syms, m)
-    vmax = float(np.maximum.reduce(np.abs(vg)))
-    if not math.isfinite(vmax):
-        raise BlowUp("transport velocity is non-finite")
-    bound = CFL_SAFETY / (m * vmax) if vmax > 0.0 else math.inf
-    if math.isfinite(dt) and dt > bound:
-        raise TimeStepTooLarge(
-            f"dt={dt:.3e} exceeds transport CFL bound {bound:.3e}")
-    return _derivative(m) * grid_to_fourier(qg * vg), bound
-
-
 class _Split:
     """The flow split into L q, exact in the exponential, and the explicit
     rest N(q), for one kernel, coupling and grid.
@@ -116,31 +106,43 @@ class _Split:
         k2 = np.arange(m // 2 + 1, dtype=float) ** 2
         self.m = m
         self.syms = _transport_symbols(w, coupling, m)
-        self.uniform = np.zeros(m // 2 + 1)
-        self.uniform[0] = 1.0
         self.lin = 2.0 * np.pi**2 * k2 * (
             2.0 * coupling * _dealias_mask(m) * dens.kernel_spectrum(w, m)
             - 1.0)
 
-    def rest(self, qhat: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        """N(q) and the CFL bound of q (checked against ``dt``)."""
-        # q - 1 moves with the velocity of q: W * 1 is constant
-        return _transport_hat(qhat - self.uniform, self.syms, self.m, dt)
+    def rest(self, qhat: np.ndarray) -> np.ndarray:
+        """N(q) = -2 pi i k K * FFT((q - 1) (W*q)'), 2/3 de-aliased: q - 1
+        moves with the velocity of q, as W * 1 is constant.  Both go to the
+        grid in one stacked transform."""
+        rows = qhat * self.syms
+        rows[0, 0] -= 1.0  # q - 1; the velocity row has no k = 0 mode
+        qg, vg = fourier_to_grid(rows, self.m)
+        return _derivative(self.m) * grid_to_fourier(qg * vg)
 
-    def step(self, qhat: np.ndarray, n0: np.ndarray, h: float, tables
-             ) -> tuple[np.ndarray, float]:
-        """One ETD2RK step of size ``h`` from q with N(q) = ``n0`` and
-        ``tables`` from ``_etd_tables(self.lin, h)``; returns the new state
-        and the L^2 norm of its difference from the ETD1 stage."""
-        e1, p1, p2 = tables
-        stage = e1 * qhat + p1 * n0
-        n1, _ = self.rest(stage, h)
-        corr = p2 * (n1 - n0)
-        out = stage + corr
+    def step(self, qhat: np.ndarray, n0: np.ndarray, tables: np.ndarray
+             ) -> tuple[np.ndarray, float, float]:
+        """One ETD3RK step from q, N(q) = ``n0``, with ``_etd_tables(self.lin,
+        h)``: the new state, and the L^2 norms of its change and of its
+        difference from the second-order solution from the same stages.
+
+        Stages a = e^{Lh/2} q + (h/2) phi1(Lh/2) N(q) and
+        b = e^{Lh} q + h phi1 (2 N(a) - N(q)); the step is e^{Lh} q +
+        h[(phi1 - 3 phi2 + 4 phi3) N(q) + (4 phi2 - 8 phi3) N(a) +
+        (4 phi3 - phi2) N(b)], h (4 phi3 - phi2) (N(q) - 2 N(a) + N(b)) off
+        the second-order e^{Lh} q + h[(phi1 - 2 phi2) N(q) + 2 phi2 N(a)].
+        """
+        # the half-step stage and the ETD1 step in one stacked product
+        stage, etd1 = tables[:2] * qhat + tables[2:4] * n0
+        p_twice, w_second, w_corr = tables[4:]
+        na = self.rest(stage)
+        d1 = na - n0
+        nb = self.rest(etd1 + p_twice * d1)
+        corr = w_corr * (nb - na - d1)
+        out = etd1 + w_second * d1 + corr
         out[0] = qhat[0]  # mass is exact: the k = 0 mode never moves
-        # corr vanishes at k = 0 and above the de-aliased band, so each
-        # mode it keeps stands for the pair +-k
-        return out, math.sqrt(2.0 * np.vdot(corr, corr).real)
+        change = out - qhat  # each mode k > 0 stands for the pair +-k
+        return (out, math.sqrt(2.0 * np.vdot(change, change).real),
+                math.sqrt(2.0 * np.vdot(corr, corr).real))
 
 
 def _check_state(values: np.ndarray) -> None:
@@ -149,24 +151,21 @@ def _check_state(values: np.ndarray) -> None:
 
 
 def mv_step(q: Density, w, coupling: float, dt: float) -> Density:
-    """One ETD2RK step of the flow; mass exactly conserved."""
+    """One ETD3RK step of the flow; mass exactly conserved."""
     m = q.grid_size
     split = _Split(w, coupling, m)
-    n0, _ = split.rest(q.fourier, dt)
-    out, _ = split.step(q.fourier, n0, dt, _etd_tables(split.lin, dt))
-    g = fourier_to_grid(out, m)
-    _check_state(g)
+    out, _, _ = split.step(q.fourier, split.rest(q.fourier),
+                           _etd_tables(split.lin, dt))
+    _check_state(fourier_to_grid(out, m))
     return dens.from_fourier(out, m)
 
 
 def stationarity_residual(q: Density, w, coupling: float) -> float:
-    """L^2 norm of the flow right-hand side, evaluated pseudospectrally."""
+    """L^2 norm of the flow right-hand side, L q + N(q), evaluated
+    pseudospectrally."""
     m = q.grid_size
-    k = np.arange(m // 2 + 1)
-    diff = -2.0 * np.pi**2 * k**2 * q.fourier
-    syms = _transport_symbols(w, coupling, m)
-    transport, _ = _transport_hat(q.fourier, syms, m, math.inf)
-    rhs = diff + transport
+    split = _Split(w, coupling, m)
+    rhs = split.lin * q.fourier + split.rest(q.fourier)
     weights = np.full(m // 2 + 1, 2.0)
     weights[0] = 1.0
     weights[-1] = 1.0
@@ -242,20 +241,21 @@ def integrate(
     """Run the flow to the horizon, recording distances to the uniform
     state, tracked Fourier amplitudes, free energy, and the mass defect.
 
-    ``dt`` is the first trial step.  A step h is accepted when the L^2
-    norm err of its ETD1/ETD2 difference is at most ``STEP_TOL``, and the
-    next trial is h min(5, max(0.2, 0.9 sqrt(STEP_TOL / err))); an accepted
-    step is kept as it is while that factor lies in [1, 1.2), so that runs
-    of equal steps share their exponential tables.  Each trial is capped
-    at ``CFL_CAP`` times the CFL bound of the current state, taken down to
-    the ladder 2^(j / STEP_LADDER), and cut to land on the next record
-    time, as two even steps where one would leave a sliver.  A step whose
-    second stage breaks the CFL bound is redone at half the size.
-    Records fall exactly on the unique times of ``record.times(horizon)``.
-    ``meta`` holds the accepted and rejected steps (``steps``,
-    ``rejected``), the smallest and largest accepted step (``step_min``,
-    ``step_max``), and how many accepted steps the CFL cap set
-    (``cfl_capped``).
+    ``dt`` is the first trial step.  An ETD3RK step h is accepted when the
+    L^2 norm err of its difference from the second-order solution is at
+    most tol, the smaller of ``STEP_TOL`` and ``STABLE_SHARE`` times the
+    norm of its change; no CFL bound caps it.  The next trial is
+    h min(5, max(0.2, 0.9 (tol / err)^(1/3))), or 0.2 h for a non-finite
+    err, and ``BlowUp`` is raised once a rejected step falls below 1e-14
+    of the horizon.  An accepted step is kept while its factor lies in
+    [1, 1.2), so that runs of equal steps share their exponential tables.
+    Each trial is taken down to the ladder 2^(j / STEP_LADDER) and cut to
+    land on the next record time, as two even steps where one would leave
+    a sliver.  Records fall exactly on the unique times of
+    ``record.times(horizon)``.  ``meta`` holds the accepted and rejected
+    steps (``steps``, ``rejected``; three and two transport evaluations
+    each) and the smallest and largest accepted step (``step_min``,
+    ``step_max``).
 
     Terminates early (flagged) once the stationarity residual drops below
     ``stop_residual``.
@@ -283,17 +283,15 @@ def integrate(
     residual = math.nan
 
     t, h = 0.0, dt
-    steps = rejected = cfl_capped = 0
+    steps = rejected = 0
     step_min, step_max = math.inf, 0.0
     n0 = None  # N(q) at the current state, kept across rejected steps
     for t_next in record_times:
         while t < t_next:
             if n0 is None:
-                n0, bound = split.rest(qhat, math.inf)
-            take = min(h, CFL_CAP * bound)
-            capped = take < h
+                n0 = split.rest(qhat)
             # down to the ladder; the slack keeps a rung where it is
-            take = 2.0 ** (math.floor(STEP_LADDER * math.log2(take) + 1e-9)
+            take = 2.0 ** (math.floor(STEP_LADDER * math.log2(h) + 1e-9)
                            / STEP_LADDER)
             left = t_next - t
             land = take >= left
@@ -301,22 +299,20 @@ def integrate(
                 take = left
             elif 2.0 * take > left:
                 take = 0.5 * left  # two even steps rather than a sliver
-            try:
-                nxt, err = split.step(qhat, n0, take, tables(take))
-            except TimeStepTooLarge:
+            nxt, change, err = split.step(qhat, n0, tables(take))
+            tol = min(STEP_TOL, STABLE_SHARE * change)
+            grow = (5.0 if err == 0.0 else 0.2 if not err < math.inf else
+                    min(5.0, max(0.2, 0.9 * (tol / err) ** (1 / 3))))
+            if not err <= tol:  # also when err is NaN
                 rejected += 1
-                h = 0.5 * take
-                continue
-            grow = (5.0 if err == 0.0 else
-                    min(5.0, max(0.2, 0.9 * math.sqrt(STEP_TOL / err))))
-            if err > STEP_TOL:
-                rejected += 1
+                if take < 1e-14 * horizon:
+                    raise BlowUp(f"step fell to {take:.1e} at t={t:.6g}: "
+                                 "the flow is non-finite")
                 h = grow * take
                 continue
             qhat, n0 = nxt, None
             t = t_next if land else t + take
             steps += 1
-            cfl_capped += capped
             step_min, step_max = min(step_min, take), max(step_max, take)
             if land:  # a step cut short says little about the next one
                 h = max(grow * take, h)
@@ -367,7 +363,6 @@ def integrate(
             "rejected": rejected,
             "step_min": step_min if steps else None,
             "step_max": step_max if steps else None,
-            "cfl_capped": cfl_capped,
         },
     )
 

@@ -14,8 +14,8 @@ from scipy.integrate import quad
 from torusmf import density as dens
 from torusmf.critical import (ANDERSON_DEPTH, SolveReport, _gibbs,
                               _km_map_values)
-from torusmf.density import free_energy
-from torusmf.flow import _etd_tables, _transport_hat, _transport_symbols
+from torusmf.density import free_energy, fourier_to_grid, grid_to_fourier
+from torusmf.flow import _derivative, _transport_symbols
 from torusmf.potentials import k_sharp
 
 
@@ -259,25 +259,48 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
     ), rejected
 
 
+#: CFL safety factor of ``fixed_step_flow``'s explicit transport
+CFL_SAFETY = 0.2
+
+
+def _explicit_transport(qhat, syms, m, dt):
+    """The whole transport term -2 pi i k K * FFT(q * (W*q)'), de-aliased;
+    raises ``ValueError`` where ``dt`` breaks the transport CFL bound."""
+    qg, vg = fourier_to_grid(qhat * syms, m)
+    vmax = float(np.abs(vg).max())
+    if not dt * m * vmax <= CFL_SAFETY:
+        raise ValueError(f"dt={dt:.3e} breaks the transport CFL bound "
+                         f"{CFL_SAFETY / (m * vmax):.3e}")
+    return _derivative(m) * grid_to_fourier(qg * vg)
+
+
 def fixed_step_flow(q0, w, coupling, horizon, dt):
     """The flow at ``horizon`` by fixed steps of ETD2RK with only the
     diffusion in the exponential and the whole transport term explicit.
 
     Its neutral mode at K_# is off by O(dt^2) per unit time, where the
     library's scheme keeps it exact, so a small ``dt`` makes it a
-    reference for the library's adaptive steps.  Raises
-    ``TimeStepTooLarge`` where ``dt`` breaks the transport CFL bound.
+    reference for the library's adaptive steps.  Raises ``ValueError``
+    where ``dt`` breaks the transport CFL bound.
     """
     m = q0.grid_size
     syms = _transport_symbols(w, coupling, m)
-    e1, p1, p2 = _etd_tables(
-        -2.0 * np.pi**2 * np.arange(m // 2 + 1, dtype=float) ** 2, dt)
+    z = -2.0 * np.pi**2 * np.arange(m // 2 + 1, dtype=float) ** 2 * dt
+    e1 = np.exp(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = dt * (np.expm1(z) / z)
+        p2 = dt * ((np.expm1(z) - z) / (z * z))
+    # series for tiny |z| where the quotients lose digits
+    small = np.abs(z) < 1e-3
+    zs = z[small]
+    p1[small] = dt * (1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0)
+    p2[small] = dt * (0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0)
 
     qhat = q0.fourier.copy()
     for _ in range(int(round(horizon / dt))):
-        n0, _ = _transport_hat(qhat, syms, m, dt)
+        n0 = _explicit_transport(qhat, syms, m, dt)
         stage = e1 * qhat + p1 * n0
-        n1, _ = _transport_hat(stage, syms, m, dt)
+        n1 = _explicit_transport(stage, syms, m, dt)
         out = stage + p2 * (n1 - n0)
         out[0] = qhat[0]
         qhat = out
