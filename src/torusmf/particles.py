@@ -37,8 +37,6 @@ from .metrics import _cdf_nodes
 from .potentials import Potential, _wrap, k_sharp
 
 _INV_2_53 = 2.0 ** -53
-#: modes per block of powers in the truncated-Fourier drift
-_DRIFT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,12 @@ def _unit_uniform(raw: np.ndarray) -> np.ndarray:
 
 
 def _normals(seed: int, replicate: int, step: int, n: int) -> np.ndarray:
-    # one Philox block yields two uint64 words; inverse-CDF keeps the
-    # consumption fixed at one word per particle
+    # Step s reads n words of the key's one stream, from word
+    # 4 (s + 1) ceil(n/2): a Philox4x64 block holds four uint64 words and
+    # ``advance`` counts blocks, so each step reserves about 2n words and
+    # uses the first n, clear of the next step's and of init_state's n at
+    # the stream's start.  Narrowing the reservation would change every
+    # stream.  Inverse-CDF keeps the consumption at one word per particle.
     bg = np.random.Philox(key=(seed, replicate))
     blocks_per_step = (n + 1) // 2
     bg.advance((step + 1) * blocks_per_step)
@@ -93,14 +95,40 @@ def init_state(q0: Density | None, n: int, seed: int,
     return ParticleState(_wrap(pos), 0.0, seed, replicate, 0)
 
 
+def _mode_weights(w: Potential) -> np.ndarray:
+    # k what(k) at k = lead, 2 lead, ..., up to the last active mode
+    lead = w.lead_mode
+    ks = np.arange(lead, w.active_modes[-1] + 1, lead)
+    return ks * w.coeffs[ks - 1]
+
+
+def _split(n_modes: int) -> tuple[int, int]:
+    # s inner and a outer powers with s a >= n_modes, s = ceil(sqrt(n_modes))
+    s = math.isqrt(n_modes - 1) + 1
+    return s, -(-n_modes // s)
+
+
+def _drift_work(n: int, w: Potential) -> Optional[np.ndarray]:
+    """Work rows for ``drift`` on n particles: s inner, a outer and a
+    product rows.  Above glibc's 128 KiB mmap threshold a fresh array is
+    mapped and faulted in at every call, so a run allocates these once,
+    and drops them when it returns."""
+    if len(w.active_modes) == 0:
+        return None
+    s, a = _split(len(_mode_weights(w)))
+    return np.empty((s + 2 * a, n), dtype=complex)
+
+
 def drift(positions: np.ndarray, w: Potential, coupling: float,
-          mode: str = "fourier_truncated") -> np.ndarray:
+          mode: str = "fourier_truncated",
+          work: Optional[np.ndarray] = None) -> np.ndarray:
     """Pairwise force field (K/N) sum_j W'(theta_i - theta_j).
 
     "pairwise_exact" sums the closed-form derivative over all pairs,
     O(N^2); "fourier_truncated" contracts against the empirical Fourier
     modes, O(N * truncation), and agrees with the exact sum up to the
-    kernel tail.
+    kernel tail.  ``work`` is ``_drift_work(len(positions), w)``, for a
+    caller that evaluates the drift many times; it changes no result.
     """
     n = len(positions)
     if mode == "pairwise_exact":
@@ -112,41 +140,37 @@ def drift(positions: np.ndarray, w: Potential, coupling: float,
         return (coupling / n) * w.dw(diff).sum(axis=1)
     if mode == "fourier_truncated":
         # sum_j sin(2 pi k (x_i - x_j)) = Im[z_i^k conj(sum_j z_j^k)] with
-        # z = e^{2 pi i x}.  Active modes sit on the lead lattice.  Powers
-        # are built a block of modes at a time, and each block meets the
-        # particles (mode sums) and the coefficients (force) in one call
-        # each: fewer, larger numpy calls, which also lets threads overlap.
-        # The force is a scaled sum of rows, not einsum or a BLAS product:
-        # einsum is slower, and BLAS threads fight chaos_check's workers.
-        active = w.active_modes
-        if len(active) == 0:
+        # z = e^{2 pi i x}.  Active modes sit on the lead lattice, so the
+        # force is a degree-L polynomial in zeta = z^lead.  Its powers
+        # split as zeta^(s p + q) = (zeta^s)^p zeta^q (Paterson and
+        # Stockmeyer, SIAM J. Comput. 1973): s inner rows zeta^1..zeta^s
+        # and a outer rows zeta^0, zeta^s, ..., and the mode sums and the
+        # force are then two small matrix products.
+        if len(w.active_modes) == 0:
             return np.zeros(n)
-        lead = w.lead_mode
-        ks = np.arange(lead, active[-1] + 1, lead)
-        kw = ks * w.coeffs[ks - 1]
-        step = np.exp(2j * np.pi * lead * positions)
-        block = np.empty((min(_DRIFT_BLOCK, len(ks)), n), dtype=complex)
-        acc = np.zeros(n, dtype=complex)
-        power = None  # the last power of the block before, kept unscaled
-        for start in range(0, len(ks), len(block)):
-            rows = block[:len(ks) - start]
-            prev = power
-            for row in rows:
-                if prev is None:
-                    row[:] = step
-                else:
-                    np.multiply(prev, step, out=row)
-                prev = row
-            power = prev.copy()
-            rows *= (kw[start:start + len(rows)]
-                     * rows.sum(axis=1).conj() / n)[:, None]
-            acc += np.add.reduce(rows, axis=0)
-        return -4.0 * np.pi * coupling * acc.imag
+        kw = _mode_weights(w)
+        s, a = _split(len(kw))
+        if work is None:
+            work = _drift_work(n, w)
+        inner, outer, rows = work[:s], work[s:s + a], work[s + a:]
+        np.multiply(positions, 2j * np.pi * w.lead_mode, out=inner[0])
+        np.exp(inner[0], out=inner[0])
+        for q in range(1, s):
+            np.multiply(inner[q - 1], inner[0], out=inner[q])
+        outer[0] = 1.0
+        for p in range(1, a):
+            np.multiply(outer[p - 1], inner[s - 1], out=outer[p])
+        sums = outer @ inner.T  # sums[p, q] = sum_j zeta_j^(s p + q + 1)
+        coef = np.zeros(a * s)
+        coef[:len(kw)] = kw / n
+        np.matmul(coef.reshape(a, s) * sums.conj(), inner, out=rows)
+        rows *= outer
+        return -4.0 * np.pi * coupling * rows.sum(axis=0).imag
     raise ValueError("mode must be 'pairwise_exact' or 'fourier_truncated'")
 
 
 def em_step(state: ParticleState, w: Potential, coupling: float,
-            dt: float) -> ParticleState:
+            dt: float, work: Optional[np.ndarray] = None) -> ParticleState:
     """One Leimkuhler-Matthews (noise-averaged) step with wrapped positions.
 
         x_{s+1} = x_s + F(x_s) dt + sqrt(dt) (a_s xi_s + xi_{s+1} / 2)
@@ -163,7 +187,8 @@ def em_step(state: ParticleState, w: Potential, coupling: float,
     sqrt(dt) (sqrt(3)/2 xi_0 + xi_1 + ... + xi_{n-1} + xi_n / 2),
     is exactly N(0, n dt) as for Brownian motion; plain LM gives
     (n - 1/2) dt.  Each step makes one drift evaluation and one draw:
-    xi_{s+1} rides to the next step in ``state.normals``.
+    xi_{s+1} rides to the next step in ``state.normals``.  ``work`` goes
+    to ``drift``.
 
     The name is kept from the Euler-Maruyama scheme this replaced: callers
     and the benchmark's tracer address the particle step by it.
@@ -175,7 +200,7 @@ def em_step(state: ParticleState, w: Potential, coupling: float,
         xi = _normals(state.seed, state.replicate, state.step, state.n)
     xi_next = _normals(state.seed, state.replicate, state.step + 1, state.n)
     a = math.sqrt(0.75) if state.step == 0 else 0.5
-    force = drift(state.positions, w, coupling)
+    force = drift(state.positions, w, coupling, work=work)
     pos = _wrap(state.positions + force * dt
                 + math.sqrt(dt) * (a * xi + 0.5 * xi_next))
     return replace(state, positions=pos, time=state.time + dt,
@@ -210,7 +235,8 @@ def simulate(
     record_every: int = 50,
 ) -> ParticleTrajectory:
     """Run one replicate, recording |qhat_N(k)| for the tracked modes
-    (default: the first four multiples of the lead mode)."""
+    (default: the first four multiples of the lead mode).  The drift's
+    work rows live for this call only."""
     if track_modes is None:
         track_modes = _default_modes(w)
     state = init_state(q0, n, seed, replicate)
@@ -219,8 +245,9 @@ def simulate(
     rec: dict[int, list[float]] = {
         k: [abs(empirical_fourier(state.positions, k))] for k in track_modes
     }
+    work = _drift_work(n, w)
     for step in range(1, n_steps + 1):
-        state = em_step(state, w, coupling, dt)
+        state = em_step(state, w, coupling, dt, work)
         if step % record_every == 0 or step == n_steps:
             times.append(state.time)
             for k in track_modes:
@@ -276,13 +303,17 @@ def chaos_check(
     Particles start i.i.d. from the flow's initial density (uniform when
     q0 is None), which fixes the mean-field initial law; the flow side
     runs on the ``m_pde`` grid, so a given q0 must live on that grid.
-    Replicates have independent counter streams, so results are identical
-    for any worker count.  The particles are stepped by ``em_step``, whose
-    noise averaging keeps the time-discretization bias of the stationary
-    law at O(dt^2); Euler-Maruyama's O(dt) bias puts a supercritical
-    comparison at dt = 1e-3 many standard errors off.  ``dt_pde`` is the
-    flow side's first trial step: ``integrate`` adapts the step from
-    there, and the report carries the steps it took.
+    Replicates have independent counter streams and their own drift work
+    rows, so results are identical for any worker count.  Each worker's
+    drift runs BLAS matrix products, so ``workers > 1`` wants a
+    single-threaded BLAS (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+    MKL_NUM_THREADS set to 1 before numpy loads): BLAS threads under the
+    worker threads fight for the same cores.  The particles are stepped by
+    ``em_step``, whose noise averaging keeps the time-discretization bias
+    of the stationary law at O(dt^2); Euler-Maruyama's O(dt) bias puts a
+    supercritical comparison at dt = 1e-3 many standard errors off.
+    ``dt_pde`` is the flow side's first trial step: ``integrate`` adapts
+    the step from there, and the report carries the steps it took.
     """
     if n < 10:
         raise ValueError("need at least a few particles")

@@ -1,9 +1,22 @@
 """Shared fixtures and the acceptance-summary hook."""
 
-import numpy as np
-import pytest
+import os
+import sys
+import warnings
 
-import torusmf as tm
+# One BLAS thread, as perfbench/run.py sets: the drift's matrix products
+# run under chaos_check's worker threads, and BLAS threads on top of them
+# fight for the same cores.  The variables only act before numpy loads.
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before tests/conftest.py, so its BLAS "
+                  "may run several threads under chaos_check's workers")
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import torusmf as tm  # noqa: E402
 
 # criterion label -> (passed, detail); filled by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}

@@ -305,3 +305,42 @@ def fixed_step_flow(q0, w, coupling, horizon, dt):
         out[0] = qhat[0]
         qhat = out
     return dens.from_fourier(qhat, m)
+
+
+#: modes per block of powers in ``mode_sum_drift``
+DRIFT_BLOCK = 8
+
+
+def mode_sum_drift(positions, w, coupling):
+    """The truncated-Fourier drift by a blocked sum over the modes, one
+    power of z = e^{2 pi i lead x} a row, each row scaled by its mode sum."""
+    # sum_j sin(2 pi k (x_i - x_j)) = Im[z_i^k conj(sum_j z_j^k)] with
+    # z = e^{2 pi i x}.  Active modes sit on the lead lattice.  Powers
+    # are built a block of modes at a time, and each block meets the
+    # particles (mode sums) and the coefficients (force) in one call
+    # each.
+    n = len(positions)
+    active = w.active_modes
+    if len(active) == 0:
+        return np.zeros(n)
+    lead = w.lead_mode
+    ks = np.arange(lead, active[-1] + 1, lead)
+    kw = ks * w.coeffs[ks - 1]
+    step = np.exp(2j * np.pi * lead * positions)
+    block = np.empty((min(DRIFT_BLOCK, len(ks)), n), dtype=complex)
+    acc = np.zeros(n, dtype=complex)
+    power = None  # the last power of the block before, kept unscaled
+    for start in range(0, len(ks), len(block)):
+        rows = block[:len(ks) - start]
+        prev = power
+        for row in rows:
+            if prev is None:
+                row[:] = step
+            else:
+                np.multiply(prev, step, out=row)
+            prev = row
+        power = prev.copy()
+        rows *= (kw[start:start + len(rows)]
+                 * rows.sum(axis=1).conj() / n)[:, None]
+        acc += np.add.reduce(rows, axis=0)
+    return -4.0 * np.pi * coupling * acc.imag

@@ -1,12 +1,14 @@
 """Particle dynamics: forces, noise, reproducibility, mean-field limit."""
 
-from dataclasses import replace
+import sys
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from scipy.special import iv
+from scipy.special import iv, ndtri
 
 import torusmf as tm
+from oracles import mode_sum_drift
 from torusmf.errors import NoClosedForm
 from torusmf.particles import (
     chaos_check,
@@ -15,9 +17,34 @@ from torusmf.particles import (
     empirical_fourier,
     init_state,
     simulate,
+    _drift_work,
     _normals,
+    _unit_uniform,
     _wrap,
 )
+from torusmf.potentials import Potential
+
+
+def _one_mode_kernel() -> Potential:
+    # 2 what(3) cos(6 pi theta) with what(3) = 1/4: lead mode 3, one power
+    coeffs = np.zeros(12)
+    coeffs[2] = 0.25
+    return Potential("one_mode", {}, coeffs, 2, lambda m: 0.0,
+                     lambda th: 0.5 * np.cos(6 * np.pi * th),
+                     lambda th: -3 * np.pi * np.sin(6 * np.pi * th))
+
+
+#: name -> (kernel, whether it is its own truncation to rounding, so that
+#: ``pairwise_exact`` is an oracle for the truncated drift too)
+DRIFT_KERNELS = {
+    "rod_L64": (lambda: tm.doi_onsager(truncation=128), False),
+    "transformer3_lead1": (lambda: tm.transformer(3.0, truncation=64), True),
+    "hk_R1_L128_padded": (lambda: tm.hegselmann_krause(1.0, 128), False),
+    "one_mode_L1": (_one_mode_kernel, True),
+    "custom_L7_padded": (lambda: tm.custom_potential(
+        [0, 0.3, 0, 0.1, 0, 0.05, 0, 0.02, 0, 0.01, 0, 0.005, 0, 0.002]),
+        False),
+}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +98,31 @@ class TestDrift:
             d = drift(pos, do128, 2.0, "fourier_truncated")
             assert np.abs(d).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 101, 2000])
+    @pytest.mark.parametrize("kernel", sorted(DRIFT_KERNELS))
+    def test_matches_blocked_mode_sum_and_pairwise_sum(self, kernel, n, rng):
+        make, exact = DRIFT_KERNELS[kernel]
+        w, coupling = make(), 1.3
+        ks = w.active_modes
+        for pos in (rng.uniform(-0.5, 0.5, n),
+                    _wrap(0.03 * rng.standard_normal(n))):
+            d = drift(pos, w, coupling)
+            refs = [mode_sum_drift(pos, w, coupling)]
+            if exact:
+                refs.append(drift(pos, w, coupling, "pairwise_exact"))
+            for ref in refs:
+                # one particle feels no force: scale by |F|'s bound there
+                scale = (np.abs(ref).max() if n > 1 else 4 * np.pi * coupling
+                         * np.abs(ks * w.coeffs[ks - 1]).sum())
+                assert np.abs(d - ref).max() <= 1e-13 * scale
+
+    def test_reused_work_rows_change_no_result(self, do128, rng):
+        work = _drift_work(101, do128)
+        for _ in range(3):
+            pos = rng.uniform(-0.5, 0.5, 101)
+            assert np.array_equal(drift(pos, do128, 1.3, work=work),
+                                  drift(pos, do128, 1.3))
+
     def test_no_closed_form_for_log_gas(self):
         w = tm.log_gas(32)
         with pytest.raises(NoClosedForm):
@@ -94,6 +146,26 @@ class TestEmStep:
         assert np.array_equal(a, b)
         c = _normals(9, 0, step=8, n=32)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("n", [1, 31, 32])
+    def test_steps_draw_disjoint_slices_of_one_stream(self, n):
+        # one word per draw from the key's stream: init_state takes the
+        # first n words, step s the n from word 4 (s + 1) ceil(n/2)
+        seed, rep, steps = 9, 3, 4
+        reserve = 4 * ((n + 1) // 2)
+        words = np.random.Philox(key=(seed, rep)).random_raw(
+            reserve * (steps + 1) + n)
+        x0 = init_state(None, n, seed, rep).positions
+        assert np.array_equal(x0, _wrap(_unit_uniform(words[:n]) - 0.5))
+        used = np.zeros(len(words), dtype=int)
+        used[:n] += 1
+        for s in range(steps):
+            start = reserve * (s + 1)
+            assert np.array_equal(
+                _normals(seed, rep, s, n),
+                ndtri(_unit_uniform(words[start:start + n])))
+            used[start:start + n] += 1
+        assert used.max() == 1
 
     def test_zero_noise_free_variance(self, do128):
         # K = 0: wrapped Brownian motion; single-particle variance after
@@ -234,6 +306,30 @@ class TestChaos:
                           m_pde=512, dt_pde=1e-4)
         assert abs(rep.z_score) <= 3.0
 
+    def test_worker_count_changes_no_result(self, do128):
+        # each replicate owns its drift's work rows: two threads switching
+        # every microsecond give bit-identical results to one
+        def run(workers):
+            return chaos_check(do128, 1.2 * 3 * np.pi / 4, n=300,
+                               horizon=0.05, replicates=4, dt=1e-3,
+                               seed=5, m_pde=256, workers=workers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one, two = run(1), run(2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.particle_mean_sq == two.particle_mean_sq
+        assert one.z_score == two.z_score
+        for a, b in zip(one.trajectories, two.trajectories):
+            assert np.array_equal(a.final.positions, b.final.positions)
+            assert np.array_equal(a.final.normals, b.final.normals)
+        # the trajectories hold only their own real arrays, no work rows
+        arrays = [a for t in two.trajectories for a in _arrays_in(t)]
+        assert arrays
+        assert all(a.base is None and a.dtype == float for a in arrays)
+
     def test_q0_grid_must_match_flow_grid(self, do128):
         q0 = tm.cosine_profile({2: 0.2}, 256)
         with pytest.raises(ValueError, match="m_pde"):
@@ -262,3 +358,17 @@ class TestChaos:
                           m_pde=512, dt_pde=1e-4)
         assert calls == [1e-4]
         assert rep.flow_steps == traces[0].meta["steps"] > 0
+
+
+def _arrays_in(obj):
+    """Every ndarray reachable through dataclass fields, dicts and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if is_dataclass(obj):
+        return [a for f in fields(obj)
+                for a in _arrays_in(getattr(obj, f.name))]
+    if isinstance(obj, dict):
+        return [a for v in obj.values() for a in _arrays_in(v)]
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in _arrays_in(v)]
+    return []
