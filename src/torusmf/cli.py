@@ -26,8 +26,8 @@ for byte:
     torusmf scan --config rerun.json --out rerun
 
 Results go to CSV + JSON.  ``flow``'s --dt is the first trial step of
-its adaptive integrator, whose ETD3RK steps are set by their error
-estimate alone, and ``trace_meta.json`` records the steps accepted and
+its adaptive integrator, whose Krogstad ETDRK4 steps are set by their
+error estimate alone, and ``trace_meta.json`` records the steps accepted and
 rejected (``steps``, ``rejected``) and the smallest and largest accepted
 step (``step_min``, ``step_max``).  ``flow`` records about --records times:
 evenly spaced, or with --record geometric spaced geometrically from

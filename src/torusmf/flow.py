@@ -6,17 +6,18 @@ on the circle, which is the 2-Wasserstein gradient flow of the free
 energy.  The flow linearised about the uniform state is diagonal in
 Fourier space, L_k = -2 pi^2 k^2 (1 - 2 K what(k)) on the de-aliased
 band, and is integrated exactly through exp(L_k h); the remainder of the
-transport term is advanced with the three-stage exponential scheme ETD3RK
-(Cox & Matthews, J. Comput. Phys. 176, 2002, eq. 26; stiff order
-conditions in Hochbruck & Ostermann, SIAM J. Numer. Anal. 43, 2005), and
-the pointwise product is de-aliased with the 2/3 rule.  With the
-linearisation in the exponential the critical mode at K_# is neutral to
-rounding, whatever the step.
+transport term is advanced with Krogstad's four-stage exponential scheme
+ETDRK4-B (Krogstad, J. Comput. Phys. 203, 2005), which keeps its fourth
+order on stiff problems (Hochbruck & Ostermann, SIAM J. Numer. Anal. 43,
+2005), and the pointwise product is de-aliased with the 2/3 rule.  With
+the linearisation in the exponential the critical mode at K_# is neutral
+to rounding, whatever the step.
 
 ``integrate`` adapts the step from accuracy alone, with no CFL cap (the
 exponential damps the explicit transport of mode k by exp(-2 pi^2 k^2 h)):
-the second-order solution from the same stages is a free error estimate,
-and the steps land on the record times.
+the transport of the new state, which the next step starts from ("first
+same as last"), gives a free error estimate, and the steps land on the
+record times.
 """
 
 from __future__ import annotations
@@ -33,38 +34,41 @@ from .density import Density, free_energy, fourier_to_grid, grid_to_fourier
 from .errors import BlowUp, DegenerateWindow
 from .metrics import distance
 
-#: L^2 norm of the ETD3RK/ETD2 difference that an accepted step may reach
+#: L^2 norm of the error estimate that an accepted step may reach
 STEP_TOL = 1e-8
 #: share of its own change a step's error may reach, so that steps near a
 #: stationary state stay stable: on y' = lambda y, Re lambda <= 0, every
-#: unstable step has a share above 1/2, its bound at h lambda = i sqrt(3)
+#: unstable step has a share above 1/2 (its infimum is 0.82, at
+#: h lambda = -1.66 +- 2.06 i)
 STABLE_SHARE = 0.5
 #: steps sit on the ladder 2^(j / STEP_LADDER), so a run reuses its tables
 STEP_LADDER = 64
-#: Taylor coefficients 1/(n + 3)! of phi3, highest first, for |L h| < 1
+#: Taylor coefficients 1/(n + 3)! of phi3, highest first, for |z| < 1
 _PHI3_SERIES = 1.0 / np.array([math.factorial(n) for n in range(18, 2, -1)])
 
 
 def _etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
-    """The rows of an ETD3RK step of size ``h`` for the linear symbol L, at
-    z = L h: exp(z/2), exp(z), (h/2) phi1(z/2), h phi1, 2 h phi1, 2 h phi2
-    and h (4 phi3 - phi2), from one expm1.  phi_{j+1} = (phi_j - 1/j!)/z
-    loses digits as |z| falls, so below |z| = 1 it runs up from phi3's
-    series; phi1(z/2) = 2 phi1(z) / (e^{z/2} + 1)."""
-    z = lin * h
-    em1 = np.expm1(0.5 * z)
+    """The rows of a Krogstad ETDRK4 step of size ``h`` for the linear
+    symbol L, at z = L h: exp(z/2), exp(z), (h/2) phi1(z/2), h phi1,
+    h phi2(z/2), 2 h phi2, h (2 phi2 - 4 phi3) and h (4 phi3 - phi2), from
+    one expm1 at z/2 and z.  phi_{j+1} = (phi_j - 1/j!)/z loses digits as
+    |z| falls, so below |z| = 1 it runs up from phi3's series."""
+    z = np.stack((0.5 * lin * h, lin * h))
+    em1 = np.expm1(z)
     small = np.abs(z) < 1.0
     zs = np.where(small, 1.0, z)
-    phi1 = em1 * (em1 + 2.0) / zs
+    phi1 = em1 / zs
     phi2 = (phi1 - 1.0) / zs
     phi3 = (phi2 - 0.5) / zs
     zt = z[small]
     phi3[small] = np.vander(zt, len(_PHI3_SERIES)) @ _PHI3_SERIES
     phi2[small] = 0.5 + zt * phi3[small]
     phi1[small] = 1.0 + zt * phi2[small]
-    e_half = em1 + 1.0
-    return np.stack((e_half, e_half * e_half, h * phi1 / (em1 + 2.0),
-                     h * phi1, 2.0 * h * phi1, 2.0 * h * phi2,
+    e_half, e_full = em1 + 1.0
+    phi2_half, phi2, phi3 = phi2[0], phi2[1], phi3[1]
+    return np.stack((e_half, e_full, 0.5 * h * phi1[0], h * phi1[1],
+                     h * phi2_half, 2.0 * h * phi2,
+                     h * (2.0 * phi2 - 4.0 * phi3),
                      h * (4.0 * phi3 - phi2)))
 
 
@@ -120,29 +124,41 @@ class _Split:
         return _derivative(self.m) * grid_to_fourier(qg * vg)
 
     def step(self, qhat: np.ndarray, n0: np.ndarray, tables: np.ndarray
-             ) -> tuple[np.ndarray, float, float]:
-        """One ETD3RK step from q, N(q) = ``n0``, with ``_etd_tables(self.lin,
-        h)``: the new state, and the L^2 norms of its change and of its
-        difference from the second-order solution from the same stages.
+             ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """One Krogstad ETDRK4 step from q, N(q) = ``n0``, with
+        ``_etd_tables(self.lin, h)``: the new state q+, N(q+), and the L^2
+        norms of the step's change and of its error estimate.
 
-        Stages a = e^{Lh/2} q + (h/2) phi1(Lh/2) N(q) and
-        b = e^{Lh} q + h phi1 (2 N(a) - N(q)); the step is e^{Lh} q +
-        h[(phi1 - 3 phi2 + 4 phi3) N(q) + (4 phi2 - 8 phi3) N(a) +
-        (4 phi3 - phi2) N(b)], h (4 phi3 - phi2) (N(q) - 2 N(a) + N(b)) off
-        the second-order e^{Lh} q + h[(phi1 - 2 phi2) N(q) + 2 phi2 N(a)].
+        Stages a = e^{z/2} q + (h/2) phi1(z/2) N(q),
+        b = a + h phi2(z/2) (N(a) - N(q)) and
+        c = e^z q + h phi1 N(q) + 2 h phi2 (N(b) - N(q)), z = L h; the step
+        is q+ = e^z q + h[(phi1 - 3 phi2 + 4 phi3) N(q) +
+        2 (phi2 - 2 phi3) (N(a) + N(b)) + (4 phi3 - phi2) N(c)].  The
+        estimate h (4 phi3 - phi2) (N(q+) - N(c)) costs no transport, as
+        N(q+) starts the next step.
         """
         # the half-step stage and the ETD1 step in one stacked product
         stage, etd1 = tables[:2] * qhat + tables[2:4] * n0
-        p_twice, w_second, w_corr = tables[4:]
+        p_half, p_twice, w_pair, w_last = tables[4:]
         na = self.rest(stage)
-        d1 = na - n0
-        nb = self.rest(etd1 + p_twice * d1)
-        corr = w_corr * (nb - na - d1)
-        out = etd1 + w_second * d1 + corr
+        nb = self.rest(stage + p_half * (na - n0))
+        nc = self.rest(etd1 + p_twice * (nb - n0))
+        out = etd1 + w_pair * (na + nb - 2.0 * n0) + w_last * (nc - n0)
         out[0] = qhat[0]  # mass is exact: the k = 0 mode never moves
+        n_out = self.rest(out)
         change = out - qhat  # each mode k > 0 stands for the pair +-k
-        return (out, math.sqrt(2.0 * np.vdot(change, change).real),
-                math.sqrt(2.0 * np.vdot(corr, corr).real))
+        err = w_last * (n_out - nc)
+        return (out, n_out, math.sqrt(2.0 * np.vdot(change, change).real),
+                math.sqrt(2.0 * np.vdot(err, err).real))
+
+    def residual(self, qhat: np.ndarray, nq: np.ndarray) -> float:
+        """L^2 norm of the flow right-hand side L q + N(q), from N(q) =
+        ``nq``."""
+        rhs = self.lin * qhat + nq
+        weights = np.full(self.m // 2 + 1, 2.0)
+        weights[0] = 1.0
+        weights[-1] = 1.0
+        return float(np.sqrt(np.sum(weights * np.abs(rhs) ** 2)))
 
 
 def _check_state(values: np.ndarray) -> None:
@@ -151,11 +167,11 @@ def _check_state(values: np.ndarray) -> None:
 
 
 def mv_step(q: Density, w, coupling: float, dt: float) -> Density:
-    """One ETD3RK step of the flow; mass exactly conserved."""
+    """One Krogstad ETDRK4 step of the flow; mass exactly conserved."""
     m = q.grid_size
     split = _Split(w, coupling, m)
-    out, _, _ = split.step(q.fourier, split.rest(q.fourier),
-                           _etd_tables(split.lin, dt))
+    out, _, _, _ = split.step(q.fourier, split.rest(q.fourier),
+                              _etd_tables(split.lin, dt))
     _check_state(fourier_to_grid(out, m))
     return dens.from_fourier(out, m)
 
@@ -163,13 +179,8 @@ def mv_step(q: Density, w, coupling: float, dt: float) -> Density:
 def stationarity_residual(q: Density, w, coupling: float) -> float:
     """L^2 norm of the flow right-hand side, L q + N(q), evaluated
     pseudospectrally."""
-    m = q.grid_size
-    split = _Split(w, coupling, m)
-    rhs = split.lin * q.fourier + split.rest(q.fourier)
-    weights = np.full(m // 2 + 1, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    return float(np.sqrt(np.sum(weights * np.abs(rhs) ** 2)))
+    split = _Split(w, coupling, q.grid_size)
+    return split.residual(q.fourier, split.rest(q.fourier))
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +252,11 @@ def integrate(
     """Run the flow to the horizon, recording distances to the uniform
     state, tracked Fourier amplitudes, free energy, and the mass defect.
 
-    ``dt`` is the first trial step.  An ETD3RK step h is accepted when the
-    L^2 norm err of its difference from the second-order solution is at
-    most tol, the smaller of ``STEP_TOL`` and ``STABLE_SHARE`` times the
-    norm of its change; no CFL bound caps it.  The next trial is
-    h min(5, max(0.2, 0.9 (tol / err)^(1/3))), or 0.2 h for a non-finite
+    ``dt`` is the first trial step.  A Krogstad ETDRK4 step h is accepted
+    when the L^2 norm err of its error estimate is at most tol, the smaller
+    of ``STEP_TOL`` and ``STABLE_SHARE`` times the norm of its change; no
+    CFL bound caps it.  The next trial is
+    h min(5, max(0.2, 0.9 (tol / err)^(1/4))), or 0.2 h for a non-finite
     err, and ``BlowUp`` is raised once a rejected step falls below 1e-14
     of the horizon.  An accepted step is kept while its factor lies in
     [1, 1.2), so that runs of equal steps share their exponential tables.
@@ -253,11 +264,12 @@ def integrate(
     land on the next record time, as two even steps where one would leave
     a sliver.  Records fall exactly on the unique times of
     ``record.times(horizon)``.  ``meta`` holds the accepted and rejected
-    steps (``steps``, ``rejected``; three and two transport evaluations
-    each) and the smallest and largest accepted step (``step_min``,
-    ``step_max``).
+    steps (``steps``, ``rejected``; four transport evaluations each, plus
+    one for the initial state) and the smallest and largest accepted step
+    (``step_min``, ``step_max``).
 
-    Terminates early (flagged) once the stationarity residual drops below
+    Terminates early (flagged) once the stationarity residual, from the
+    transport of the state that its last step returned, drops below
     ``stop_residual``.
     """
     if horizon <= 0.0:
@@ -285,11 +297,9 @@ def integrate(
     t, h = 0.0, dt
     steps = rejected = 0
     step_min, step_max = math.inf, 0.0
-    n0 = None  # N(q) at the current state, kept across rejected steps
+    n0 = split.rest(qhat)  # N(q) at the current state
     for t_next in record_times:
         while t < t_next:
-            if n0 is None:
-                n0 = split.rest(qhat)
             # down to the ladder; the slack keeps a rung where it is
             take = 2.0 ** (math.floor(STEP_LADDER * math.log2(h) + 1e-9)
                            / STEP_LADDER)
@@ -299,10 +309,10 @@ def integrate(
                 take = left
             elif 2.0 * take > left:
                 take = 0.5 * left  # two even steps rather than a sliver
-            nxt, change, err = split.step(qhat, n0, tables(take))
+            nxt, n_nxt, change, err = split.step(qhat, n0, tables(take))
             tol = min(STEP_TOL, STABLE_SHARE * change)
             grow = (5.0 if err == 0.0 else 0.2 if not err < math.inf else
-                    min(5.0, max(0.2, 0.9 * (tol / err) ** (1 / 3))))
+                    min(5.0, max(0.2, 0.9 * (tol / err) ** (1 / 4))))
             if not err <= tol:  # also when err is NaN
                 rejected += 1
                 if take < 1e-14 * horizon:
@@ -310,7 +320,7 @@ def integrate(
                                  "the flow is non-finite")
                 h = grow * take
                 continue
-            qhat, n0 = nxt, None
+            qhat, n0 = nxt, n_nxt
             t = t_next if land else t + take
             steps += 1
             step_min, step_max = min(step_min, take), max(step_max, take)
@@ -333,7 +343,7 @@ def integrate(
         if (len(out["t"]) - 1) % record.snapshot_every == 0:
             snapshots.append(q)
             snapshot_times.append(t)
-        residual = stationarity_residual(q, w, coupling)
+        residual = split.residual(qhat, n0)
         if residual < stop_residual:
             terminated = True
             break

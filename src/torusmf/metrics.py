@@ -5,7 +5,9 @@ for measures on the circle the optimal cost is the minimum over a scalar
 CDF offset of the line cost between shifted quantile functions (Delon,
 Salomon & Sobolevski, SIAM J. Appl. Math. 70, 2010).  The offset problem
 is convex and solved by bounded Brent minimization (Brent, Algorithms for
-Minimization without Derivatives, 1973) via ``scipy.optimize``.
+Minimization without Derivatives, 1973) via ``scipy.optimize``.  Against
+the uniform state the cost is quadratic in the offset (Bonet et al., ICLR
+2023, Prop. 1), and the distance has a closed form.
 """
 
 from __future__ import annotations
@@ -78,20 +80,23 @@ def _offset_cost(alpha: float, fp, xp, fq, xq) -> float:
     return float(np.sum(dt * (d2[0] + d2[1])) / 2.0)
 
 
-def w2_circle(p: Density, q: Density) -> float:
-    """Quadratic Wasserstein distance on the circle.
+def _w2_to_uniform(q: Density) -> float:
+    # with Qu(t) = t - 1/2 the offset cost is the mean square of
+    # g(t) - alpha, g = Qq(t) - t, so W2^2 is the variance of g over [0, 1].
+    # g is linear on the quantile's pieces: from g_j to g_{j+1} over a
+    # length v_j / M, and g_j = sum_{i<j} (1 - v_i) / M - 1/2 carries the
+    # deviation from uniform without cancellation
+    v = q.grid_values
+    m = q.grid_size
+    g = np.concatenate(([0.0], np.cumsum(1.0 - v) / m))
+    lengths = v / m
+    g -= np.sum(lengths * (g[:-1] + g[1:])) / 2.0
+    second = np.sum(lengths * (g[:-1] ** 2 + g[:-1] * g[1:] + g[1:] ** 2))
+    return float(np.sqrt(max(second / 3.0, 0.0)))
 
-    Bounded Brent minimization over the CDF offset of the circular
-    quantile coupling; the cost is convex and piecewise quadratic in the
-    offset, so parabolic steps reach the minimizer in a few evaluations.
-    Brent stops once the offset is known to 1e-10 plus scipy's fixed
-    relative term 1.5e-8 |offset|.  Where the cost is smooth that moves
-    the distance only at rounding level.  Where both densities vanish on
-    whole cells both quantile functions jump, the cost has kinks, and the
-    stop would leave the distance up to ~1e-8 relative high; there the
-    last bracket is searched again around its centre, where the relative
-    term vanishes, down to ``_KINK_XATOL``.
-    """
+
+def _w2_brent(p: Density, q: Density) -> float:
+    # Brent's minimization over the offset; see ``w2_circle``
     fp, xp = _cdf_nodes(p)
     fq, xq = _cdf_nodes(q)
     args = (fp, xp, fq, xq)
@@ -107,3 +112,27 @@ def w2_circle(p: Density, q: Density) -> float:
                               options={"xatol": _KINK_XATOL})
         best = min(best, ref.fun)
     return float(np.sqrt(max(best, 0.0)))
+
+
+def w2_circle(p: Density, q: Density) -> float:
+    """Quadratic Wasserstein distance on the circle.
+
+    Where either density is exactly uniform, the closed form: W2^2 is the
+    variance over t in [0, 1] of Q(t) - t, Q the other's quantile
+    function, integrated exactly on its linear pieces.  Otherwise bounded
+    Brent minimization over the CDF offset of the circular quantile
+    coupling; the cost is convex and piecewise quadratic in the offset, so
+    parabolic steps reach the minimizer in a few evaluations.
+    Brent stops once the offset is known to 1e-10 plus scipy's fixed
+    relative term 1.5e-8 |offset|.  Where the cost is smooth that moves
+    the distance only at rounding level.  Where both densities vanish on
+    whole cells both quantile functions jump, the cost has kinks, and the
+    stop would leave the distance up to ~1e-8 relative high; there the
+    last bracket is searched again around its centre, where the relative
+    term vanishes, down to ``_KINK_XATOL``.
+    """
+    if np.all(p.grid_values == 1.0):
+        return _w2_to_uniform(q)
+    if np.all(q.grid_values == 1.0):
+        return _w2_to_uniform(p)
+    return _w2_brent(p, q)

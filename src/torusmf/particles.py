@@ -274,7 +274,7 @@ class ChaosReport:
     """
 
     mode: int
-    flow_steps: int  #: ETD3RK steps the flow side took
+    flow_steps: int  #: ETDRK4 steps the flow side took
     pde_value_sq: float
     particle_mean_sq: float
     particle_se: float

@@ -1,6 +1,7 @@
 """Gradient-flow integrator: exactness, dissipation, rates."""
 
 import time
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -59,27 +60,62 @@ class TestStep:
         lin = np.array([0.0, 1e-9, -3e-4, 0.9, -1.3, 1.6, 5.0, -40.0, -3e3])
         h = 0.7
         got = _etd_tables(lin, h)
+
+        def phis(z):
+            if z == 0:
+                return 1, mpmath.mpf(1) / 2, mpmath.mpf(1) / 6
+            phi1 = mpmath.expm1(z) / z
+            phi2 = (phi1 - 1) / z
+            return phi1, phi2, (phi2 - mpmath.mpf(1) / 2) / z
+
         with mpmath.workdps(80):
             for col, z in enumerate(lin * h):
                 z = mpmath.mpf(z)
-                if z == 0:
-                    phi1, phi2, phi3, phi1h = 1, 0.5, mpmath.mpf(1) / 6, 1
-                else:
-                    phi1 = mpmath.expm1(z) / z
-                    phi2 = (phi1 - 1) / z
-                    phi3 = (phi2 - mpmath.mpf(1) / 2) / z
-                    phi1h = 2 * mpmath.expm1(z / 2) / z
+                phi1, phi2, phi3 = phis(z)
+                phi1h, phi2h, _ = phis(z / 2)
                 ref = [mpmath.exp(z / 2), mpmath.exp(z), h / 2 * phi1h,
-                       h * phi1, 2 * h * phi1, 2 * h * phi2,
-                       h * (4 * phi3 - phi2)]
+                       h * phi1, h * phi2h, 2 * h * phi2,
+                       h * (2 * phi2 - 4 * phi3), h * (4 * phi3 - phi2)]
+                assert len(ref) == len(got)
                 for row, r in enumerate(ref):
                     r = float(r)
                     assert abs(got[row, col] - r) <= 1e-14 * abs(r) + 1e-16
 
+    def test_stable_share_admits_only_stable_steps(self):
+        # at L = 0 the step is classical RK4 on y' = lambda y, z = h lambda:
+        # change R(z) - 1 with R the degree-4 Taylor polynomial of e^z, and
+        # estimate z^4 (z - 2) / 144.  Every unstable step with Re z <= 0
+        # must have a share of at least STABLE_SHARE, so that the bound
+        # rejects it; the share's infimum there is 0.82, near
+        # z = -1.66 +- 2.06 i, and it grows like |z| / 6 far out
+        def share(z):
+            change = z + z**2 / 2 + z**3 / 6 + z**4 / 24
+            return np.abs(z**4 * (z - 2) / 144) / np.abs(change), change + 1
+
+        x, y = np.meshgrid(np.linspace(-12.0, 0.0, 601),
+                           np.linspace(-12.0, 12.0, 1200))
+        ratio, amp = share(x + 1j * y)
+        unstable = np.abs(amp) > 1.0
+        assert unstable.sum() > 10**5
+        assert ratio[unstable].min() > flow.STABLE_SHARE
+        assert 0.8 < ratio[unstable].min() < 0.85
+
+        # the step itself gives the same change and estimate
+        tables = _etd_tables(np.zeros(2), 1.0)
+        for z in (-1.66 + 2.06j, -2.9, 0.3j, -0.5 - 3.1j, -7.0 + 1.0j):
+            # mode 1 carries y; mode 0 is the mass, which N leaves alone
+            linear = SimpleNamespace(rest=lambda q, z=z: z * q * [0.0, 1.0])
+            out, n_out, change, err = flow._Split.step(
+                linear, np.ones(2, complex), linear.rest(np.ones(2)), tables)
+            ratio, amp = share(z)
+            assert abs(out[1] - amp) <= 1e-14 * abs(amp)
+            assert n_out[1] == z * out[1]
+            assert abs(err / change - ratio) <= 1e-12 * ratio
+
     @staticmethod
     def _poison(monkeypatch, calls):
         """Make the transport evaluations numbered in ``calls`` (from 1,
-        records' residuals included) non-finite."""
+        the initial state's) non-finite."""
         real, count = flow._Split.rest, []
 
         def poisoned(split, qhat):
@@ -90,8 +126,9 @@ class TestStep:
         monkeypatch.setattr(flow._Split, "rest", poisoned)
 
     def test_nonfinite_stage_is_rejected(self, do_kernel, monkeypatch):
-        # evaluation 6 is the half-step stage of the second step: that
-        # step is redone smaller, and the run goes on
+        # evaluations 2-5 are the first step's stages a, b, c and its new
+        # state; 6 is the half-step stage a of the second step: that step
+        # is redone smaller, and the run goes on
         self._poison(monkeypatch, {6})
         with np.errstate(invalid="ignore"):
             tr = integrate(tm.cosine_profile({2: 0.2}, 256), do_kernel,
@@ -103,8 +140,9 @@ class TestStep:
         assert np.all(np.isfinite(tr.l2)) and np.all(np.isfinite(tr.w2))
 
     def test_nonfinite_velocity_blows_up(self, do_kernel, monkeypatch):
-        # from evaluation 5 on, the state's own transport is non-finite:
-        # every retry fails, and the step falls below 1e-14 of the horizon
+        # from evaluation 5 on, the transport of the first step's new state
+        # and every later one is non-finite: every retry fails, and the
+        # step falls below 1e-14 of the horizon
         self._poison(monkeypatch, range(5, 10**6))
         with pytest.raises(BlowUp), np.errstate(invalid="ignore"):
             integrate(tm.cosine_profile({2: 0.2}, 256), do_kernel,
@@ -187,7 +225,7 @@ class TestIntegrate:
             finals.append(q.grid_values)
         e1 = np.abs(finals[0] - finals[2]).max()
         e2 = np.abs(finals[1] - finals[2]).max()
-        # halving dt should cut the error by about 8 (third order); the
+        # halving dt should cut the error by about 16 (fourth order); the
         # bound, kept from the second-order scheme, asks for more than 2.5
         assert e2 < e1 / 2.5
 
@@ -228,7 +266,7 @@ class TestIntegrate:
         record = RecordPolicy("uniform", 10, snapshot_every=10**9)
         tr = integrate(q0, w, coupling, 0.5, dt=1e-4, record=record,
                        track_modes=[2], stop_residual=0.0)
-        assert tr.meta["steps"] <= 4000
+        assert tr.meta["steps"] <= 1200
         np.testing.assert_allclose(tr.times, np.linspace(0.0, 0.5, 11))
         fixed = oracles.fixed_step_flow(q0, w, coupling, 0.5, 2.5e-5)
         assert abs(tr.mode_abs[2][-1] ** 2
@@ -264,6 +302,7 @@ class TestIntegrate:
             oracles.fixed_step_flow(q0, do_kernel, 3 * np.pi / 4, 20.0,
                                     6.25e-5),
             tm.uniform(m), "W2_circle")
+        assert tr.meta["steps"] <= 1500
         assert abs(tr.w2[-1] - ref) < 5e-5 * ref
 
     def test_rod_c11_setting_is_cheap(self, do_kernel):
@@ -288,7 +327,7 @@ class TestIntegrate:
                        record=RecordPolicy("geometric", t0=0.05, factor=1.06),
                        stop_residual=0.0)
         fit = fit_rate(tr, "w2", "algebraic")
-        assert tr.meta["steps"] <= 100_000
+        assert tr.meta["steps"] <= 20_000
         assert abs(fit.rate - (-0.22885)) < 1e-3
 
 

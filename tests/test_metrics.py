@@ -81,6 +81,40 @@ class TestW2Circle:
             ds.append(tm.distance(tm.uniform(512), q, "W2_circle"))
         assert abs(ds[0] / ds[1] - 10.0) < 0.1
 
+    def test_uniform_closed_form_matches_brent(self, rng):
+        # against an exactly uniform density w2_circle takes the closed
+        # form; the offset cost is then smooth, so Brent's minimum agrees
+        # to rounding, also where the other density has empty cells
+        from torusmf.metrics import _w2_brent
+
+        for i in range(24):
+            m = (64, 128, 512)[i % 3]
+            q = (random_density(rng, m) if i % 2
+                 else step_density(rng, m, 0.0 if i % 4 else 0.3))
+            u = tm.uniform(m)
+            ref = _w2_brent(q, u)
+            assert abs(tm.w2_circle(q, u) - ref) < 1e-12 * ref
+            assert abs(tm.w2_circle(u, q) - ref) < 1e-12 * ref
+        assert tm.w2_circle(tm.uniform(64), tm.uniform(64)) == 0.0
+
+    @pytest.mark.parametrize("m, k", [(64, 3), (128, 2), (512, 1)])
+    def test_uniform_closed_form_matches_the_linear_value(self, m, k):
+        # W2(1 + eps cos 2 pi k (theta - s), 1) = eps / (2 pi k sqrt 2) to
+        # O(eps^2) relative, times the cell factors of the left-point CDF
+        # sum, (d/2) / sin(d/2), and of the quantile's linear pieces,
+        # sqrt((2 + cos d) / 3), d = 2 pi k / M.  Rounding of the grid
+        # values leaves ~1e-16 / eps relative; Brent's offset search is up
+        # to 1.4e-7 off at eps = 1e-8
+        d = 2 * np.pi * k / m
+        cells = (d / 2) / np.sin(d / 2) * np.sqrt((2 + np.cos(d)) / 3)
+        for eps in (1e-8, 1e-6, 1e-4):
+            lin = eps / (2 * np.pi * k * np.sqrt(2)) * cells
+            for shift in (0.0, 0.3):
+                q = tm.from_grid(1 + eps * np.cos(
+                    2 * np.pi * k * (theta_grid(m) - shift)))
+                got = tm.w2_circle(q, tm.uniform(m))
+                assert abs(got / lin - 1) < 1e-15 / eps
+
 
 def step_density(rng, m, floor):
     # piecewise-constant two-level density on random arcs; floor 0 leaves
@@ -114,6 +148,9 @@ class TestW2Minimization:
         return pairs
 
     def test_against_ternary_oracle(self, rng, monkeypatch):
+        # the offset search itself: w2_circle takes the closed form for the
+        # pairs with a uniform side, which is within 3e-16 of a 40-digit
+        # evaluation there while both searches' costs round to ~6e-13
         from torusmf import metrics
 
         pairs = self.random_pairs(rng)
@@ -125,7 +162,7 @@ class TestW2Minimization:
         got, evals = [], []
         for p, q in pairs:
             before = len(calls)
-            got.append(tm.w2_circle(p, q))
+            got.append(metrics._w2_brent(p, q))
             evals.append(len(calls) - before)
         assert np.max(np.abs(np.subtract(got, ref)) / np.asarray(ref)) < 1e-12
         # the ternary search makes 119 evaluations a call
