@@ -5,11 +5,14 @@ Critical points solve the self-consistency (Kirkwood--Monroe) equation
     q = exp(2 K (W * q)) / Z,
 
 found here from a fixed multistart seed set by Anderson mixing of the
-map's exponent, guarded so that no kept iterate raises the free energy.
-The scanner locates the critical coupling by bisection on the sign
-of the best free-energy gap and classifies the transition as continuous
-or discontinuous by probing whether the uniform state is still a global
-minimizer at the linear stability threshold.
+map's exponent, guarded so that no kept iterate raises the free energy;
+where the guard drops a mixed step while the plain residual grows (the
+iterates are leaving a saddle), the solve doubles along the plain step
+instead of leaving at Picard's rate.  The scanner locates the critical
+coupling by bisection on the sign of the best free-energy gap and
+classifies the transition as continuous or discontinuous by probing
+whether the uniform state is still a global minimizer at the linear
+stability threshold.
 """
 
 from __future__ import annotations
@@ -78,9 +81,20 @@ class SolveReport:
     residual: float
     free_energy: float
     iterations: int
+    rejected: int  # trial iterates the free-energy guard dropped
     seed_id: str
     converged: bool
     order_parameter: float
+
+
+def _trial_density(u: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """``_gibbs`` without its range check: a wild trial exponent must not
+    raise ExpOverflow, the free-energy guard drops it."""
+    peak = np.maximum.reduce(u)
+    v = np.exp(u - peak)
+    mass = np.add.reduce(v) / m
+    v /= mass
+    return v, peak + math.log(mass)
 
 
 def solve_fixed_point(
@@ -94,25 +108,41 @@ def solve_fixed_point(
     """Safeguarded Anderson mixing for q = T(q) until sup|q - T(q)| <= tol.
 
     The mixing acts on the exponent u, q = e^u / Z, where the map reads
-    u <- g(u) = 2K W*q (the log of T up to its normalizer): a mixed
+    u <- g(u) = 2K W*q (the log of T up to its normalizer): a trial
     exponent is again a positive unit-mass density, so every iterate
     stays a density and its free energy an upper bound for min F.  Each
     step mixes the last ``ANDERSON_DEPTH`` secant steps (Walker & Ni,
     SIAM J. Numer. Anal. 49, 2011).
 
     A mixed iterate is kept only if it does not raise the free energy;
-    otherwise the solve takes the plain step T(q) from the last kept
-    iterate and forgets its history.  Unguarded mixing can converge onto
-    a saddle: on transformer(3) at K = 0.37634 it lands on the unstable
-    branch (order parameter 0.27, F > 0) from seeds whose plain iterates
-    reach the minimizer (0.49, F < 0).  For what >= 0 the plain step
-    never raises F (it is the concave-convex procedure), so the guard
-    only ever falls back to a descent step.
+    otherwise the solve forgets its history and falls back to the plain
+    step g(u_b) from the last kept iterate b.  Unguarded mixing can
+    converge onto a saddle: on transformer(3) at K = 0.37634 it lands on
+    the unstable branch (order parameter 0.27, F > 0) from seeds whose
+    plain iterates reach the minimizer (0.49, F < 0).  For what >= 0 the
+    plain step never raises F (it is the concave-convex procedure), so
+    the guard only ever falls back to a descent step.
+
+    Mixing is a root-finder, so next to a saddle it keeps heading back,
+    its steps are dropped, and the plain steps leave at Picard's rate.
+    There the fallback extrapolates instead, as steplength schemes for
+    monotone maps do (SQUAREM: Varadhan & Roland, Scand. J. Statist. 35,
+    2008): when the plain residual has grown, i.e. sup|f| of the residual
+    f = g(u) - u at the latest kept plain iterate exceeds that at the one
+    before, the trials u_b + 2^j f_b, j = 1, 2, ..., are kept while the
+    guard accepts them, and the plain step is taken from the last kept
+    trial (whose map is known) with an empty history.  A plain step's
+    residual grows only where the map's multiplier along it exceeds 1,
+    that is when leaving an unstable fixed point.  Toward a stable fixed
+    point it shrinks, and toward a degenerate one (multiplier 1, as for
+    the rod kernel at K_#) it shrinks algebraically, so there the
+    fallback stays the plain step.
 
     Returns T(q) of the last kept iterate q with residual sup|T(q) - q|;
-    ``iterations`` counts map applications, rejected mixed steps
-    included.  Non-convergence within ``max_iter`` map applications is
-    reported in the ``converged`` flag, not raised.
+    ``iterations`` counts map applications, dropped trial iterates
+    included, and ``rejected`` the dropped ones, mixed or extrapolated.
+    Non-convergence within ``max_iter`` map applications is reported in
+    the ``converged`` flag, not raised.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -127,12 +157,19 @@ def solve_fixed_point(
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     n_hist = slot = 0
     f_prev = None
-    # the iterate mapped next, v = e^(u - lz) on the grid; the seed's u is
-    # never formed (it would take a log), so its energy is not known
-    v, u, lz, mixed = q0.grid_values, None, 0.0, False
+    # the iterate mapped next, v = e^(u - lz) on the grid, and whether it
+    # is a trial (mixed or extrapolated) the guard must accept or else a
+    # plain step; the seed's u is never formed (it would take a log), so
+    # its energy is not known
+    v, u, lz, trial = q0.grid_values, None, 0.0, False
     t = v
     energy_kept = math.inf
     residual = math.inf
+    # sup|f| at the last two kept plain iterates; while extrapolating,
+    # (u_b, f_b) and the factor 2^j of the last trial
+    f_plain = f_plain_before = math.inf
+    escape, scale = None, 0.0
+    rejected = 0
     it = 0
     for it in range(1, max_iter + 1):
         qhat = grid_to_fourier(v)
@@ -146,23 +183,40 @@ def solve_fixed_point(
             energy = entropy - lz - interaction
             # a rise within the rounding of those terms is no rise (near
             # the fixed point F moves by residual^2, far below it); NaN
-            # from a wild mixed step is a rise
+            # from a wild trial is a rise
             rounding = _F_ROUNDING * (abs(entropy) + abs(lz)
                                       + abs(interaction))
-            if mixed and not energy <= energy_kept + rounding:
+            if trial and not energy <= energy_kept + rounding:
+                rejected += 1
+                if escape is None and f_plain > f_plain_before:
+                    # leaving a saddle: double along b's plain step
+                    escape, scale = (u_prev, f_prev), 2.0
+                    u = u_prev + scale * f_prev
+                    v, lz = _trial_density(u, m)
+                else:
+                    escape = None
+                    v, u, lz, trial = t, g_prev, lz_t, False
                 # the ring restarts at row 0: the live secants are rows
                 # [:n_hist] only while slot == n_hist or the ring is full
                 n_hist = slot = 0
                 f_prev = None
-                v, u, lz, mixed = t, g_prev, lz_t, False
                 continue
             energy_kept = energy
         t, lz_t = _gibbs(expo, m)
         residual = float(np.maximum.reduce(np.abs(t - v)))
         if residual <= tol:
             break
+        if escape is not None:
+            # a kept trial: its map is the fallback should the next rise
+            g_prev, scale = expo, 2.0 * scale
+            u = escape[0] + scale * escape[1]
+            v, lz = _trial_density(u, m)
+            continue
         if u is not None:
             f = expo - u
+            if not trial:
+                f_plain_before = f_plain
+                f_plain = float(np.maximum.reduce(np.abs(f)))
             if f_prev is not None:
                 np.subtract(f, f_prev, out=d_f[slot])
                 np.subtract(expo, g_prev, out=d_g[slot])
@@ -171,7 +225,7 @@ def solve_fixed_point(
                 gram[slot, :n_hist] = row
                 gram[:n_hist, slot] = row
                 slot = (slot + 1) % ANDERSON_DEPTH
-            f_prev, g_prev = f, expo
+            f_prev, g_prev, u_prev = f, expo, u
         if n_hist:
             # least squares in the history's dimension: min |f - dF^T gamma|
             # through the Gram matrix, rank-truncated where the secant
@@ -179,21 +233,17 @@ def solve_fixed_point(
             gamma = np.linalg.lstsq(gram[:n_hist, :n_hist], d_f[:n_hist] @ f,
                                     rcond=None)[0]
             u = expo - gamma @ d_g[:n_hist]
-            # _gibbs without its range check: a wild mixed exponent must
-            # not raise ExpOverflow, the free-energy guard rejects it
-            peak = np.maximum.reduce(u)
-            v = np.exp(u - peak)
-            mass = np.add.reduce(v) / m
-            v /= mass
-            lz, mixed = peak + math.log(mass), True
+            v, lz = _trial_density(u, m)
+            trial = True
         else:
-            v, u, lz, mixed = t, expo, lz_t, False
+            v, u, lz, trial = t, expo, lz_t, False
     q = dens.from_grid(t)
     return SolveReport(
         density=q,
         residual=residual,
         free_energy=free_energy(q, w, coupling),
         iterations=it,
+        rejected=rejected,
         seed_id=seed_id,
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),

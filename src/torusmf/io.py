@@ -116,6 +116,7 @@ def save_solve_report(outdir, report: SolveReport) -> None:
         "residual": report.residual,
         "free_energy": report.free_energy,
         "iterations": report.iterations,
+        "rejected": report.rejected,
         "seed_id": report.seed_id,
         "converged": report.converged,
         "order_parameter": report.order_parameter,

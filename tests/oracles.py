@@ -185,6 +185,7 @@ def picard_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000,
         residual=residual,
         free_energy=free_energy(q, w, coupling),
         iterations=it,
+        rejected=0,
         seed_id=seed_id,
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),
@@ -196,11 +197,14 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
     secant history kept as plain lists, oldest first, and its least-squares
     problem rebuilt from them at every step.
 
-    Returns (SolveReport, number of rejected mixed steps).  The mixed
+    Returns (SolveReport, number of dropped trial iterates).  A mixed
     iterate e^u / Z is kept only if its free energy, evaluated by
     ``free_energy``, does not exceed the last kept one by more than
-    rounding; otherwise the plain step from the last kept iterate is
-    taken and the history emptied.
+    rounding; otherwise the history is emptied and, if sup|g(u) - u| at
+    the latest kept plain iterate exceeds that at the one before, the
+    trials u_b + 2^j f_b (j = 1, 2, ...) from the last kept iterate b are
+    kept while the same test passes, and the plain step is taken from the
+    last kept trial, or else from b itself.
     """
     m = q0.grid_size
     _, mode = k_sharp(w)
@@ -210,9 +214,15 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
         return 2.0 * coupling * dens.fourier_to_grid(
             dens.grid_to_fourier(v) * wk, m)
 
+    def density(u):
+        q = np.exp(u - u.max())
+        return q / q.mean()
+
     hist_f, hist_g = [], []
-    f_prev = g_prev = None
+    plain_residuals = []  # sup|f| at every kept plain iterate
+    f_prev = g_prev = u_prev = None
     v, u, mixed = q0.grid_values, None, False
+    trials = None  # (u_b, f_b, j) while doubling
     t = v
     energy_kept = math.inf
     residual = math.inf
@@ -224,27 +234,44 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
             energy = free_energy(dens.from_grid(v), w, coupling)
             if mixed and not energy <= energy_kept + 1e-14 * (1 + abs(energy)):
                 rejected += 1
-                hist_f, hist_g, f_prev = [], [], None
-                v, u, mixed = t, g_prev, False
+                hist_f, hist_g = [], []
+                grown = (len(plain_residuals) > 1
+                         and plain_residuals[-1] > plain_residuals[-2])
+                if trials is None and grown:
+                    trials = (u_prev, f_prev, 1)
+                    u = u_prev + 2.0 * f_prev
+                    v = density(u)
+                else:
+                    trials = None
+                    v, u, mixed = t, g_prev, False
+                f_prev = None
                 continue
             energy_kept = energy
         t = _gibbs(expo, m)[0]
         residual = float(np.max(np.abs(t - v)))
         if residual <= tol:
             break
+        if trials is not None:
+            u_b, f_b, j = trials
+            trials = (u_b, f_b, j + 1)
+            g_prev = expo
+            u = u_b + 2.0 ** (j + 1) * f_b
+            v = density(u)
+            continue
         if u is not None:
             f = expo - u
+            if not mixed:
+                plain_residuals.append(float(np.max(np.abs(f))))
             if f_prev is not None:
                 hist_f.append(f - f_prev)
                 hist_g.append(expo - g_prev)
                 del hist_f[:-ANDERSON_DEPTH], hist_g[:-ANDERSON_DEPTH]
-            f_prev, g_prev = f, expo
+            f_prev, g_prev, u_prev = f, expo, u
         if hist_f:
             df, dg = np.array(hist_f), np.array(hist_g)
             gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
             u = expo - gamma @ dg
-            q = np.exp(u - u.max())
-            v, mixed = q / q.mean(), True
+            v, mixed = density(u), True
         else:
             v, u, mixed = t, expo, False
     q = dens.from_grid(t)
@@ -253,6 +280,7 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
         residual=residual,
         free_energy=free_energy(q, w, coupling),
         iterations=it,
+        rejected=rejected,
         seed_id="",
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),

@@ -169,17 +169,49 @@ class TestAttentionAboveKc:
             assert rep.free_energy < 0.0
             assert rep.order_parameter > 0.45
 
+    def test_cosine_seed_escapes_the_saddle(self, setup):
+        # the seed settles next to the unstable branch and leaves it by
+        # doubling along the growing plain step (469 maps at Picard's rate)
+        w, seeds = setup
+        rep = tm.solve_fixed_point(w, self.coupling, seeds["cos_a0.6"])
+        assert rep.converged and rep.iterations <= 100
+        assert rep.free_energy < 0.0
+        assert rep.order_parameter > 0.45
+
+    def test_cosine_seed_below_k_sharp_within_150_maps(self, setup):
+        # ends at the uniform state, as in test_guard_keeps_off_the_saddle
+        # (514 maps at Picard's rate)
+        w, seeds = setup
+        rep = tm.solve_fixed_point(w, 0.3762, seeds["cos_a0.6"])
+        assert rep.converged and rep.iterations <= 150
+        assert rep.order_parameter < 1e-6
+        assert abs(rep.free_energy) < 1e-12
+
+    def test_benchmark_seeds_scan_within_1500_maps(self, setup):
+        # the scan_attention_b3 setting, unrotated; K_c and the verdict are
+        # those of the solver before the saddle escape (3,474 maps)
+        w, seeds = setup
+        pd = tm.scan_kc(w, m=512, tol_K=2e-4,
+                        seeds=[(s, seeds[s]) for s in
+                               ("uniform", "cos_a0.6", "bump_c0.99")])
+        assert sum(r.map_applications for r in pd.rows) <= 1500
+        assert pd.continuity == "discontinuous"
+        assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
+
     @pytest.mark.parametrize("seed", ["cos_a0.6", "bump_c0.99"])
     def test_history_matches_list_oracle(self, setup, seed):
-        # many mixed steps are rejected here (151 of 469 maps from the
-        # cosine seed), each emptying the secant history; the ring buffers
-        # must then hold exactly what a freshly rebuilt history holds
+        # the guard drops trial iterates here (6 of the cosine seed's 46
+        # maps, mixed or extrapolated; 151 of 469 before the saddle
+        # escape), each dropped mixed step emptying the secant history;
+        # the ring buffers must then hold exactly what a freshly rebuilt
+        # history holds
         w, seeds = setup
         ref, rejected = anderson_fixed_point(w, self.coupling, seeds[seed])
         rep = tm.solve_fixed_point(w, self.coupling, seeds[seed])
         assert rejected > 0
         assert rep.converged and ref.converged
         assert rep.iterations == ref.iterations
+        assert rep.rejected == rejected
         # not bitwise: the ring stores the history rotated, so its least
         # squares round differently
         assert np.abs(rep.density.grid_values

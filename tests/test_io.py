@@ -69,6 +69,17 @@ class TestRunArtifacts:
         assert man["platform"] == platform.platform()
         assert (tmp_path / "snapshots.npz").exists()
 
+    def test_solve_report_counts_dropped_trials(self, tmp_path):
+        # transformer(3) from the cosine seed: the guard drops trial
+        # iterates on the way off the unstable branch
+        w = tm.transformer(3.0)
+        q0 = tm.cosine_profile({1: 0.6}, 512)
+        rep = tm.solve_fixed_point(w, 0.37634, q0)
+        io.save_solve_report(tmp_path, rep)
+        rec = json.loads((tmp_path / "minimizer.json").read_text())
+        assert rec["rejected"] == rep.rejected > 0
+        assert rec["iterations"] == rep.iterations
+
     def test_write_csv_full_precision(self, tmp_path):
         p = tmp_path / "sub" / "rows.csv"
         io.write_csv(p, [(1, 0.1), (2, 1.0 / 3.0)], ["k", "v"])
