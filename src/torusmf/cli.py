@@ -269,6 +269,7 @@ def cmd_particles(s: dict) -> int:
     io.write_json(outdir / "chaos_report.json", {
         "mode": report.mode,
         "flow_steps": report.flow_steps,
+        "particle_steps": report.particle_steps,
         "pde_value_sq": report.pde_value_sq,
         "particle_mean_sq": report.particle_mean_sq,
         "particle_se": report.particle_se,
@@ -431,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--perturbation", type=float, default=0.2)
     _setting(p, "--seed", type=int, default=2024, help="Philox key")
     _setting(p, "--workers", type=int, default=1,
-             help="threads running replicates")
+             help="threads running replicates; above 1, set "
+             "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS "
+             "to 1 before launch, or BLAS threads fight the workers")
     _no_assert(p)
     # set by the config file only
     p.get_default("settings").update(grid_size=512, dt_particles=1e-3)

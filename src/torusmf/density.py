@@ -55,7 +55,10 @@ def theta_grid(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _scaled_phase(m: int, scale: float) -> np.ndarray:
+def grid_phase(m: int, scale: float) -> np.ndarray:
+    """(-1)^k times ``scale``, k = 0..M/2: the factor between a real FFT
+    of the grid values and the coefficients qhat(k) (``scale`` = 1/M) and
+    back (``scale`` = M)."""
     p = _phase(m) * scale
     p.flags.writeable = False
     return p
@@ -70,23 +73,46 @@ except ImportError:  # numpy 1.x
     _pocketfft = None
 
 
-def grid_to_fourier(values: np.ndarray) -> np.ndarray:
+def raw_rfft(values: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
+    """``numpy.fft.rfft`` over the last axis, unscaled, written to ``out``
+    when given: the transform behind ``grid_to_fourier``, for a caller
+    that folds the grid phase into its own symbols."""
     m = values.shape[-1]
     if _pocketfft is None or values.dtype != np.float64:
         raw = np.fft.rfft(values)
-    else:
-        rfft = _pocketfft.rfft_n_even if m % 2 == 0 else _pocketfft.rfft_n_odd
-        raw = rfft(values, 1.0, out=np.empty(values.shape[:-1] + (m // 2 + 1,),
-                                             dtype=complex))
-    return raw * _scaled_phase(m, 1.0 / m)
+        if out is None:
+            return raw
+        out[...] = raw
+        return out
+    if out is None:
+        out = np.empty(values.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    rfft = _pocketfft.rfft_n_even if m % 2 == 0 else _pocketfft.rfft_n_odd
+    return rfft(values, 1.0, out=out)
+
+
+def raw_irfft(spectrum: np.ndarray, m: int, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """``numpy.fft.irfft(spectrum, n=m)`` over the last axis, written to
+    ``out`` when given: the transform behind ``fourier_to_grid``."""
+    if _pocketfft is None or spectrum.dtype != np.complex128:
+        raw = np.fft.irfft(spectrum, n=m)
+        if out is None:
+            return raw
+        out[...] = raw
+        return out
+    if out is None:
+        out = np.empty(spectrum.shape[:-1] + (m,))
+    return _pocketfft.irfft(spectrum, 1.0 / m, out=out)
+
+
+def grid_to_fourier(values: np.ndarray) -> np.ndarray:
+    m = values.shape[-1]
+    return raw_rfft(values) * grid_phase(m, 1.0 / m)
 
 
 def fourier_to_grid(fourier: np.ndarray, m: int) -> np.ndarray:
-    spectrum = fourier * _scaled_phase(m, m)
-    if _pocketfft is None or spectrum.dtype != np.complex128:
-        return np.fft.irfft(spectrum, n=m)
-    return _pocketfft.irfft(spectrum, 1.0 / m,
-                            out=np.empty(spectrum.shape[:-1] + (m,)))
+    return raw_irfft(fourier * grid_phase(m, m), m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,10 @@ ETDRK4-B (Krogstad, J. Comput. Phys. 203, 2005), which keeps its fourth
 order on stiff problems (Hochbruck & Ostermann, SIAM J. Numer. Anal. 43,
 2005), and the pointwise product is de-aliased with the 2/3 rule.  With
 the linearisation in the exponential the critical mode at K_# is neutral
-to rounding, whatever the step.
+to rounding, whatever the step.  The transport's symbols carry the grid
+phase of the transforms, so each transport is a product, two raw real
+FFTs and a product, with the bits of ``fourier_to_grid`` and
+``grid_to_fourier`` (see ``_Split``).
 
 ``integrate`` adapts the step from accuracy alone, with no CFL cap (the
 exponential damps the explicit transport of mode k by exp(-2 pi^2 k^2 h)):
@@ -30,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import density as dens
-from .density import Density, free_energy, fourier_to_grid, grid_to_fourier
+from .density import Density, free_energy, fourier_to_grid
 from .errors import BlowUp, DegenerateWindow
 from .metrics import distance
 
@@ -104,24 +107,35 @@ class _Split:
     Transport is bilinear, T(q) = B(q, q), and B(1, .) is diagonal with
     symbol L_k + 2 pi^2 k^2, so N(q) = T(q) - (L + 2 pi^2 k^2) q is
     B(q - 1, q - 1): the transport of the deviation from the uniform state.
+
+    The grid phase (-1)^k M of ``fourier_to_grid`` is folded into the
+    transport symbols, and (-1)^k / M of ``grid_to_fourier`` into the
+    derivative.  M is a power of two, so the folded products round exactly
+    as the unfolded ones: ``rest`` gives the same bits with two raw real
+    FFTs into buffers of its own, so a split serves one caller at a time.
     """
 
     def __init__(self, w, coupling: float, m: int):
         k2 = np.arange(m // 2 + 1, dtype=float) ** 2
         self.m = m
-        self.syms = _transport_symbols(w, coupling, m)
+        self.syms = _transport_symbols(w, coupling, m) * dens.grid_phase(m, m)
+        self.deriv = _derivative(m) * dens.grid_phase(m, 1.0 / m)
         self.lin = 2.0 * np.pi**2 * k2 * (
             2.0 * coupling * _dealias_mask(m) * dens.kernel_spectrum(w, m)
             - 1.0)
+        self._rows = np.empty((2, m // 2 + 1), dtype=complex)
+        self._grid = np.empty((2, m))
+        self._raw = np.empty(m // 2 + 1, dtype=complex)
 
     def rest(self, qhat: np.ndarray) -> np.ndarray:
         """N(q) = -2 pi i k K * FFT((q - 1) (W*q)'), 2/3 de-aliased: q - 1
         moves with the velocity of q, as W * 1 is constant.  Both go to the
         grid in one stacked transform."""
-        rows = qhat * self.syms
-        rows[0, 0] -= 1.0  # q - 1; the velocity row has no k = 0 mode
-        qg, vg = fourier_to_grid(rows, self.m)
-        return _derivative(self.m) * grid_to_fourier(qg * vg)
+        rows = np.multiply(qhat, self.syms, out=self._rows)
+        rows[0, 0] -= self.m  # q - 1, in the rows' scale M; no k = 0 velocity
+        qg, vg = dens.raw_irfft(rows, self.m, out=self._grid)
+        return self.deriv * dens.raw_rfft(np.multiply(qg, vg, out=qg),
+                                          out=self._raw)
 
     def step(self, qhat: np.ndarray, n0: np.ndarray, tables: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, float, float]:

@@ -10,7 +10,11 @@ stationary law accurate to second order in dt where Euler-Maruyama's is
 first order.  Noise comes from a Philox counter keyed by (seed, replicate)
 and advanced to the step, so every normal is addressable by (seed, step,
 particle): replicates are reproducible, parallelizable, and couplable
-across step sizes.
+across step sizes.  A run (``simulate``) builds one step plan
+(``_StepPlan``): the drift's work rows, coefficient block and phase,
+and the replicate's Philox stream, which each step reads on from where the
+last one stopped instead of building a generator; the bits are those of
+the addressed draw.
 
 References: B. Leimkuhler and C. Matthews, Rational construction of
 stochastic numerical methods for molecular sampling, AMRX 2013;
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -70,17 +74,22 @@ def _unit_uniform(raw: np.ndarray) -> np.ndarray:
     return (np.right_shift(raw, 11) + 0.5) * _INV_2_53
 
 
-def _normals(seed: int, replicate: int, step: int, n: int) -> np.ndarray:
+def _stream(seed: int, replicate: int, step: int, n: int
+            ) -> np.random.Philox:
     # Step s reads n words of the key's one stream, from word
     # 4 (s + 1) ceil(n/2): a Philox4x64 block holds four uint64 words and
     # ``advance`` counts blocks, so each step reserves about 2n words and
     # uses the first n, clear of the next step's and of init_state's n at
     # the stream's start.  Narrowing the reservation would change every
-    # stream.  Inverse-CDF keeps the consumption at one word per particle.
+    # stream.
     bg = np.random.Philox(key=(seed, replicate))
-    blocks_per_step = (n + 1) // 2
-    bg.advance((step + 1) * blocks_per_step)
-    return ndtri(_unit_uniform(bg.random_raw(n)))
+    return bg.advance((step + 1) * ((n + 1) // 2))
+
+
+def _normals(seed: int, replicate: int, step: int, n: int) -> np.ndarray:
+    # Inverse-CDF keeps the consumption at one word per particle.
+    raw = _stream(seed, replicate, step, n).random_raw(n)
+    return ndtri(_unit_uniform(raw))
 
 
 def init_state(q0: Density | None, n: int, seed: int,
@@ -108,27 +117,65 @@ def _split(n_modes: int) -> tuple[int, int]:
     return s, -(-n_modes // s)
 
 
-def _drift_work(n: int, w: Potential) -> Optional[np.ndarray]:
-    """Work rows for ``drift`` on n particles: s inner, a outer and a
-    product rows.  Above glibc's 128 KiB mmap threshold a fresh array is
-    mapped and faulted in at every call, so a run allocates these once,
-    and drops them when it returns."""
-    if len(w.active_modes) == 0:
-        return None
-    s, a = _split(len(_mode_weights(w)))
-    return np.empty((s + 2 * a, n), dtype=complex)
+class _StepPlan:
+    """What a run of ``em_step`` calls on n particles of one kernel reuses
+    from step to step: the drift's work rows (s inner, a outer and a
+    product rows), its coefficient block k what(k) / n as (a, s) and its
+    phase 2 pi i lead, and the replicate's Philox stream, standing at the
+    first word of step ``cursor[2]`` of key ``cursor[:2]``.  A run builds
+    one and drops it when it returns; steps write into it, so a plan serves
+    one replicate at a time."""
+
+    def __init__(self, n: int, w: Potential):
+        self.kernel, self.n = w, n
+        self.phase = 2j * np.pi * w.lead_mode
+        self.work = None  # no active modes: no force
+        if len(w.active_modes):
+            kw = _mode_weights(w)
+            self.s, self.a = s, a = _split(len(kw))
+            coef = np.zeros(a * s)
+            coef[:len(kw)] = kw / n
+            self.coef = coef.reshape(a, s)
+            # Above glibc's 128 KiB mmap threshold a fresh array is mapped
+            # and faulted in at every call, so a run allocates these once
+            self.work = np.empty((s + 2 * a, n), dtype=complex)
+            self.inner = self.work[:s]
+            self.outer = self.work[s:s + a]
+            self.rows = self.work[s + a:]
+            self.outer[0] = 1.0
+        self.noise: Optional[np.random.Philox] = None
+        self.cursor: Optional[tuple[int, int, int]] = None
+
+    def seek(self, seed: int, replicate: int, step: int) -> None:
+        """Stand the stream at step ``step``'s words of key (seed,
+        replicate)."""
+        self.noise = _stream(seed, replicate, step, self.n)
+        self.cursor = (seed, replicate, step)
+
+    def normals(self, seed: int, replicate: int, step: int) -> np.ndarray:
+        """``_normals(seed, replicate, step, n)``: read from the stream and
+        moved on to step + 1 where the stream stands at it, else drawn
+        afresh.  Reading n words leaves the stream ceil(n/4) blocks on,
+        and the next step's words start ceil(n/2) blocks on."""
+        if self.cursor != (seed, replicate, step):
+            return _normals(seed, replicate, step, self.n)
+        raw = self.noise.random_raw(self.n)
+        self.noise.advance((self.n + 1) // 2 - (self.n + 3) // 4)
+        self.cursor = (seed, replicate, step + 1)
+        return ndtri(_unit_uniform(raw))
 
 
 def drift(positions: np.ndarray, w: Potential, coupling: float,
           mode: str = "fourier_truncated",
-          work: Optional[np.ndarray] = None) -> np.ndarray:
+          plan: Optional[_StepPlan] = None) -> np.ndarray:
     """Pairwise force field (K/N) sum_j W'(theta_i - theta_j).
 
     "pairwise_exact" sums the closed-form derivative over all pairs,
     O(N^2); "fourier_truncated" contracts against the empirical Fourier
     modes, O(N * truncation), and agrees with the exact sum up to the
-    kernel tail.  ``work`` is ``_drift_work(len(positions), w)``, for a
-    caller that evaluates the drift many times; it changes no result.
+    kernel tail.  ``plan`` is ``_StepPlan(len(positions), w)``, for a
+    caller that evaluates the drift many times; it changes no result, and
+    a plan for another kernel or particle count raises ``ValueError``.
     """
     n = len(positions)
     if mode == "pairwise_exact":
@@ -146,31 +193,31 @@ def drift(positions: np.ndarray, w: Potential, coupling: float,
         # Stockmeyer, SIAM J. Comput. 1973): s inner rows zeta^1..zeta^s
         # and a outer rows zeta^0, zeta^s, ..., and the mode sums and the
         # force are then two small matrix products.
-        if len(w.active_modes) == 0:
+        if plan is None:
+            plan = _StepPlan(n, w)
+        elif plan.kernel is not w or plan.n != n:
+            raise ValueError(
+                f"step plan for {plan.kernel.name} on {plan.n} particles "
+                f"handed {w.name} on {n}")
+        if plan.work is None:
             return np.zeros(n)
-        kw = _mode_weights(w)
-        s, a = _split(len(kw))
-        if work is None:
-            work = _drift_work(n, w)
-        inner, outer, rows = work[:s], work[s:s + a], work[s + a:]
-        np.multiply(positions, 2j * np.pi * w.lead_mode, out=inner[0])
+        s, a = plan.s, plan.a
+        inner, outer, rows = plan.inner, plan.outer, plan.rows
+        np.multiply(positions, plan.phase, out=inner[0])
         np.exp(inner[0], out=inner[0])
         for q in range(1, s):
             np.multiply(inner[q - 1], inner[0], out=inner[q])
-        outer[0] = 1.0
         for p in range(1, a):
             np.multiply(outer[p - 1], inner[s - 1], out=outer[p])
         sums = outer @ inner.T  # sums[p, q] = sum_j zeta_j^(s p + q + 1)
-        coef = np.zeros(a * s)
-        coef[:len(kw)] = kw / n
-        np.matmul(coef.reshape(a, s) * sums.conj(), inner, out=rows)
+        np.matmul(plan.coef * sums.conj(), inner, out=rows)
         rows *= outer
         return -4.0 * np.pi * coupling * rows.sum(axis=0).imag
     raise ValueError("mode must be 'pairwise_exact' or 'fourier_truncated'")
 
 
 def em_step(state: ParticleState, w: Potential, coupling: float,
-            dt: float, work: Optional[np.ndarray] = None) -> ParticleState:
+            dt: float, plan: Optional[_StepPlan] = None) -> ParticleState:
     """One Leimkuhler-Matthews (noise-averaged) step with wrapped positions.
 
         x_{s+1} = x_s + F(x_s) dt + sqrt(dt) (a_s xi_s + xi_{s+1} / 2)
@@ -187,24 +234,37 @@ def em_step(state: ParticleState, w: Potential, coupling: float,
     sqrt(dt) (sqrt(3)/2 xi_0 + xi_1 + ... + xi_{n-1} + xi_n / 2),
     is exactly N(0, n dt) as for Brownian motion; plain LM gives
     (n - 1/2) dt.  Each step makes one drift evaluation and one draw:
-    xi_{s+1} rides to the next step in ``state.normals``.  ``work`` goes
-    to ``drift``.
+    xi_{s+1} rides to the next step in ``state.normals``.  ``plan`` goes
+    to ``drift``, and gives xi_{s+1} from its stream where that stands at
+    step s + 1 (``simulate`` stands it at step 1); the bits are those of
+    ``_normals`` either way.
 
     The name is kept from the Euler-Maruyama scheme this replaced: callers
     and the benchmark's tracer address the particle step by it.
     """
     if dt > 1e-3:
         raise ValueError("dt above 1e-3 is outside the validated range")
+    seed, replicate, step = state.seed, state.replicate, state.step
     xi = state.normals
     if xi is None:
-        xi = _normals(state.seed, state.replicate, state.step, state.n)
-    xi_next = _normals(state.seed, state.replicate, state.step + 1, state.n)
-    a = math.sqrt(0.75) if state.step == 0 else 0.5
-    force = drift(state.positions, w, coupling, work=work)
-    pos = _wrap(state.positions + force * dt
-                + math.sqrt(dt) * (a * xi + 0.5 * xi_next))
-    return replace(state, positions=pos, time=state.time + dt,
-                   step=state.step + 1, normals=xi_next)
+        xi = _normals(seed, replicate, step, state.n)
+    if plan is None:
+        xi_next = _normals(seed, replicate, step + 1, state.n)
+    else:
+        xi_next = plan.normals(seed, replicate, step + 1)
+    a = math.sqrt(0.75) if step == 0 else 0.5
+    # x + F dt + sqrt(dt) (a xi + xi_next / 2), wrapped, in the drift's
+    # own array
+    pos = drift(state.positions, w, coupling, plan=plan)
+    pos *= dt
+    pos += state.positions
+    noise = a * xi
+    noise += 0.5 * xi_next
+    noise *= math.sqrt(dt)
+    pos += noise
+    pos -= np.round(pos, out=noise)
+    return ParticleState(pos, state.time + dt, seed, replicate, step + 1,
+                         xi_next)
 
 
 def empirical_fourier(positions: np.ndarray, k: int) -> complex:
@@ -235,8 +295,9 @@ def simulate(
     record_every: int = 50,
 ) -> ParticleTrajectory:
     """Run one replicate, recording |qhat_N(k)| for the tracked modes
-    (default: the first four multiples of the lead mode).  The drift's
-    work rows live for this call only."""
+    (default: the first four multiples of the lead mode).  The step plan,
+    with the drift's work rows and the replicate's noise stream, lives for
+    this call only."""
     if track_modes is None:
         track_modes = _default_modes(w)
     state = init_state(q0, n, seed, replicate)
@@ -245,9 +306,10 @@ def simulate(
     rec: dict[int, list[float]] = {
         k: [abs(empirical_fourier(state.positions, k))] for k in track_modes
     }
-    work = _drift_work(n, w)
+    plan = _StepPlan(n, w)
+    plan.seek(seed, replicate, 1)
     for step in range(1, n_steps + 1):
-        state = em_step(state, w, coupling, dt, work)
+        state = em_step(state, w, coupling, dt, plan)
         if step % record_every == 0 or step == n_steps:
             times.append(state.time)
             for k in track_modes:
@@ -275,6 +337,8 @@ class ChaosReport:
 
     mode: int
     flow_steps: int  #: ETDRK4 steps the flow side took
+    #: ``em_step`` calls over all replicates, one drift evaluation each
+    particle_steps: int
     pde_value_sq: float
     particle_mean_sq: float
     particle_se: float
@@ -355,6 +419,7 @@ def chaos_check(
     return ChaosReport(
         mode=mode_k,
         flow_steps=trace.meta["steps"],
+        particle_steps=sum(t.final.step for t in trajs),
         pde_value_sq=pde_sq,
         particle_mean_sq=mean,
         particle_se=se,

@@ -287,6 +287,15 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
     ), rejected
 
 
+def unfolded_rest(qhat, w, coupling, m):
+    """``flow._Split.rest``, N(q), through the public ``fourier_to_grid``
+    and ``grid_to_fourier``, with the grid phase left in the transforms."""
+    rows = qhat * _transport_symbols(w, coupling, m)
+    rows[0, 0] -= 1.0
+    qg, vg = fourier_to_grid(rows, m)
+    return _derivative(m) * grid_to_fourier(qg * vg)
+
+
 #: CFL safety factor of ``fixed_step_flow``'s explicit transport
 CFL_SAFETY = 0.2
 

@@ -175,9 +175,12 @@ class TestConfigAndReport:
         assert header.startswith("t,mode2,")
         report = json.loads((run / "chaos_report.json").read_text())
         assert report["flow_steps"] > 0
+        assert report["particle_steps"] == 2 * round(0.01 / 1e-3)
         capsys.readouterr()
         assert main(["report", "--dir", str(tmp_path)]) == 0
-        assert f"flow_steps={report['flow_steps']}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"flow_steps={report['flow_steps']}" in out
+        assert f"particle_steps={report['particle_steps']}" in out
 
     def test_report_aggregates(self, tmp_path, capsys):
         main(["thresholds", "doi_onsager", "--out", str(tmp_path)])

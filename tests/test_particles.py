@@ -17,7 +17,7 @@ from torusmf.particles import (
     empirical_fourier,
     init_state,
     simulate,
-    _drift_work,
+    _StepPlan,
     _normals,
     _unit_uniform,
     _wrap,
@@ -117,10 +117,10 @@ class TestDrift:
                 assert np.abs(d - ref).max() <= 1e-13 * scale
 
     def test_reused_work_rows_change_no_result(self, do128, rng):
-        work = _drift_work(101, do128)
+        plan = _StepPlan(101, do128)
         for _ in range(3):
             pos = rng.uniform(-0.5, 0.5, 101)
-            assert np.array_equal(drift(pos, do128, 1.3, work=work),
+            assert np.array_equal(drift(pos, do128, 1.3, plan=plan),
                                   drift(pos, do128, 1.3))
 
     def test_no_closed_form_for_log_gas(self):
@@ -264,6 +264,93 @@ class TestEmStep:
         assert 0.7 < slope < 1.3
 
 
+class TestStepPlan:
+    @pytest.mark.parametrize("n", [1, 7, 31, 32, 2001])
+    def test_stream_reads_the_addressed_normals(self, do128, n):
+        # from step 1, as ``simulate`` stands it, and from mid-stream
+        seed, rep = 9, 3
+        plan = _StepPlan(n, do128)
+        for start in (1, 40):
+            plan.seek(seed, rep, start)
+            for step in range(start, start + 6):
+                assert np.array_equal(plan.normals(seed, rep, step),
+                                      _normals(seed, rep, step, n))
+            assert plan.cursor == (seed, rep, start + 6)
+
+    def test_cursor_elsewhere_draws_afresh(self, do128, monkeypatch):
+        import torusmf.particles as particles
+
+        calls = []
+        monkeypatch.setattr(particles, "_normals",
+                            lambda *a: calls.append(a) or _normals(*a))
+        plan = _StepPlan(7, do128)
+        plan.seek(9, 3, 4)
+        for key in ((9, 3, 5), (9, 3, 3), (8, 3, 4), (9, 2, 4)):
+            assert np.array_equal(plan.normals(*key), _normals(*key, 7))
+        assert calls == [key + (7,) for key in
+                         ((9, 3, 5), (9, 3, 3), (8, 3, 4), (9, 2, 4))]
+        assert plan.cursor == (9, 3, 4)
+        assert np.array_equal(plan.normals(9, 3, 4), _normals(9, 3, 4, 7))
+        assert len(calls) == 4
+
+    def test_em_step_with_a_plan_changes_no_bit(self, do128):
+        # a plan stood mid-stream, then one stood at the wrong step
+        n, seed, coupling, dt = 33, 6, 1.0, 1e-3
+        plain = init_state(None, n, seed)
+        for _ in range(4):
+            plain = em_step(plain, do128, coupling, dt)
+        planned = plain
+        plan = _StepPlan(n, do128)
+        for start in (5, 2):
+            plan.seek(seed, 0, start)
+            for _ in range(4):
+                plain = em_step(plain, do128, coupling, dt)
+                planned = em_step(planned, do128, coupling, dt, plan)
+                assert np.array_equal(planned.positions, plain.positions)
+                assert np.array_equal(planned.normals, plain.normals)
+        assert plan.cursor == (seed, 0, 2)
+        assert planned.step == 12 and planned.time == plain.time
+        assert not planned.positions.flags.writeable
+
+    def test_simulate_matches_a_plain_em_step_loop(self, do128):
+        n, seed, rep, coupling, dt = 101, 4, 2, 1.3, 1e-3
+        q0 = tm.cosine_profile({2: 0.2}, 256)
+        traj = simulate(do128, coupling, n, 0.03, dt=dt, seed=seed,
+                        replicate=rep, q0=q0)
+        state = init_state(q0, n, seed, rep)
+        for _ in range(30):
+            state = em_step(state, do128, coupling, dt)
+        assert np.array_equal(traj.final.positions, state.positions)
+        assert np.array_equal(traj.final.normals, state.normals)
+
+    def test_plan_for_another_kernel_or_count_raises(self, do128, rng):
+        pos = rng.uniform(-0.5, 0.5, 20)
+        plan = _StepPlan(20, do128)
+        other = tm.doi_onsager(truncation=128)
+        with pytest.raises(ValueError, match="step plan"):
+            drift(pos, other, 1.0, plan=plan)
+        with pytest.raises(ValueError, match="step plan"):
+            drift(pos[:-1], do128, 1.0, plan=plan)
+        with pytest.raises(ValueError, match="step plan"):
+            em_step(init_state(None, 21, seed=1), do128, 1.0, 1e-3, plan)
+
+    def test_simulate_calls_em_step_and_drift_once_a_step(self, do128,
+                                                          monkeypatch):
+        # the benchmark paces at em_step and traces both by name
+        import torusmf.particles as particles
+
+        counts = {"em_step": 0, "drift": 0}
+        for name in counts:
+            def counting(*args, _real=getattr(particles, name), _name=name,
+                         **kw):
+                counts[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(particles, name, counting)
+        simulate(do128, 1.0, 50, 0.013, dt=1e-3)
+        assert counts == {"em_step": 13, "drift": 13}
+
+
 class TestEmpiricalFourier:
     def test_zero_mode(self, rng):
         pos = rng.uniform(-0.5, 0.5, 100)
@@ -358,6 +445,7 @@ class TestChaos:
                           m_pde=512, dt_pde=1e-4)
         assert calls == [1e-4]
         assert rep.flow_steps == traces[0].meta["steps"] > 0
+        assert rep.particle_steps == 2 * 500
 
 
 def _arrays_in(obj):
