@@ -28,8 +28,9 @@ for byte:
 Results go to CSV + JSON.  ``flow``'s --dt is the first trial step of
 its adaptive integrator, whose Krogstad ETDRK4 steps are set by their
 error estimate alone, and ``trace_meta.json`` records the steps accepted and
-rejected (``steps``, ``rejected``) and the smallest and largest accepted
-step (``step_min``, ``step_max``).  ``flow`` records about --records times:
+rejected (``steps``, ``rejected``), the smallest and largest accepted
+step (``step_min``, ``step_max``) and the exponential tables built
+(``tables``).  ``flow`` records about --records times:
 evenly spaced, or with --record geometric spaced geometrically from
 t = 0.01 to --T; the steps land on every record time.  ``report``
 summarizes the verdicts, thresholds, flow trace metadata and particle

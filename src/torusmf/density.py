@@ -68,51 +68,40 @@ try:
     # numpy >= 2 runs numpy.fft through these ufuncs.  Calling them directly
     # gives the same bits and skips numpy.fft's per-call argument handling,
     # which at M = 128 costs more than the transform itself.
-    from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:  # numpy 1.x
-    _pocketfft = None
-
-
-def raw_rfft(values: np.ndarray, out: np.ndarray | None = None
-             ) -> np.ndarray:
-    """``numpy.fft.rfft`` over the last axis, unscaled, written to ``out``
-    when given: the transform behind ``grid_to_fourier``, for a caller
-    that folds the grid phase into its own symbols."""
-    m = values.shape[-1]
-    if _pocketfft is None or values.dtype != np.float64:
-        raw = np.fft.rfft(values)
-        if out is None:
-            return raw
-        out[...] = raw
+    from numpy.fft._pocketfft_umath import irfft as irfft_kernel
+    from numpy.fft._pocketfft_umath import rfft_n_even as rfft_kernel
+except ImportError:  # numpy 1.x: numpy.fft, which scales the same way
+    def rfft_kernel(values, fct, out):
+        out[...] = np.fft.rfft(values)  # fct is 1
         return out
-    if out is None:
-        out = np.empty(values.shape[:-1] + (m // 2 + 1,), dtype=complex)
-    rfft = _pocketfft.rfft_n_even if m % 2 == 0 else _pocketfft.rfft_n_odd
-    return rfft(values, 1.0, out=out)
 
-
-def raw_irfft(spectrum: np.ndarray, m: int, out: np.ndarray | None = None
-              ) -> np.ndarray:
-    """``numpy.fft.irfft(spectrum, n=m)`` over the last axis, written to
-    ``out`` when given: the transform behind ``fourier_to_grid``."""
-    if _pocketfft is None or spectrum.dtype != np.complex128:
-        raw = np.fft.irfft(spectrum, n=m)
-        if out is None:
-            return raw
-        out[...] = raw
+    def irfft_kernel(spectrum, fct, out):
+        out[...] = np.fft.irfft(spectrum, n=out.shape[-1])  # fct is 1/M
         return out
-    if out is None:
-        out = np.empty(spectrum.shape[:-1] + (m,))
-    return _pocketfft.irfft(spectrum, 1.0 / m, out=out)
+
+# ``rfft_kernel(values, 1.0, out=)``, the unscaled real FFT of an even
+# length M over the last axis, and ``irfft_kernel(spectrum, 1.0 / M,
+# out=)``, its inverse, write float64 and complex128 buffers that the
+# caller owns and check nothing: a hot loop that folds the grid phase into
+# its own symbols calls them on buffers of its own.
 
 
 def grid_to_fourier(values: np.ndarray) -> np.ndarray:
     m = values.shape[-1]
-    return raw_rfft(values) * grid_phase(m, 1.0 / m)
+    if values.dtype != np.float64 or m % 2:
+        raw = np.fft.rfft(values)
+    else:
+        raw = rfft_kernel(values, 1.0, out=np.empty(
+            values.shape[:-1] + (m // 2 + 1,), dtype=complex))
+    return raw * grid_phase(m, 1.0 / m)
 
 
 def fourier_to_grid(fourier: np.ndarray, m: int) -> np.ndarray:
-    return raw_irfft(fourier * grid_phase(m, m), m)
+    spectrum = fourier * grid_phase(m, m)
+    if spectrum.dtype != np.complex128:
+        return np.fft.irfft(spectrum, n=m)
+    return irfft_kernel(spectrum, 1.0 / m,
+                        out=np.empty(spectrum.shape[:-1] + (m,)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,15 +12,17 @@ order on stiff problems (Hochbruck & Ostermann, SIAM J. Numer. Anal. 43,
 2005), and the pointwise product is de-aliased with the 2/3 rule.  With
 the linearisation in the exponential the critical mode at K_# is neutral
 to rounding, whatever the step.  The transport's symbols carry the grid
-phase of the transforms, so each transport is a product, two raw real
-FFTs and a product, with the bits of ``fourier_to_grid`` and
-``grid_to_fourier`` (see ``_Split``).
+phase of the transforms, so each transport is a product, two real FFTs
+and a product, with the bits of ``fourier_to_grid`` and
+``grid_to_fourier`` (see ``_Split``); the FFTs are the kernels that
+``density`` binds at import, called on buffers the split owns.
 
 ``integrate`` adapts the step from accuracy alone, with no CFL cap (the
 exponential damps the explicit transport of mode k by exp(-2 pi^2 k^2 h)):
 the transport of the new state, which the next step starts from ("first
-same as last"), gives a free error estimate, and the steps land on the
-record times.
+same as last"), gives a free error estimate.  Steps sit on a ladder of
+sizes, so that a run reuses its exponential tables, and land on the
+record times in one cut step or two equal ones, which share a table.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from . import density as dens
-from .density import Density, free_energy, fourier_to_grid
+from .density import (Density, fourier_to_grid, free_energy, irfft_kernel,
+                      rfft_kernel)
 from .errors import BlowUp, DegenerateWindow
 from .metrics import distance
 
@@ -48,6 +51,8 @@ STABLE_SHARE = 0.5
 STEP_LADDER = 64
 #: Taylor coefficients 1/(n + 3)! of phi3, highest first, for |z| < 1
 _PHI3_SERIES = 1.0 / np.array([math.factorial(n) for n in range(18, 2, -1)])
+#: the factors of h in the rows (h/2) phi1(z/2), h phi1, h phi2(z/2), 2 h phi2
+_PHI_SCALE = np.array([[0.5], [1.0], [1.0], [2.0]])
 
 
 def _etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
@@ -55,24 +60,39 @@ def _etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
     symbol L, at z = L h: exp(z/2), exp(z), (h/2) phi1(z/2), h phi1,
     h phi2(z/2), 2 h phi2, h (2 phi2 - 4 phi3) and h (4 phi3 - phi2), from
     one expm1 at z/2 and z.  phi_{j+1} = (phi_j - 1/j!)/z loses digits as
-    |z| falls, so below |z| = 1 it runs up from phi3's series."""
-    z = np.stack((0.5 * lin * h, lin * h))
-    em1 = np.expm1(z)
+    |z| falls, so below |z| = 1 it runs up from phi3's series.
+
+    The phi_j are built in the rows that return them, and every factor but
+    the last h is a power of two, so each row rounds as its formula does.
+    The rows come back complex, as the step multiplies them with complex
+    states: numpy would otherwise cast them at each product, to the same
+    bits."""
+    n = lin.shape[0]
+    tab = np.empty((8, n))
+    e, phi = tab[:2], tab[2:].reshape(3, 2, n)  # phi[j - 1] = phi_j
+    z = np.empty((2, n))
+    np.multiply(lin, h, out=z[1])
+    np.multiply(z[1], 0.5, out=z[0])
+    np.expm1(z, out=e)
     small = np.abs(z) < 1.0
-    zs = np.where(small, 1.0, z)
-    phi1 = em1 / zs
-    phi2 = (phi1 - 1.0) / zs
-    phi3 = (phi2 - 0.5) / zs
     zt = z[small]
-    phi3[small] = np.vander(zt, len(_PHI3_SERIES)) @ _PHI3_SERIES
-    phi2[small] = 0.5 + zt * phi3[small]
-    phi1[small] = 1.0 + zt * phi2[small]
-    e_half, e_full = em1 + 1.0
-    phi2_half, phi2, phi3 = phi2[0], phi2[1], phi3[1]
-    return np.stack((e_half, e_full, 0.5 * h * phi1[0], h * phi1[1],
-                     h * phi2_half, 2.0 * h * phi2,
-                     h * (2.0 * phi2 - 4.0 * phi3),
-                     h * (4.0 * phi3 - phi2)))
+    z[small] = 1.0  # the recurrence's divisor; the series replaces its rows
+    np.divide(e, z, out=phi[0])
+    np.subtract(phi[0], 1.0, out=phi[1])
+    np.divide(phi[1], z, out=phi[1])
+    np.subtract(phi[1], 0.5, out=phi[2])
+    np.divide(phi[2], z, out=phi[2])
+    phi3 = np.vander(zt, len(_PHI3_SERIES)) @ _PHI3_SERIES
+    phi2 = 0.5 + zt * phi3
+    phi[:, small] = 1.0 + zt * phi2, phi2, phi3
+    e += 1.0
+    four_phi3 = 4.0 * tab[7]
+    np.subtract(four_phi3, tab[5], out=tab[7])
+    np.multiply(tab[5], 2.0, out=tab[6])
+    tab[6] -= four_phi3
+    tab[2:6] *= _PHI_SCALE
+    tab[2:] *= h
+    return tab.astype(complex)
 
 
 @lru_cache(maxsize=16)
@@ -125,7 +145,9 @@ class _Split:
             - 1.0)
         self._rows = np.empty((2, m // 2 + 1), dtype=complex)
         self._grid = np.empty((2, m))
+        self._qg, self._vg = self._grid
         self._raw = np.empty(m // 2 + 1, dtype=complex)
+        self._inv_m = 1.0 / m
 
     def rest(self, qhat: np.ndarray) -> np.ndarray:
         """N(q) = -2 pi i k K * FFT((q - 1) (W*q)'), 2/3 de-aliased: q - 1
@@ -133,9 +155,9 @@ class _Split:
         grid in one stacked transform."""
         rows = np.multiply(qhat, self.syms, out=self._rows)
         rows[0, 0] -= self.m  # q - 1, in the rows' scale M; no k = 0 velocity
-        qg, vg = dens.raw_irfft(rows, self.m, out=self._grid)
-        return self.deriv * dens.raw_rfft(np.multiply(qg, vg, out=qg),
-                                          out=self._raw)
+        irfft_kernel(rows, self._inv_m, out=self._grid)
+        qv = np.multiply(self._qg, self._vg, out=self._qg)
+        return self.deriv * rfft_kernel(qv, 1.0, out=self._raw)
 
     def step(self, qhat: np.ndarray, n0: np.ndarray, tables: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -275,12 +297,15 @@ def integrate(
     of the horizon.  An accepted step is kept while its factor lies in
     [1, 1.2), so that runs of equal steps share their exponential tables.
     Each trial is taken down to the ladder 2^(j / STEP_LADDER) and cut to
-    land on the next record time, as two even steps where one would leave
-    a sliver.  Records fall exactly on the unique times of
-    ``record.times(horizon)``.  ``meta`` holds the accepted and rejected
-    steps (``steps``, ``rejected``; four transport evaluations each, plus
-    one for the initial state) and the smallest and largest accepted step
-    (``step_min``, ``step_max``).
+    land on the next record time.  Where the ladder step would leave a
+    sliver before it, the run takes two even steps, half of what is left
+    each: the second reuses the first's size and table and lands, and a
+    rejected step drops the pair.  Records fall exactly on the unique
+    times of ``record.times(horizon)``.  ``meta`` holds the accepted and
+    rejected steps (``steps``, ``rejected``; four transport evaluations
+    each, plus one for the initial state), the smallest and largest
+    accepted step (``step_min``, ``step_max``) and the exponential tables
+    built (``tables``), the misses of a cache of the last 32 step sizes.
 
     Terminates early (flagged) once the stationarity residual, from the
     transport of the state that its last step returned, drops below
@@ -309,20 +334,24 @@ def integrate(
     residual = math.nan
 
     t, h = 0.0, dt
+    half = 0.0  # the size of two even steps to the record time, once begun
     steps = rejected = 0
     step_min, step_max = math.inf, 0.0
     n0 = split.rest(qhat)  # N(q) at the current state
     for t_next in record_times:
         while t < t_next:
-            # down to the ladder; the slack keeps a rung where it is
-            take = 2.0 ** (math.floor(STEP_LADDER * math.log2(h) + 1e-9)
-                           / STEP_LADDER)
-            left = t_next - t
-            land = take >= left
-            if land:
-                take = left
-            elif 2.0 * take > left:
-                take = 0.5 * left  # two even steps rather than a sliver
+            if half:  # the second of two even steps lands
+                take, land = half, True
+            else:
+                # down to the ladder; the slack keeps a rung where it is
+                take = 2.0 ** (math.floor(STEP_LADDER * math.log2(h) + 1e-9)
+                               / STEP_LADDER)
+                left = t_next - t
+                land = take >= left
+                if land:
+                    take = left
+                elif 2.0 * take > left:
+                    half = take = 0.5 * left  # two even steps, not a sliver
             nxt, n_nxt, change, err = split.step(qhat, n0, tables(take))
             tol = min(STEP_TOL, STABLE_SHARE * change)
             grow = (5.0 if err == 0.0 else 0.2 if not err < math.inf else
@@ -333,13 +362,15 @@ def integrate(
                     raise BlowUp(f"step fell to {take:.1e} at t={t:.6g}: "
                                  "the flow is non-finite")
                 h = grow * take
+                half = 0.0
                 continue
             qhat, n0 = nxt, n_nxt
             t = t_next if land else t + take
             steps += 1
             step_min, step_max = min(step_min, take), max(step_max, take)
-            if land:  # a step cut short says little about the next one
+            if land:  # a step cut short says little about the next
                 h = max(grow * take, h)
+                half = 0.0
             elif not 1.0 <= grow < 1.2:  # else keep the step and its tables
                 h = grow * take
             else:
@@ -387,6 +418,7 @@ def integrate(
             "rejected": rejected,
             "step_min": step_min if steps else None,
             "step_max": step_max if steps else None,
+            "tables": tables.cache_info().misses,
         },
     )
 

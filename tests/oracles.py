@@ -15,7 +15,7 @@ from torusmf import density as dens
 from torusmf.critical import (ANDERSON_DEPTH, SolveReport, _gibbs,
                               _km_map_values)
 from torusmf.density import free_energy, fourier_to_grid, grid_to_fourier
-from torusmf.flow import _derivative, _transport_symbols
+from torusmf.flow import _PHI3_SERIES, _derivative, _transport_symbols
 from torusmf.potentials import k_sharp
 
 
@@ -294,6 +294,28 @@ def unfolded_rest(qhat, w, coupling, m):
     rows[0, 0] -= 1.0
     qg, vg = fourier_to_grid(rows, m)
     return _derivative(m) * grid_to_fourier(qg * vg)
+
+
+def etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
+    """``flow._etd_tables`` written as each row's formula reads, with an
+    array for each quantity: the bits the one-array builder must keep."""
+    z = np.stack((0.5 * lin * h, lin * h))
+    em1 = np.expm1(z)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, 1.0, z)
+    phi1 = em1 / zs
+    phi2 = (phi1 - 1.0) / zs
+    phi3 = (phi2 - 0.5) / zs
+    zt = z[small]
+    phi3[small] = np.vander(zt, len(_PHI3_SERIES)) @ _PHI3_SERIES
+    phi2[small] = 0.5 + zt * phi3[small]
+    phi1[small] = 1.0 + zt * phi2[small]
+    e_half, e_full = em1 + 1.0
+    phi2_half, phi2, phi3 = phi2[0], phi2[1], phi3[1]
+    return np.stack((e_half, e_full, 0.5 * h * phi1[0], h * phi1[1],
+                     h * phi2_half, 2.0 * h * phi2,
+                     h * (2.0 * phi2 - 4.0 * phi3),
+                     h * (4.0 * phi3 - phi2)))
 
 
 #: CFL safety factor of ``fixed_step_flow``'s explicit transport

@@ -96,9 +96,12 @@ class TestFlow:
         assert meta["steps"] > 0
         assert meta["rejected"] >= 0
         assert 0.0 < meta["step_min"] <= meta["step_max"]
+        assert 1 <= meta["tables"] <= meta["steps"] + meta["rejected"]
         capsys.readouterr()
         assert main(["report", "--dir", str(tmp_path)]) == 0
-        assert f"steps={meta['steps']}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"steps={meta['steps']}" in out
+        assert f"tables={meta['tables']}" in out
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary[run.name]["steps"] == meta["steps"]
 

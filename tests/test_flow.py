@@ -1,5 +1,6 @@
 """Gradient-flow integrator: exactness, dissipation, rates."""
 
+import math
 import time
 from types import SimpleNamespace
 
@@ -23,6 +24,16 @@ from torusmf.flow import (
 )
 
 import oracles
+
+
+def _critical_flow(w):
+    """The benchmark's critical flow: the rod kernel at K_# = 3 pi / 4 from
+    q0 = 1 + 0.3 cos 4 pi theta, M = 128, to t = 20 with geometric
+    records."""
+    return integrate(tm.cosine_profile({2: 0.3}, 128), w, 3 * np.pi / 4,
+                     20.0, dt=5e-4,
+                     record=RecordPolicy("geometric", t0=0.05, factor=1.06),
+                     stop_residual=0.0)
 
 
 class TestStep:
@@ -106,6 +117,29 @@ class TestStep:
                 for row, r in enumerate(ref):
                     r = float(r)
                     assert abs(got[row, col] - r) <= 1e-14 * abs(r) + 1e-16
+
+    def test_etd_tables_keep_the_formula_bits(self, do_kernel):
+        # the one-array builder rounds each row as its formula does: on
+        # ladder rungs, on the cut steps that land on the geometric record
+        # times and their halves, for symbols with z = 0 (k = 0 and, at
+        # K_#, the neutral mode k = 2), |z| < 1 and strong damping
+        lins = [flow._Split(do_kernel, coupling, m).lin
+                for coupling, m in ((3 * np.pi / 4, 128),
+                                    (1.2 * 3 * np.pi / 4, 256))]
+        lins.append(np.array([0.0, 1e-9, -3e-4, 0.9, -1.3, 1.6, 5.0, -40.0,
+                              -3e3]))
+        assert lins[0][2] == 0.0
+        rungs = 2.0 ** (np.arange(-17 * flow.STEP_LADDER, 1, 5)
+                        / flow.STEP_LADDER)
+        gaps = np.diff(RecordPolicy("geometric", t0=0.05,
+                                    factor=1.06).times(20.0))
+        for lin in lins:
+            small = 0
+            for h in [*rungs, *gaps, *(0.5 * gaps), 1e-4, 3e-3, 7e-2]:
+                got = _etd_tables(lin, h)
+                assert np.array_equal(got, oracles.etd_tables(lin, h))
+                small += np.count_nonzero(np.abs(lin * h) < 1.0)
+            assert small > 0
 
     def test_stable_share_admits_only_stable_steps(self):
         # at L = 0 the step is classical RK4 on y' = lambda y, z = h lambda:
@@ -316,19 +350,72 @@ class TestIntegrate:
         assert tr.meta["rejected"] == 0
         assert np.all(np.diff(tr.free_energy) <= 1e-12)
 
+    def test_critical_flow_step_and_table_counts(self, do_kernel,
+                                                 monkeypatch):
+        # the benchmark's critical flow: every record approach shares one
+        # table between its cut steps, so the run takes 1,252 steps and
+        # builds 210 tables (1,293 and 278 when the second of two even
+        # steps fell back to the ladder and left a third); ``tables``
+        # counts the builds
+        real, builds = flow._etd_tables, []
+
+        def counted(lin, h):
+            builds.append(h)
+            return real(lin, h)
+
+        monkeypatch.setattr(flow, "_etd_tables", counted)
+        tr = _critical_flow(do_kernel)
+        assert tr.meta["tables"] == len(builds)
+        assert tr.meta["steps"] <= 1270
+        assert tr.meta["tables"] <= 220
+
+    def test_records_are_reached_in_at_most_two_even_cut_steps(
+            self, do_kernel, monkeypatch):
+        # a cut step lies off the ladder 2^(j / STEP_LADDER); a record is
+        # reached by ladder steps and then one cut step, or two of the
+        # same size, on the benchmark's critical flow
+        real, calls = flow._Split.step, []
+
+        def logged(split, qhat, n0, tables):
+            result = real(split, qhat, n0, tables)
+            calls.append((qhat, tables[3, 0].real, result[0]))  # h phi1(0)
+            return result
+
+        monkeypatch.setattr(flow._Split, "step", logged)
+        tr = _critical_flow(do_kernel)
+        # a step is accepted when the next one starts from its new state
+        starts = [qhat for qhat, _, _ in calls[1:]] + [calls[-1][2]]
+        taken = [h for (_, h, out), nxt in zip(calls, starts) if nxt is out]
+        assert len(taken) == tr.meta["steps"]
+        t, cuts, lands = 0.0, [], iter(tr.times[1:])
+        t_next = next(lands)
+        for h in taken:
+            rung = flow.STEP_LADDER * np.log2(h)
+            if abs(rung - round(rung)) > 1e-6:
+                cuts.append(h)
+            t += h
+            if t >= t_next * (1.0 - 1e-12):
+                assert len(cuts) <= 2 and len(set(cuts)) <= 1
+                t, cuts = t_next, []
+                t_next = next(lands, math.inf)
+        assert t == tr.times[-1] and t_next == math.inf
+
     def test_critical_flow_matches_a_fine_fixed_step_run(self, do_kernel):
         # the benchmark's critical flow: W2 at t = 20 against the
-        # explicit-transport scheme at dt = 6.25e-5, whose own error is
-        # about 9e-9 (Richardson estimate from dt = 1.25e-4)
+        # explicit-transport scheme, second order in dt, extrapolated by
+        # Richardson from dt = 2.5e-4 and 1.25e-4 (240,000 steps).  The
+        # extrapolation lies 9.0e-9 from the run at dt = 6.25e-5, whose
+        # own error is 9.2e-9 by the same estimate, and 2.7e-10 from the
+        # extrapolation of that run and the one at 1.25e-4
         m = 128
         q0 = tm.cosine_profile({2: 0.3}, m)
-        tr = integrate(q0, do_kernel, 3 * np.pi / 4, 20.0, dt=5e-4,
-                       record=RecordPolicy("geometric", t0=0.05, factor=1.06),
-                       stop_residual=0.0)
-        ref = tm.distance(
-            oracles.fixed_step_flow(q0, do_kernel, 3 * np.pi / 4, 20.0,
-                                    6.25e-5),
-            tm.uniform(m), "W2_circle")
+        tr = _critical_flow(do_kernel)
+        coarse, fine = (
+            tm.distance(oracles.fixed_step_flow(q0, do_kernel,
+                                                3 * np.pi / 4, 20.0, dt),
+                        tm.uniform(m), "W2_circle")
+            for dt in (2.5e-4, 1.25e-4))
+        ref = (4.0 * fine - coarse) / 3.0
         assert tr.meta["steps"] <= 1500
         assert abs(tr.w2[-1] - ref) < 5e-5 * ref
 
