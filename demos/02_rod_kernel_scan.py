@@ -1,8 +1,9 @@
 """Critical-coupling scan for the rod-suspension kernel.
 
 Runs the bisection scanner, prints the per-coupling table (gap to the
-uniform free energy, the leading order parameter, the seeds converged and
-the map applications they took), and writes the
+uniform free energy, the leading order parameter, the seeds converged,
+the map applications they took, and whether the row stopped at a witness
+iterate below -tol_F with its later seeds unsolved), and writes the
 plot-ready CSV.  The computed K_c lands on 3 pi / 4 and the branch
 order parameter extrapolates to zero at K_c: a continuous transition.
 """
@@ -21,11 +22,13 @@ print(f"K_c  = {pd.k_c_estimate:.6f} +/- {pd.bracket_width / 2:.1e}")
 print(f"verdict: {pd.continuity}, jump estimate {pd.jump_estimate:.4f}, "
       f"order parameter at K_c + delta: {pd.op_at_delta:.4f}")
 print()
-print(f"{'K':>10}  {'gap':>12}  {'|qhat(2)|':>10}  {'seeds':>5}  {'maps':>5}")
+print(f"{'K':>10}  {'gap':>12}  {'|qhat(2)|':>10}  {'seeds':>5}  {'maps':>5}"
+      f"  {'witness':>7}")
 for r in pd.rows:
     print(f"{r.coupling:10.5f}  {r.best_gap:12.3e}  "
           f"{r.order_parameter:10.5f}  {r.n_seeds_converged:5d}  "
-          f"{r.map_applications:5d}")
+          f"{r.map_applications:5d}  {'yes' if r.witness else 'no':>7}")
+print(f"map applications: {sum(r.map_applications for r in pd.rows)}")
 
 io.save_phase_diagram("runs/demo_rod_scan", pd)
 print("\nwrote runs/demo_rod_scan/phase_diagram.csv")

@@ -12,13 +12,14 @@ instead of leaving at Picard's rate.  The scanner locates the critical
 coupling by bisection on the sign of the best free-energy gap and
 classifies the transition as continuous or discontinuous by probing
 whether the uniform state is still a global minimizer at the linear
-stability threshold.
+stability threshold; a bisection coupling's solves stop at the first
+kept iterate whose free energy settles that sign.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -75,7 +76,7 @@ def _gibbs(expo: np.ndarray, m: int) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A converged (or capped) fixed-point solve."""
+    """A converged, capped or witness-stopped fixed-point solve."""
 
     density: Density
     residual: float
@@ -85,6 +86,7 @@ class SolveReport:
     seed_id: str
     converged: bool
     order_parameter: float
+    witness: bool = False  # stopped at an iterate with F below stop_below
 
 
 def _trial_density(u: np.ndarray, m: int) -> tuple[np.ndarray, float]:
@@ -104,6 +106,7 @@ def solve_fixed_point(
     tol: float = 1e-12,
     max_iter: int = 20000,
     seed_id: str = "",
+    stop_below: float = -math.inf,
 ) -> SolveReport:
     """Safeguarded Anderson mixing for q = T(q) until sup|q - T(q)| <= tol.
 
@@ -143,6 +146,13 @@ def solve_fixed_point(
     included, and ``rejected`` the dropped ones, mixed or extrapolated.
     Non-convergence within ``max_iter`` map applications is reported in
     the ``converged`` flag, not raised.
+
+    With a finite ``stop_below`` the solve instead returns the first kept
+    iterate q (seed excluded) with ``free_energy(q) < stop_below``, as a
+    report with ``witness=True``, ``converged=False`` and residual
+    sup|T(q) - q|: q is a density, so that energy is an upper bound for
+    min F, and the tested number is the one reported.  The default
+    ``-inf`` never stops.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -170,6 +180,7 @@ def solve_fixed_point(
     f_plain = f_plain_before = math.inf
     escape, scale = None, 0.0
     rejected = 0
+    witness = False
     it = 0
     for it in range(1, max_iter + 1):
         qhat = grid_to_fourier(v)
@@ -206,6 +217,14 @@ def solve_fixed_point(
         residual = float(np.maximum.reduce(np.abs(t - v)))
         if residual <= tol:
             break
+        if u is not None and energy < stop_below:
+            # the loop's energy only screens: the stop tests, and the
+            # report carries, free_energy of the kept iterate v itself
+            q = dens.from_grid(v)
+            energy_q = free_energy(q, w, coupling)
+            if energy_q < stop_below:
+                witness = True
+                break
         if escape is not None:
             # a kept trial: its map is the fallback should the next rise
             g_prev, scale = expo, 2.0 * scale
@@ -237,16 +256,19 @@ def solve_fixed_point(
             trial = True
         else:
             v, u, lz, trial = t, expo, lz_t, False
-    q = dens.from_grid(t)
+    if not witness:
+        q = dens.from_grid(t)
+        energy_q = free_energy(q, w, coupling)
     return SolveReport(
         density=q,
         residual=residual,
-        free_energy=free_energy(q, w, coupling),
+        free_energy=energy_q,
         iterations=it,
         rejected=rejected,
         seed_id=seed_id,
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),
+        witness=witness,
     )
 
 
@@ -282,14 +304,23 @@ def multistart(
     seeds: str | Sequence[tuple[str, Density]] = "standard",
     tol: float = 1e-12,
     max_iter: int = 20000,
+    stop_below: float = -math.inf,
 ) -> list[SolveReport]:
     """Solve from every seed, ``"standard"`` (``standard_seeds(w, m)``) or
-    a list of (id, density) pairs; reports in seed order."""
+    a list of (id, density) pairs; reports in seed order.
+
+    ``stop_below`` goes to each solve; the first witness report (an
+    iterate with free energy below it) ends the list, and the later seeds
+    are not solved.
+    """
     seed_list = standard_seeds(w, m) if seeds == "standard" else list(seeds)
-    return [
-        solve_fixed_point(w, coupling, q0, tol, max_iter, seed_id=sid)
-        for sid, q0 in seed_list
-    ]
+    reports = []
+    for sid, q0 in seed_list:
+        reports.append(solve_fixed_point(w, coupling, q0, tol, max_iter,
+                                         seed_id=sid, stop_below=stop_below))
+        if reports[-1].witness:
+            break
+    return reports
 
 
 def find_minimizer(
@@ -319,8 +350,8 @@ def find_minimizer(
 
 def _best_gap(reports: list[SolveReport]) -> tuple[float, SolveReport]:
     # gap = F(uniform) - min F = -min F; every iterate is a density, so a
-    # capped solve's final energy is still an upper bound for min F and
-    # counts toward the gap
+    # capped or witness solve's energy is still an upper bound for min F
+    # and counts toward the gap
     state = min(reports, key=lambda r: r.free_energy)
     return -state.free_energy, state
 
@@ -339,6 +370,20 @@ class ScanRow:
     n_seeds_converged: int
     l1_to_uniform: float
     map_applications: int  # over all seeds, capped solves included
+    witness: bool  # the last seed stopped at F < -tol_F; later seeds unsolved
+
+
+def _scan_row(coupling: float, reports: list[SolveReport]) -> ScanRow:
+    gap, state = _best_gap(reports)
+    return ScanRow(
+        coupling=coupling,
+        best_gap=gap,
+        order_parameter=state.order_parameter,
+        n_seeds_converged=sum(r.converged for r in reports),
+        l1_to_uniform=float(np.abs(state.density.grid_values - 1.0).mean()),
+        map_applications=sum(r.iterations for r in reports),
+        witness=reports[-1].witness,
+    )
 
 
 @dataclass(frozen=True)
@@ -368,6 +413,8 @@ class PhaseDiagram:
             "jump": self.jump_estimate,
             "op_at_delta": self.op_at_delta,
             "probe_gap": self.probe_gap,
+            "map_applications": sum(r.map_applications for r in self.rows),
+            "witness_rows": sum(r.witness for r in self.rows),
         }
 
 
@@ -386,10 +433,16 @@ def scan_kc(
     -tol_F" over the bracket (defaults to [0.95 K_*, 1.1 K_#]); the
     predicate needs no converged solves because every iterate of
     ``solve_fixed_point``, mixed or not, is a density, so its energy is
-    an upper bound for the minimum.  Solves stop at residual 1e-11 (or
-    ``max_iter``), from ``seeds`` as in ``multistart``; each row records
-    the map applications its solves took.  The mixing's energy guard
-    keeps a solve from converging onto a saddle, which would put a
+    an upper bound for the minimum.  So at the upper endpoint and the
+    bisection midpoints ``multistart`` runs with ``stop_below=-tol_F``:
+    it returns at the first kept iterate below -tol_F, and the row is a
+    witness row (``ScanRow.witness``) whose later seeds went unsolved.
+    Other solves stop at residual 1e-11 (or ``max_iter``), from ``seeds``
+    as in ``multistart``.  The lower endpoint, the K_# probe and the jump
+    probes solve in full, since they report converged states; a coupling
+    first met as a witness row is solved again in full there, and its
+    row then counts both solves' map applications.  The mixing's energy
+    guard keeps a solve from converging onto a saddle, which would put a
     state of too high an energy into a row.
 
     Continuity is decided by the global-minimality probe at K_#: the
@@ -408,27 +461,25 @@ def scan_kc(
 
     rows: dict[float, ScanRow] = {}
 
-    def evaluate(coupling: float) -> ScanRow:
-        if coupling not in rows:
-            reports = multistart(w, coupling, m, seeds, 1e-11, max_iter)
-            gap, state = _best_gap(reports)
-            rows[coupling] = ScanRow(
-                coupling=coupling,
-                best_gap=gap,
-                order_parameter=state.order_parameter,
-                n_seeds_converged=sum(r.converged for r in reports),
-                l1_to_uniform=float(
-                    np.abs(state.density.grid_values - 1.0).mean()
-                ),
-                map_applications=sum(r.iterations for r in reports),
-            )
+    def evaluate(coupling: float, full: bool = True) -> ScanRow:
+        # full: solve every seed to convergence; otherwise stop at the
+        # first witness of the predicate
+        row = rows.get(coupling)
+        if row is None or (full and row.witness):
+            reports = multistart(w, coupling, m, seeds, 1e-11, max_iter,
+                                 stop_below=-math.inf if full else -tol_F)
+            new = _scan_row(coupling, reports)
+            if row is not None:
+                new = replace(new, map_applications=new.map_applications
+                              + row.map_applications)
+            rows[coupling] = new
         return rows[coupling]
 
     if evaluate(lo).best_gap > tol_F:
         raise BracketNotStraddling(
             f"lower endpoint K={lo:.6g} is already supercritical; lower it"
         )
-    if evaluate(hi).best_gap <= tol_F:
+    if evaluate(hi, full=False).best_gap <= tol_F:
         raise BracketNotStraddling(
             f"no supercritical behavior at K={hi:.6g}; raise the upper endpoint"
         )
@@ -444,7 +495,7 @@ def scan_kc(
 
     while hi - lo > tol_K:
         mid = 0.5 * (lo + hi)
-        if evaluate(mid).best_gap > tol_F:
+        if evaluate(mid, full=False).best_gap > tol_F:
             hi = mid
         else:
             lo = mid

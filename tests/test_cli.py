@@ -194,6 +194,24 @@ class TestConfigAndReport:
         assert "thresholds_doi_onsager" in out
         assert (tmp_path / "summary.json").exists()
 
+    def test_scan_work_counters_go_to_verdict_and_report(self, tmp_path,
+                                                          capsys):
+        assert main(["scan", "do", "-M", "128", "--tol-k", "0.05",
+                     "--out", str(tmp_path)]) == 0
+        run = tmp_path / "scan_doi_onsager"
+        verdict = json.loads((run / "verdict.json").read_text())
+        lines = (run / "phase_diagram.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-2:] == ["map_applications", "witness"]
+        cols = [line.split(",") for line in lines[1:]]
+        assert verdict["map_applications"] == sum(int(c[-2]) for c in cols)
+        assert verdict["witness_rows"] == sum(int(c[-1]) for c in cols) > 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"map_applications={verdict['map_applications']}" in out
+        assert f"witness_rows={verdict['witness_rows']}" in out
+
     def test_report_on_missing_dir_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         code = main(["report", "--dir", str(missing)])

@@ -1,14 +1,38 @@
 """Fixed-point solver, stability quantities, and the scanner internals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import torusmf as tm
-from torusmf.critical import _best_gap, multistart, standard_seeds
-from torusmf.density import theta_grid
+from torusmf.critical import _best_gap, _scan_row, multistart, standard_seeds
+from torusmf.density import free_energy, theta_grid
 from torusmf.errors import BracketNotStraddling, ExpOverflow
 
 from oracles import anderson_fixed_point, picard_fixed_point
+
+
+def _check_witness_rows(w, tol_K, seeds, tol_F=1e-10):
+    """Scan, then re-solve every row: a witness row's last seed stopped at
+    a density below -tol_F, and the full multistart there agrees that the
+    coupling is supercritical; every other row is the full multistart's."""
+    pd = tm.scan_kc(w, m=512, tol_K=tol_K, tol_F=tol_F, seeds=seeds)
+    assert any(r.witness for r in pd.rows)
+    for row in pd.rows:
+        full = multistart(w, row.coupling, 512, seeds, tol=1e-11)
+        if not row.witness:
+            assert row == _scan_row(row.coupling, full)
+            continue
+        reports = multistart(w, row.coupling, 512, seeds, tol=1e-11,
+                             stop_below=-tol_F)
+        assert row == _scan_row(row.coupling, reports)
+        rep = reports[-1]
+        assert rep.witness and not rep.converged
+        assert not any(r.witness for r in reports[:-1])
+        assert free_energy(rep.density, w, row.coupling) == rep.free_energy
+        assert rep.free_energy < -tol_F
+        assert _best_gap(full)[0] > tol_F
 
 
 class TestKmMap:
@@ -127,6 +151,30 @@ class TestSolve:
         assert abs(rep.free_energy - ref.free_energy) < 1e-11
         assert rep.iterations <= ref.iterations
 
+    def test_unreached_energy_stop_keeps_the_bits(self, do_normalized):
+        # no iterate of a subcritical solve dips to F < -1e-10, so the stop
+        # never fires and the report is the default one
+        q0 = tm.from_grid(1 + 0.5 * np.cos(4 * np.pi * theta_grid(512)))
+        ref = tm.solve_fixed_point(do_normalized, 0.9, q0)
+        rep = tm.solve_fixed_point(do_normalized, 0.9, q0, stop_below=-1e-10)
+        assert not rep.witness and rep.converged
+        assert np.array_equal(rep.density.grid_values, ref.density.grid_values)
+        assert replace(rep, density=None) == replace(ref, density=None)
+
+    def test_energy_stop_returns_the_witness_iterate(self, do_normalized):
+        q0 = tm.from_grid(1 + 0.5 * np.cos(4 * np.pi * theta_grid(512)))
+        full = tm.solve_fixed_point(do_normalized, 1.2, q0)
+        rep = tm.solve_fixed_point(do_normalized, 1.2, q0, stop_below=-1e-10)
+        assert rep.witness and not rep.converged
+        assert 2 <= rep.iterations < full.iterations
+        assert free_energy(rep.density, do_normalized, 1.2) == rep.free_energy
+        assert full.free_energy <= rep.free_energy < -1e-10
+        # its residual is that of the returned density itself
+        mapped = tm.km_map(rep.density, do_normalized, 1.2)
+        assert rep.residual == pytest.approx(
+            np.abs(mapped.grid_values - rep.density.grid_values).max(),
+            rel=1e-9)
+
     def test_degenerate_threshold_within_500_maps(self, do_kernel):
         # at K_# = 3 pi/4 the map's linear rate is 1; Picard is capped at
         # 20000 maps from this seed
@@ -141,6 +189,7 @@ class TestAttentionAboveKc:
     +2.7e-4), which mixing without the free-energy guard converges onto."""
 
     coupling = 0.37634
+    bench_seeds = ("uniform", "cos_a0.6", "bump_c0.99")
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -197,6 +246,37 @@ class TestAttentionAboveKc:
         assert sum(r.map_applications for r in pd.rows) <= 1500
         assert pd.continuity == "discontinuous"
         assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
+
+    def test_benchmark_seeds_scan_within_720_maps(self, setup):
+        # the bisection solves stop at their first witness below -tol_F:
+        # 691 maps, 905 when every seed ran to the residual tolerance
+        w, seeds = setup
+        pd = tm.scan_kc(w, m=512, tol_K=2e-4,
+                        seeds=[(s, seeds[s]) for s in self.bench_seeds])
+        assert sum(r.map_applications for r in pd.rows) <= 720
+        assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
+
+    def test_benchmark_seeds_witness_rows(self, setup):
+        w, seeds = setup
+        _check_witness_rows(w, 2e-4,
+                            [(s, seeds[s]) for s in self.bench_seeds])
+
+    def test_witness_endpoint_is_solved_again_at_the_probe(self, setup):
+        # with K_# as the upper endpoint its first solve stops at a witness;
+        # the continuity probe there needs the full multistart
+        w, seeds = setup
+        ks, _ = tm.k_sharp(w)
+        bench = [(s, seeds[s]) for s in self.bench_seeds]
+        pd = tm.scan_kc(w, bracket=(0.33, ks), m=512, tol_K=2e-3,
+                        seeds=bench)
+        full = multistart(w, ks, 512, bench, tol=1e-11)
+        stopped = multistart(w, ks, 512, bench, tol=1e-11, stop_below=-1e-10)
+        assert stopped[-1].witness
+        (row,) = [r for r in pd.rows if r.coupling == ks]
+        assert not row.witness
+        assert pd.probe_gap == row.best_gap == _best_gap(full)[0]
+        assert row.map_applications == sum(
+            r.iterations for r in full + stopped)
 
     @pytest.mark.parametrize("seed", ["cos_a0.6", "bump_c0.99"])
     def test_history_matches_list_oracle(self, setup, seed):
@@ -270,6 +350,9 @@ class TestScan:
         row = pd.rows[0]
         reports = multistart(do_kernel, row.coupling, 128, seeds, tol=1e-11)
         assert row.map_applications == sum(r.iterations for r in reports)
+
+    def test_c01_witness_rows(self, do_kernel):
+        _check_witness_rows(do_kernel, 5e-3, "standard")
 
     def test_bad_bracket_rejected(self, do_kernel):
         with pytest.raises(BracketNotStraddling):
