@@ -21,7 +21,7 @@ lam = tm.lambda_star(w, coupling)
 q0 = tm.cosine_profile({2: 0.01}, 256)
 tr = integrate(q0, w, coupling, 0.8, dt=1e-4,
                record=RecordPolicy("uniform", 400), stop_residual=1e-13)
-fit = fit_rate(tr, "w2", "exponential")
+fit = fit_rate(tr, "exponential")
 print(f"subcritical K = {coupling:.4f}:")
 print(f"  spectral gap {lam.rate:.4f} at mode {lam.mode} "
       f"(radian-units value {lam.rate / (2 * np.pi) ** 2:.3f})")
@@ -35,7 +35,7 @@ q0 = tm.cosine_profile({2: 0.3}, 128)
 tr = integrate(q0, w, kc, 400.0, dt=5e-4,
                record=RecordPolicy("geometric", t0=0.05, factor=1.06),
                stop_residual=0.0)
-fit = fit_rate(tr, "w2", "algebraic")
+fit = fit_rate(tr, "algebraic")
 print(f"\ncritical K = {kc:.4f}:")
 print(f"  fitted W2 exponent {fit.rate:.3f} "
       f"(quartic-well prediction -1/2), R^2 = {fit.goodness:.6f}")

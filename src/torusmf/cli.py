@@ -239,7 +239,7 @@ def cmd_flow(s: dict) -> int:
           f"({'stationary' if trace.terminated_early else 'horizon reached'}, "
           f"residual {trace.final_residual:.2e})")
     if s["fit"] != "none":
-        fit = fit_rate(trace, observable="w2", model=s["fit"])
+        fit = fit_rate(trace, model=s["fit"])
         io.write_json(outdir / "rate_fit.json", {
             "model": fit.model, "rate": fit.rate, "goodness": fit.goodness,
             "window": list(fit.window), "n_points": fit.n_points,

@@ -449,27 +449,17 @@ def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.sum(resid**2)) / sst
 
 
-def fit_rate(
-    trace: FlowTrace,
-    observable: str = "w2",
-    model: str = "exponential",
-) -> RateFit:
-    """Fit a decay law to a trace observable.
+def fit_rate(trace: FlowTrace, model: str = "exponential") -> RateFit:
+    """Fit a decay law to the trace's W2 distance to the uniform state.
 
-    exponential: log(obs) against t, rate = -slope; algebraic: log(obs)
+    exponential: log(W2) against t, rate = -slope; algebraic: log(W2)
     against log(t), rate = slope (the exponent).  The fit window is the
     latest contiguous span whose rolling local fits keep R^2 above 0.999,
     so early transients and a late noise floor drop out; it is reported
     in ``RateFit.window``.  Values at or below 1e-13 are left out as
     rounding noise.
     """
-    t = trace.times
-    if observable in ("w2", "l2"):
-        y = getattr(trace, observable)
-    elif observable.startswith("mode"):
-        y = trace.mode_abs[int(observable[4:])]
-    else:
-        raise ValueError(f"unknown observable {observable!r}")
+    t, y = trace.times, trace.w2
     keep = (y > 1e-13) & (t > 0.0)
     t, y = t[keep], y[keep]
     if len(t) < 20:

@@ -9,7 +9,7 @@ cross-check rather than a reflection.
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from torusmf import density as dens
 from torusmf.critical import (ANDERSON_DEPTH, SolveReport, _gibbs,
@@ -318,52 +318,27 @@ def etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
                      h * (4.0 * phi3 - phi2)))
 
 
-#: CFL safety factor of ``fixed_step_flow``'s explicit transport
+#: safety factor of the transport CFL bound of an explicit step
 CFL_SAFETY = 0.2
 
 
-def _explicit_transport(qhat, syms, m, dt):
-    """The whole transport term -2 pi i k K * FFT(q * (W*q)'), de-aliased;
-    raises ``ValueError`` where ``dt`` breaks the transport CFL bound."""
-    qg, vg = fourier_to_grid(qhat * syms, m)
-    vmax = float(np.abs(vg).max())
-    if not dt * m * vmax <= CFL_SAFETY:
-        raise ValueError(f"dt={dt:.3e} breaks the transport CFL bound "
-                         f"{CFL_SAFETY / (m * vmax):.3e}")
-    return _derivative(m) * grid_to_fourier(qg * vg)
-
-
-def fixed_step_flow(q0, w, coupling, horizon, dt):
-    """The flow at ``horizon`` by fixed steps of ETD2RK with only the
-    diffusion in the exponential and the whole transport term explicit.
-
-    Its neutral mode at K_# is off by O(dt^2) per unit time, where the
-    library's scheme keeps it exact, so a small ``dt`` makes it a
-    reference for the library's adaptive steps.  Raises ``ValueError``
-    where ``dt`` breaks the transport CFL bound.
-    """
+def bdf_flow(q0, w, coupling, horizon):
+    """The flow at ``horizon`` by scipy's adaptive BDF at rtol 1e-12 and
+    atol 1e-14 on dq/dt = -2 pi^2 k^2 q + T(q), with the whole transport
+    T(q) = -2 pi i k K * FFT(q * (W*q)'), de-aliased, through the public
+    transforms, and none of the library's exponential tables or step rules."""
     m = q0.grid_size
     syms = _transport_symbols(w, coupling, m)
-    z = -2.0 * np.pi**2 * np.arange(m // 2 + 1, dtype=float) ** 2 * dt
-    e1 = np.exp(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = dt * (np.expm1(z) / z)
-        p2 = dt * ((np.expm1(z) - z) / (z * z))
-    # series for tiny |z| where the quotients lose digits
-    small = np.abs(z) < 1e-3
-    zs = z[small]
-    p1[small] = dt * (1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0)
-    p2[small] = dt * (0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0)
+    heat = -2.0 * np.pi**2 * np.arange(m // 2 + 1, dtype=float) ** 2
 
-    qhat = q0.fourier.copy()
-    for _ in range(int(round(horizon / dt))):
-        n0 = _explicit_transport(qhat, syms, m, dt)
-        stage = e1 * qhat + p1 * n0
-        n1 = _explicit_transport(stage, syms, m, dt)
-        out = stage + p2 * (n1 - n0)
-        out[0] = qhat[0]
-        qhat = out
-    return dens.from_fourier(qhat, m)
+    def rhs(t, qhat):
+        qg, vg = fourier_to_grid(qhat * syms, m)
+        return heat * qhat + _derivative(m) * grid_to_fourier(qg * vg)
+
+    sol = solve_ivp(rhs, (0.0, horizon), q0.fourier, method="BDF",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return dens.from_fourier(sol.y[:, -1], m)
 
 
 #: modes per block of powers in ``mode_sum_drift``

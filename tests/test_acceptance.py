@@ -248,7 +248,7 @@ def test_c08_subcritical_rate():
     q0 = tm.from_grid(1 + 0.01 * np.cos(4 * np.pi * theta_grid(256)))
     tr = integrate(q0, w, coupling, 0.8, dt=1e-4,
                    record=RecordPolicy("uniform", 400), stop_residual=1e-13)
-    fit = fit_rate(tr, "w2", "exponential")
+    fit = fit_rate(tr, "exponential")
     rel = abs(fit.rate - lam.rate) / lam.rate
     ok = rel <= 0.05
     detail = (f"fitted {fit.rate:.4f} vs spectral gap {lam.rate:.4f} "
@@ -304,7 +304,7 @@ def test_c11_exploratory_critical_exponents():
     tr = integrate(q0, w, kc, 400.0, dt=5e-4,
                    record=RecordPolicy("geometric", t0=0.05, factor=1.06),
                    stop_residual=0.0)
-    fit_do = fit_rate(tr, "w2", "algebraic")
+    fit_do = fit_rate(tr, "algebraic")
 
     bs = tm.beta_star()
     wt = tm.transformer(bs)
@@ -313,7 +313,7 @@ def test_c11_exploratory_critical_exponents():
     tr2 = integrate(q0, wt, ks, 2000.0, dt=1e-3,
                     record=RecordPolicy("geometric", t0=0.05, factor=1.06),
                     stop_residual=0.0)
-    fit_tr = fit_rate(tr2, "w2", "algebraic")
+    fit_tr = fit_rate(tr2, "algebraic")
 
     in_do = -0.6 <= fit_do.rate <= -0.4
     in_tr = -0.35 <= fit_tr.rate <= -0.15

@@ -319,8 +319,9 @@ class TestIntegrate:
         assert tr.meta["step_min"] > 1e-9  # no sliver step between records
 
     def test_c10_flow_side_matches_a_fine_fixed_step_run(self):
-        # the flow side of the scaled-down C10 check agrees with a fixed
-        # 2.5e-5 run of the explicit-transport scheme
+        # the flow side of the scaled-down C10 check agrees with the
+        # oracle's BDF solve, which lies 1.4e-11 from a fixed 2.5e-5 run
+        # of an explicit-transport ETD2 scheme
         w = tm.doi_onsager(truncation=128)
         q0 = tm.cosine_profile({2: 0.2}, 512)
         coupling = 1.2 * 3 * np.pi / 4
@@ -329,9 +330,9 @@ class TestIntegrate:
                        track_modes=[2], stop_residual=0.0)
         assert tr.meta["steps"] <= 1200
         np.testing.assert_allclose(tr.times, np.linspace(0.0, 0.5, 11))
-        fixed = oracles.fixed_step_flow(q0, w, coupling, 0.5, 2.5e-5)
+        ref = oracles.bdf_flow(q0, w, coupling, 0.5)
         assert abs(tr.mode_abs[2][-1] ** 2
-                   - fixed.order_parameter(2) ** 2) < 1e-9
+                   - ref.order_parameter(2) ** 2) < 1e-9
 
     def test_steps_grow_past_the_cfl_bound(self):
         # the exponential damps the explicit transport, so accuracy alone
@@ -401,21 +402,15 @@ class TestIntegrate:
         assert t == tr.times[-1] and t_next == math.inf
 
     def test_critical_flow_matches_a_fine_fixed_step_run(self, do_kernel):
-        # the benchmark's critical flow: W2 at t = 20 against the
-        # explicit-transport scheme, second order in dt, extrapolated by
-        # Richardson from dt = 2.5e-4 and 1.25e-4 (240,000 steps).  The
-        # extrapolation lies 9.0e-9 from the run at dt = 6.25e-5, whose
-        # own error is 9.2e-9 by the same estimate, and 2.7e-10 from the
-        # extrapolation of that run and the one at 1.25e-4
+        # the benchmark's critical flow: W2 at t = 20 against the oracle's
+        # BDF solve, which lies 3.1e-10 (1e-7 relative) from the Richardson
+        # extrapolation of fixed ETD2 runs at dt = 2.5e-4 and 1.25e-4, and
+        # 5.9e-12 from its own solve at rtol 1e-10
         m = 128
         q0 = tm.cosine_profile({2: 0.3}, m)
         tr = _critical_flow(do_kernel)
-        coarse, fine = (
-            tm.distance(oracles.fixed_step_flow(q0, do_kernel,
-                                                3 * np.pi / 4, 20.0, dt),
-                        tm.uniform(m), "W2_circle")
-            for dt in (2.5e-4, 1.25e-4))
-        ref = (4.0 * fine - coarse) / 3.0
+        ref = tm.distance(oracles.bdf_flow(q0, do_kernel, 3 * np.pi / 4, 20.0),
+                          tm.uniform(m), "W2_circle")
         assert tr.meta["steps"] <= 1500
         assert abs(tr.w2[-1] - ref) < 5e-5 * ref
 
@@ -426,7 +421,7 @@ class TestIntegrate:
                        record=RecordPolicy("geometric", t0=0.05, factor=1.06),
                        stop_residual=0.0)
         elapsed = time.perf_counter() - t0
-        fit = fit_rate(tr, "w2", "algebraic")
+        fit = fit_rate(tr, "algebraic")
         assert tr.meta["steps"] <= 100_000
         assert elapsed <= 30.0
         assert -0.6 <= fit.rate <= -0.4
@@ -440,7 +435,7 @@ class TestIntegrate:
                        dt=1e-3,
                        record=RecordPolicy("geometric", t0=0.05, factor=1.06),
                        stop_residual=0.0)
-        fit = fit_rate(tr, "w2", "algebraic")
+        fit = fit_rate(tr, "algebraic")
         assert tr.meta["steps"] <= 20_000
         assert abs(fit.rate - (-0.22885)) < 1e-3
 
@@ -451,7 +446,7 @@ class TestFitRate:
         tr = FlowTrace(times=t, l2=np.exp(-3 * t), w2=np.exp(-3 * t),
                        mode_abs={}, free_energy=np.zeros_like(t),
                        mass_defect=np.zeros_like(t))
-        fit = fit_rate(tr, "w2", "exponential")
+        fit = fit_rate(tr, "exponential")
         assert abs(fit.rate - 3.0) < 1e-6
         assert fit.goodness > 0.999999
 
@@ -460,7 +455,7 @@ class TestFitRate:
         tr = FlowTrace(times=t, l2=t**-0.5, w2=t**-0.5,
                        mode_abs={}, free_energy=np.zeros_like(t),
                        mass_defect=np.zeros_like(t))
-        fit = fit_rate(tr, "w2", "algebraic")
+        fit = fit_rate(tr, "algebraic")
         assert abs(fit.rate + 0.5) < 1e-8
 
     def test_subcritical_w2_rate_matches_gap(self, do_kernel):
@@ -469,7 +464,7 @@ class TestFitRate:
         tr = integrate(q0, do_kernel, coupling, 0.7, dt=1e-4,
                        record=RecordPolicy("uniform", 350),
                        stop_residual=1e-13)
-        fit = fit_rate(tr, "w2", "exponential")
+        fit = fit_rate(tr, "exponential")
         lam = tm.lambda_star(do_kernel, coupling)
         assert abs(fit.rate - lam.rate) / lam.rate < 0.05
 
@@ -479,4 +474,4 @@ class TestFitRate:
                        free_energy=np.zeros_like(t),
                        mass_defect=np.zeros_like(t))
         with pytest.raises(DegenerateWindow):
-            fit_rate(tr, "w2", "exponential")
+            fit_rate(tr, "exponential")
