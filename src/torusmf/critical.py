@@ -4,13 +4,10 @@ Critical points solve the self-consistency (Kirkwood--Monroe) equation
 
     q = exp(2 K (W * q)) / Z,
 
-found here from a fixed multistart seed set by Anderson mixing of the
-map's exponent, guarded so that no kept iterate raises the free energy;
-where the guard drops a mixed step while the plain residual grows (the
-iterates are leaving a saddle), the solve doubles along the plain step
-instead of leaving at Picard's rate.  The scanner locates the critical
-coupling by bisection on the sign of the best free-energy gap and
-classifies the transition as continuous or discontinuous by probing
+found here from a fixed multistart seed set by guarded Anderson mixing
+of the map's exponent (``solve_fixed_point``).  The scanner locates the
+critical coupling by bisection on the sign of the best free-energy gap
+and classifies the transition as continuous or discontinuous by probing
 whether the uniform state is still a global minimizer at the linear
 stability threshold; a bisection coupling's solves stop at the first
 kept iterate whose free energy settles that sign.
@@ -25,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import density as dens
-from .density import Density, free_energy, grid_to_fourier, fourier_to_grid
+from .density import Density, free_energy, irfft_kernel, rfft_kernel
 from .errors import (
     AllSeedsFailed,
     BracketNotStraddling,
@@ -37,8 +34,23 @@ from .potentials import Potential, k_sharp
 EXP_LIMIT = 700.0
 #: secant steps remembered by the Anderson mixing of ``solve_fixed_point``
 ANDERSON_DEPTH = 5
+_EPS = np.finfo(float).eps
 # relative rounding of the free energy that its guard tolerates (16 ulps)
-_F_ROUNDING = 16.0 * np.finfo(float).eps
+_F_ROUNDING = 16.0 * _EPS
+
+
+def _lstsq_fallback(a, b, rcond, signature=None):
+    """``np.linalg.lstsq`` called the way its gufunc is."""
+    return np.linalg.lstsq(a, b, rcond=rcond)
+
+
+try:
+    # numpy >= 2 runs np.linalg.lstsq through this gufunc; called directly
+    # with rcond = eps * n (lstsq's None for an n x n system) it gives the
+    # same bits without the wrapper, which costs as much as a 5 x 5 solve
+    from numpy.linalg._umath_linalg import lstsq as _lstsq_kernel
+except ImportError:  # numpy 1.x
+    _lstsq_kernel = _lstsq_fallback
 
 
 # ---------------------------------------------------------------------------
@@ -48,30 +60,39 @@ _F_ROUNDING = 16.0 * np.finfo(float).eps
 def km_map(q: Density, w: Potential, coupling: float) -> Density:
     """One application of the self-consistency map T(q) = e^{2K W*q} / Z."""
     m = q.grid_size
-    vals = _km_map_values(q.grid_values, dens.kernel_spectrum(w, m),
-                          coupling, m)
-    return dens.from_grid(vals)
+    expo = _map_exponent(q.grid_values,
+                         2.0 * coupling * dens.kernel_spectrum(w, m), m)[2]
+    return dens.from_grid(_gibbs(expo, m)[0])
 
 
-def _km_map_values(values: np.ndarray, wk: np.ndarray, coupling: float,
-                   m: int) -> np.ndarray:
-    ck = grid_to_fourier(values) * wk
-    return _gibbs(2.0 * coupling * fourier_to_grid(ck, m), m)[0]
+def _map_exponent(values: np.ndarray, wk2: np.ndarray, m: int):
+    """(raw, ck, expo): raw = M (-1)^k qhat(k), the unscaled real FFT of
+    the grid values, ck = raw * wk2 (wk2 = 2K what), and expo = 2K W*q,
+    the inverse real FFT of ck.  M is a power of two, so the phase-free
+    transforms give the bits of fourier_to_grid(qhat * wk2, m), and
+    vdot(raw, ck).real / M^2 those of vdot(qhat, qhat * wk2).real."""
+    raw = rfft_kernel(values, 1.0, out=np.empty(m // 2 + 1, dtype=complex))
+    ck = raw * wk2
+    return raw, ck, irfft_kernel(ck, 1.0 / m, out=np.empty(m))
 
 
-def _gibbs(expo: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """The density e^expo / Z and log Z."""
+def _gibbs(expo: np.ndarray, m: int,
+           check: bool = True) -> tuple[np.ndarray, float]:
+    """The density e^expo / Z and log Z.  A trial exponent of the mixing
+    skips the range check (``check=False``): a wild one must not raise
+    ExpOverflow, the free-energy guard drops it."""
     # ufunc reductions rather than the array methods: same values, without
     # the methods' Python-level argument handling on this hot path
     peak = np.maximum.reduce(expo)
-    spread = peak - np.minimum.reduce(expo)
+    spread = peak - np.minimum.reduce(expo) if check else 0.0
     if spread > EXP_LIMIT:
         raise ExpOverflow(
             f"Gibbs exponent range {spread:.1f} exceeds {EXP_LIMIT}"
         )
     gibbs = np.exp(expo - peak)
     mass = np.add.reduce(gibbs) / m
-    return gibbs / mass, peak + math.log(mass)
+    gibbs /= mass
+    return gibbs, peak + math.log(mass)
 
 
 @dataclass(frozen=True)
@@ -87,16 +108,6 @@ class SolveReport:
     converged: bool
     order_parameter: float
     witness: bool = False  # stopped at an iterate with F below stop_below
-
-
-def _trial_density(u: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """``_gibbs`` without its range check: a wild trial exponent must not
-    raise ExpOverflow, the free-energy guard drops it."""
-    peak = np.maximum.reduce(u)
-    v = np.exp(u - peak)
-    mass = np.add.reduce(v) / m
-    v /= mass
-    return v, peak + math.log(mass)
 
 
 def solve_fixed_point(
@@ -158,7 +169,6 @@ def solve_fixed_point(
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
     m = q0.grid_size
     _, mode = k_sharp(w)
-    # 2K what: the map's exponent is fourier_to_grid(qhat * wk2)
     wk2 = 2.0 * coupling * dens.kernel_spectrum(w, m)
     # ring buffers of the secant differences of the residual f = g(u) - u
     # and of g, and the Gram matrix of the f differences
@@ -183,14 +193,12 @@ def solve_fixed_point(
     witness = False
     it = 0
     for it in range(1, max_iter + 1):
-        qhat = grid_to_fourier(v)
-        ck = qhat * wk2
-        expo = fourier_to_grid(ck, m)
+        raw, ck, expo = _map_exponent(v, wk2, m)
         if u is not None:
             # F(v) from the map's own coefficients: entropy mean(v log v)
             # with log v = u - lz, interaction K * 2 sum what |qhat|^2
             entropy = np.dot(v, u) / m
-            interaction = np.vdot(qhat, ck).real
+            interaction = np.vdot(raw, ck).real / (m * m)
             energy = entropy - lz - interaction
             # a rise within the rounding of those terms is no rise (near
             # the fixed point F moves by residual^2, far below it); NaN
@@ -203,7 +211,7 @@ def solve_fixed_point(
                     # leaving a saddle: double along b's plain step
                     escape, scale = (u_prev, f_prev), 2.0
                     u = u_prev + scale * f_prev
-                    v, lz = _trial_density(u, m)
+                    v, lz = _gibbs(u, m, check=False)
                 else:
                     escape = None
                     v, u, lz, trial = t, g_prev, lz_t, False
@@ -229,7 +237,7 @@ def solve_fixed_point(
             # a kept trial: its map is the fallback should the next rise
             g_prev, scale = expo, 2.0 * scale
             u = escape[0] + scale * escape[1]
-            v, lz = _trial_density(u, m)
+            v, lz = _gibbs(u, m, check=False)
             continue
         if u is not None:
             f = expo - u
@@ -249,10 +257,11 @@ def solve_fixed_point(
             # least squares in the history's dimension: min |f - dF^T gamma|
             # through the Gram matrix, rank-truncated where the secant
             # steps are nearly dependent
-            gamma = np.linalg.lstsq(gram[:n_hist, :n_hist], d_f[:n_hist] @ f,
-                                    rcond=None)[0]
-            u = expo - gamma @ d_g[:n_hist]
-            v, lz = _trial_density(u, m)
+            gamma = _lstsq_kernel(gram[:n_hist, :n_hist],
+                                  (d_f[:n_hist] @ f)[:, None], _EPS * n_hist,
+                                  signature="ddd->ddid")[0]
+            u = expo - gamma[:, 0] @ d_g[:n_hist]
+            v, lz = _gibbs(u, m, check=False)
             trial = True
         else:
             v, u, lz, trial = t, expo, lz_t, False
@@ -441,9 +450,7 @@ def scan_kc(
     as in ``multistart``.  The lower endpoint, the K_# probe and the jump
     probes solve in full, since they report converged states; a coupling
     first met as a witness row is solved again in full there, and its
-    row then counts both solves' map applications.  The mixing's energy
-    guard keeps a solve from converging onto a saddle, which would put a
-    state of too high an energy into a row.
+    row then counts both solves' map applications.
 
     Continuity is decided by the global-minimality probe at K_#: the
     transition is discontinuous precisely when a state strictly below the
@@ -459,6 +466,8 @@ def scan_kc(
     if not lo < hi:
         raise BracketNotStraddling(f"empty bracket {bracket}")
 
+    if seeds == "standard":
+        seeds = standard_seeds(w, m)
     rows: dict[float, ScanRow] = {}
 
     def evaluate(coupling: float, full: bool = True) -> ScanRow:
@@ -488,10 +497,8 @@ def scan_kc(
     # energies can only dip below -tol when the uniform state has lost
     # global minimality, so capped runs cannot give a false positive)
     probe_gap = evaluate(ks).best_gap
-    if probe_gap > max(tol_F, 1e-9):
-        continuity = "discontinuous"
-    else:
-        continuity = "continuous"
+    continuity = ("discontinuous" if probe_gap > max(tol_F, 1e-9)
+                  else "continuous")
 
     while hi - lo > tol_K:
         mid = 0.5 * (lo + hi)

@@ -33,14 +33,6 @@ CLIP_TOL = 1e-6
 
 
 @lru_cache(maxsize=32)
-def _phase(m: int) -> np.ndarray:
-    # grid starts at -1/2, which multiplies rfft bin k by (-1)^k
-    p = np.ones(m // 2 + 1)
-    p[1::2] = -1.0
-    return p
-
-
-@lru_cache(maxsize=32)
 def theta_grid(m: int) -> np.ndarray:
     """Grid nodes theta_j = -1/2 + j/M."""
     g = -0.5 + np.arange(m) / m
@@ -58,8 +50,9 @@ def theta_grid(m: int) -> np.ndarray:
 def grid_phase(m: int, scale: float) -> np.ndarray:
     """(-1)^k times ``scale``, k = 0..M/2: the factor between a real FFT
     of the grid values and the coefficients qhat(k) (``scale`` = 1/M) and
-    back (``scale`` = M)."""
-    p = _phase(m) * scale
+    back (``scale`` = M); (-1)^k because the grid starts at -1/2."""
+    p = np.full(m // 2 + 1, scale, dtype=float)
+    p[1::2] *= -1.0
     p.flags.writeable = False
     return p
 
@@ -79,11 +72,9 @@ except ImportError:  # numpy 1.x: numpy.fft, which scales the same way
         out[...] = np.fft.irfft(spectrum, n=out.shape[-1])  # fct is 1/M
         return out
 
-# ``rfft_kernel(values, 1.0, out=)``, the unscaled real FFT of an even
-# length M over the last axis, and ``irfft_kernel(spectrum, 1.0 / M,
-# out=)``, its inverse, write float64 and complex128 buffers that the
-# caller owns and check nothing: a hot loop that folds the grid phase into
-# its own symbols calls them on buffers of its own.
+# ``rfft_kernel(values, 1.0, out=)``, the unscaled real FFT over the last
+# axis (M even), and its inverse ``irfft_kernel(spectrum, 1.0 / M, out=)``
+# write into buffers the caller owns and check nothing.
 
 
 def grid_to_fourier(values: np.ndarray) -> np.ndarray:

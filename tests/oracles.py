@@ -12,8 +12,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from torusmf import density as dens
-from torusmf.critical import (ANDERSON_DEPTH, SolveReport, _gibbs,
-                              _km_map_values)
+from torusmf.critical import ANDERSON_DEPTH, SolveReport, _gibbs
 from torusmf.density import free_energy, fourier_to_grid, grid_to_fourier
 from torusmf.flow import _PHI3_SERIES, _derivative, _transport_symbols
 from torusmf.potentials import k_sharp
@@ -174,7 +173,8 @@ def picard_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000,
     residual = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        t = _km_map_values(v, wk, coupling, m)
+        expo = 2.0 * coupling * fourier_to_grid(grid_to_fourier(v) * wk, m)
+        t = _gibbs(expo, m)[0]
         residual = float(np.maximum.reduce(np.abs(t - v)))
         v = t
         if residual <= tol:

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 import torusmf as tm
-from torusmf.critical import _best_gap, _scan_row, multistart, standard_seeds
-from torusmf.density import free_energy, theta_grid
+from torusmf import critical
+from torusmf.critical import (_best_gap, _lstsq_fallback, _lstsq_kernel,
+                              _map_exponent, _scan_row, multistart,
+                              standard_seeds)
+from torusmf.density import (fourier_to_grid, free_energy, grid_to_fourier,
+                             kernel_spectrum, theta_grid)
 from torusmf.errors import BracketNotStraddling, ExpOverflow
 
 from oracles import anderson_fixed_point, picard_fixed_point
@@ -65,6 +69,64 @@ class TestKmMap:
         q = tm.from_grid(1 + 0.9 * np.cos(2 * np.pi * theta_grid(256)))
         with pytest.raises(ExpOverflow):
             tm.km_map(q, w, 2.0)
+
+
+    @pytest.mark.parametrize("seed", ["cos_a0.6", "extremal_c0.7",
+                                      "bump_c0.99"])
+    def test_is_the_solvers_first_map(self, do_kernel, seed):
+        # one map kernel: the solve's first map is km_map's, bit for bit
+        for w, coupling in ((do_kernel, 2.0), (tm.transformer(3.0), 0.37634),
+                            (tm.hegselmann_krause(1.0), 1.0)):
+            q0 = dict(standard_seeds(w, 512))[seed]
+            ref = tm.solve_fixed_point(w, coupling, q0, max_iter=1).density
+            out = tm.km_map(q0, w, coupling)
+            assert out.grid_values.tobytes() == ref.grid_values.tobytes()
+            assert out.fourier.tobytes() == ref.fourier.tobytes()
+
+
+class TestMapKernels:
+    """The solver's map runs on raw real-FFT spectra and calls numpy's
+    least-squares gufunc directly; both give the bits of the public
+    routes."""
+
+    @pytest.mark.parametrize("m", [8, 64, 512, 4096])
+    def test_phase_free_exponent_and_interaction(self, m, do_kernel):
+        rng = np.random.default_rng(m)
+        kernels = (do_kernel, tm.transformer(0.5), tm.transformer(3.0),
+                   tm.hegselmann_krause(1.0))
+        for w in kernels:
+            for _ in range(50):
+                v = np.exp(rng.normal(0.0, rng.uniform(0.01, 2.0), m))
+                v /= v.mean()
+                coupling = rng.uniform(0.1, 2.0) * tm.k_sharp(w)[0]
+                wk2 = 2.0 * coupling * kernel_spectrum(w, m)
+                raw, ck, expo = _map_exponent(v, wk2, m)
+                qhat = grid_to_fourier(v)
+                ref = fourier_to_grid(qhat * wk2, m)
+                assert expo.tobytes() == ref.tobytes()
+                interaction = np.vdot(raw, ck).real / (m * m)
+                ref = np.vdot(qhat, qhat * wk2).real
+                assert np.float64(interaction).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lstsq_kernel_and_fallback_match_numpy(self, n):
+        # Gram systems as the solver forms them, a view of the 5 x 5 ring;
+        # every other one of rank below n (0 included)
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        gram = np.empty((5, 5))
+        for case in range(300):
+            rank = n if case % 2 == 0 else int(rng.integers(0, n))
+            a = rng.normal(size=(rank, 512)) * 10.0 ** rng.uniform(-8.0, 2.0)
+            a = np.vstack([a, rng.normal(size=(n - rank, rank)) @ a])
+            gram[:n, :n] = a @ a.T
+            rhs = a @ rng.normal(size=512)
+            ref = np.linalg.lstsq(gram[:n, :n], rhs, rcond=None)[0]
+            for kernel in (_lstsq_kernel, _lstsq_fallback):
+                x = kernel(gram[:n, :n], rhs[:, None], eps * n,
+                           signature="ddd->ddid")[0]
+                assert x.shape == (n, 1)
+                assert x[:, 0].tobytes() == ref.tobytes()
 
 
 class TestSolve:
@@ -350,6 +412,18 @@ class TestScan:
         row = pd.rows[0]
         reports = multistart(do_kernel, row.coupling, 128, seeds, tol=1e-11)
         assert row.map_applications == sum(r.iterations for r in reports)
+
+    def test_standard_seeds_built_once_per_scan(self, do_kernel,
+                                                monkeypatch):
+        built = []
+
+        def counted(w, m=512):
+            built.append(m)
+            return standard_seeds(w, m)
+
+        monkeypatch.setattr(critical, "standard_seeds", counted)
+        pd = tm.scan_kc(do_kernel, m=128, tol_K=0.05)
+        assert len(pd.rows) > 1 and built == [128]
 
     def test_c01_witness_rows(self, do_kernel):
         _check_witness_rows(do_kernel, 5e-3, "standard")
