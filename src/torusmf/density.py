@@ -13,7 +13,7 @@ below are spectrally accurate for smooth densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -138,13 +138,6 @@ class Density:
     def order_parameter(self, k: int) -> float:
         """|qhat(k)|, the amplitude of mode k."""
         return float(np.abs(self.fourier[abs(k)]))
-
-    def shift(self, theta0: float) -> "Density":
-        """Rotate the density by theta0 (spectral, exact for the polynomial)."""
-        m = self.grid_size
-        k = np.arange(m // 2 + 1)
-        rotated = self.fourier * np.exp(-2j * np.pi * k * theta0)
-        return from_fourier(rotated, m)
 
     def roll(self, cells: int) -> "Density":
         """Rotate by a whole number of grid cells (exact permutation)."""
@@ -337,10 +330,3 @@ def convolve(w, q: Density) -> np.ndarray:
 
 def to_dict(q: Density) -> dict:
     return {"grid_size": q.grid_size, "grid_values": q.grid_values.tolist()}
-
-
-def from_dict(rec: dict) -> Density:
-    vals = np.asarray(rec["grid_values"], dtype=float)
-    if len(vals) != rec["grid_size"]:
-        raise ValueError("grid_size does not match grid_values length")
-    return from_grid(vals)

@@ -202,16 +202,6 @@ def _check_state(values: np.ndarray) -> None:
         raise BlowUp("flow state is non-finite or exceeds 1e6")
 
 
-def mv_step(q: Density, w, coupling: float, dt: float) -> Density:
-    """One Krogstad ETDRK4 step of the flow; mass exactly conserved."""
-    m = q.grid_size
-    split = _Split(w, coupling, m)
-    out, _, _, _ = split.step(q.fourier, split.rest(q.fourier),
-                              _etd_tables(split.lin, dt))
-    _check_state(fourier_to_grid(out, m))
-    return dens.from_fourier(out, m)
-
-
 def stationarity_residual(q: Density, w, coupling: float) -> float:
     """L^2 norm of the flow right-hand side, L q + N(q), evaluated
     pseudospectrally."""

@@ -26,12 +26,14 @@ from .potentials import Potential
 _FLOAT_FMT = "%.17g"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """``write(f)`` into a binary temp file next to ``path``, then rename it
+    to ``path``; on any error the temp file goes and ``path`` is as before."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -39,8 +41,12 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_text(path, text: str) -> None:
+    _atomic_write(Path(path), lambda f: f.write(text.encode()))
+
+
 def write_json(path, obj) -> None:
-    _atomic_write(Path(path), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path):
@@ -55,7 +61,7 @@ def write_csv(path, rows, header) -> None:
         lines.append(",".join(
             _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
         ))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +72,6 @@ def save_density_json(path, q: Density) -> None:
     write_json(path, dens.to_dict(q))
 
 
-def load_density_json(path) -> Density:
-    return dens.from_dict(read_json(path))
-
-
 def save_density_csv(path, q: Density) -> None:
     rows = zip(q.theta.tolist(), q.grid_values.tolist())
     write_csv(path, rows, ["theta", "q"])
@@ -78,8 +80,7 @@ def save_density_csv(path, q: Density) -> None:
 def save_densities_npz(path, densities: list[Density], times) -> None:
     arrays = {f"q{i:05d}": d.grid_values for i, d in enumerate(densities)}
     arrays["times"] = np.asarray(times)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
+    _atomic_write(Path(path), lambda f: np.savez_compressed(f, **arrays))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ stationary law accurate to second order in dt where Euler-Maruyama's is
 first order.  Noise comes from a Philox counter keyed by (seed, replicate)
 and advanced to the step, so every normal is addressable by (seed, step,
 particle): replicates are reproducible, parallelizable, and couplable
-across step sizes.  A run (``simulate``) builds one step plan
-(``_StepPlan``): the drift's work rows, coefficient block and phase,
-and the replicate's Philox stream, which each step reads on from where the
-last one stopped instead of building a generator; the bits are those of
-the addressed draw.
+across step sizes.  A step gets its noise from a step plan
+(``_StepPlan``), which holds the drift's work rows, coefficient block and
+phase, and the replicate's Philox stream: the plan reads xi_s and
+xi_{s+1} at their address and carries xi_{s+1} to the next step, which
+reads on from where the stream stands.  A run (``simulate``) builds one
+plan and sets its stream once; a step that finds the stream at another
+key sets it there, so the bits are those of the addressed draw either way.
 
 References: B. Leimkuhler and C. Matthews, Rational construction of
 stochastic numerical methods for molecular sampling, AMRX 2013;
@@ -35,7 +37,6 @@ from scipy.special import ndtri
 
 from . import density as dens
 from .density import Density
-from .errors import NoClosedForm
 from .flow import RecordPolicy, _default_modes, integrate
 from .metrics import _cdf_nodes
 from .potentials import Potential, _wrap, k_sharp
@@ -45,24 +46,16 @@ _INV_2_53 = 2.0 ** -53
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Positions in [-1/2, 1/2) plus the RNG bookkeeping.
-
-    ``normals`` is this step's draw xi_step when the step before made it
-    (``em_step`` carries it forward), None to draw it afresh.
-    """
+    """Positions in [-1/2, 1/2) plus the RNG bookkeeping."""
 
     positions: np.ndarray
     time: float
     seed: int
     replicate: int = 0
     step: int = 0
-    normals: Optional[np.ndarray] = field(default=None, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         self.positions.flags.writeable = False
-        if self.normals is not None:
-            self.normals.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -84,12 +77,6 @@ def _stream(seed: int, replicate: int, step: int, n: int
     # stream.
     bg = np.random.Philox(key=(seed, replicate))
     return bg.advance((step + 1) * ((n + 1) // 2))
-
-
-def _normals(seed: int, replicate: int, step: int, n: int) -> np.ndarray:
-    # Inverse-CDF keeps the consumption at one word per particle.
-    raw = _stream(seed, replicate, step, n).random_raw(n)
-    return ndtri(_unit_uniform(raw))
 
 
 def init_state(q0: Density | None, n: int, seed: int,
@@ -121,10 +108,11 @@ class _StepPlan:
     """What a run of ``em_step`` calls on n particles of one kernel reuses
     from step to step: the drift's work rows (s inner, a outer and a
     product rows), its coefficient block k what(k) / n as (a, s) and its
-    phase 2 pi i lead, and the replicate's Philox stream, standing at the
-    first word of step ``cursor[2]`` of key ``cursor[:2]``.  A run builds
-    one and drops it when it returns; steps write into it, so a plan serves
-    one replicate at a time."""
+    phase 2 pi i lead, and the noise.  The noise is the replicate's Philox
+    stream, standing at the first word of step ``cursor[2] + 1`` of key
+    ``cursor[:2]``, and the draw ``xi`` of step ``cursor[2]``, read ahead.
+    A run builds one and drops it when it returns; steps write into it, so
+    a plan serves one replicate at a time."""
 
     def __init__(self, n: int, w: Potential):
         self.kernel, self.n = w, n
@@ -145,23 +133,26 @@ class _StepPlan:
             self.outer[0] = 1.0
         self.noise: Optional[np.random.Philox] = None
         self.cursor: Optional[tuple[int, int, int]] = None
+        self.xi: Optional[np.ndarray] = None
 
-    def seek(self, seed: int, replicate: int, step: int) -> None:
-        """Stand the stream at step ``step``'s words of key (seed,
-        replicate)."""
-        self.noise = _stream(seed, replicate, step, self.n)
-        self.cursor = (seed, replicate, step)
-
-    def normals(self, seed: int, replicate: int, step: int) -> np.ndarray:
-        """``_normals(seed, replicate, step, n)``: read from the stream and
-        moved on to step + 1 where the stream stands at it, else drawn
-        afresh.  Reading n words leaves the stream ceil(n/4) blocks on,
-        and the next step's words start ceil(n/2) blocks on."""
+    def normals(self, seed: int, replicate: int, step: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """xi_step and xi_{step+1} of key (seed, replicate), carrying
+        xi_{step+1} to the next call.  Where the plan stands at this key it
+        reads on; elsewhere it first sets its stream to step ``step``."""
         if self.cursor != (seed, replicate, step):
-            return _normals(seed, replicate, step, self.n)
+            self.noise = _stream(seed, replicate, step, self.n)
+            self.xi = self._read()
+        xi, self.xi = self.xi, self._read()
+        self.cursor = (seed, replicate, step + 1)
+        return xi, self.xi
+
+    def _read(self) -> np.ndarray:
+        # One word per particle, through the inverse normal CDF.  Reading
+        # n words leaves the stream ceil(n/4) blocks on, and the next
+        # step's words start ceil(n/2) blocks on.
         raw = self.noise.random_raw(self.n)
         self.noise.advance((self.n + 1) // 2 - (self.n + 3) // 4)
-        self.cursor = (seed, replicate, step + 1)
         return ndtri(_unit_uniform(raw))
 
 
@@ -171,7 +162,8 @@ def drift(positions: np.ndarray, w: Potential, coupling: float,
     """Pairwise force field (K/N) sum_j W'(theta_i - theta_j).
 
     "pairwise_exact" sums the closed-form derivative over all pairs,
-    O(N^2); "fourier_truncated" contracts against the empirical Fourier
+    O(N^2), and raises ``NoClosedForm`` for a kernel without one;
+    "fourier_truncated" contracts against the empirical Fourier
     modes, O(N * truncation), and agrees with the exact sum up to the
     kernel tail.  ``plan`` is ``_StepPlan(len(positions), w)``, for a
     caller that evaluates the drift many times; it changes no result, and
@@ -179,10 +171,6 @@ def drift(positions: np.ndarray, w: Potential, coupling: float,
     """
     n = len(positions)
     if mode == "pairwise_exact":
-        if not w.has_closed_form:
-            raise NoClosedForm(
-                f"{w.name} kernel has no closed-form derivative"
-            )
         diff = _wrap(positions[:, None] - positions[None, :])
         return (coupling / n) * w.dw(diff).sum(axis=1)
     if mode == "fourier_truncated":
@@ -222,7 +210,8 @@ def em_step(state: ParticleState, w: Potential, coupling: float,
 
         x_{s+1} = x_s + F(x_s) dt + sqrt(dt) (a_s xi_s + xi_{s+1} / 2)
 
-    where xi_s is the step-s draw of ``_normals`` and a_s = 1/2 for s >= 1.
+    where xi_s is the step-s draw of the replicate's Philox stream and
+    a_s = 1/2 for s >= 1.
     Averaging the noise of neighbouring steps makes the stationary law
     accurate to second order in dt; Euler-Maruyama's is first order, and
     near a clustered state of the kinked rod kernel (drift slope about
@@ -233,29 +222,23 @@ def em_step(state: ParticleState, w: Potential, coupling: float,
     so that the displacement after n steps at K = 0,
     sqrt(dt) (sqrt(3)/2 xi_0 + xi_1 + ... + xi_{n-1} + xi_n / 2),
     is exactly N(0, n dt) as for Brownian motion; plain LM gives
-    (n - 1/2) dt.  Each step makes one drift evaluation and one draw:
-    xi_{s+1} rides to the next step in ``state.normals``.  ``plan`` goes
-    to ``drift``, and gives xi_{s+1} from its stream where that stands at
-    step s + 1 (``simulate`` stands it at step 1); the bits are those of
-    ``_normals`` either way.
+    (n - 1/2) dt.  The noise and the drift's work rows come from
+    ``plan`` (built here when None); a plan that stands at the state's
+    step gives xi_s from the step before and draws only xi_{s+1}.
 
     The name is kept from the Euler-Maruyama scheme this replaced: callers
     and the benchmark's tracer address the particle step by it.
     """
     if dt > 1e-3:
         raise ValueError("dt above 1e-3 is outside the validated range")
-    seed, replicate, step = state.seed, state.replicate, state.step
-    xi = state.normals
-    if xi is None:
-        xi = _normals(seed, replicate, step, state.n)
     if plan is None:
-        xi_next = _normals(seed, replicate, step + 1, state.n)
-    else:
-        xi_next = plan.normals(seed, replicate, step + 1)
-    a = math.sqrt(0.75) if step == 0 else 0.5
+        plan = _StepPlan(state.n, w)
+    seed, replicate, step = state.seed, state.replicate, state.step
     # x + F dt + sqrt(dt) (a xi + xi_next / 2), wrapped, in the drift's
     # own array
     pos = drift(state.positions, w, coupling, plan=plan)
+    xi, xi_next = plan.normals(seed, replicate, step)
+    a = math.sqrt(0.75) if step == 0 else 0.5
     pos *= dt
     pos += state.positions
     noise = a * xi
@@ -263,8 +246,7 @@ def em_step(state: ParticleState, w: Potential, coupling: float,
     noise *= math.sqrt(dt)
     pos += noise
     pos -= np.round(pos, out=noise)
-    return ParticleState(pos, state.time + dt, seed, replicate, step + 1,
-                         xi_next)
+    return ParticleState(pos, state.time + dt, seed, replicate, step + 1)
 
 
 def empirical_fourier(positions: np.ndarray, k: int) -> complex:
@@ -297,7 +279,8 @@ def simulate(
     """Run one replicate, recording |qhat_N(k)| for the tracked modes
     (default: the first four multiples of the lead mode).  The step plan,
     with the drift's work rows and the replicate's noise stream, lives for
-    this call only."""
+    this call only: the first step sets the stream, and each later step
+    reads on."""
     if track_modes is None:
         track_modes = _default_modes(w)
     state = init_state(q0, n, seed, replicate)
@@ -307,7 +290,6 @@ def simulate(
         k: [abs(empirical_fourier(state.positions, k))] for k in track_modes
     }
     plan = _StepPlan(n, w)
-    plan.seek(seed, replicate, 1)
     for step in range(1, n_steps + 1):
         state = em_step(state, w, coupling, dt, plan)
         if step % record_every == 0 or step == n_steps:

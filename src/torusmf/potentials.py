@@ -109,10 +109,6 @@ class Potential:
         partial = float(np.abs(self.coeffs[m:]).sum()) if m < self.truncation else 0.0
         return partial + self._tail(max(m, self.truncation))
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self._dw is not None
-
     def w(self, theta):
         """Pointwise kernel values (zero-mean closed form)."""
         if self._w is None:

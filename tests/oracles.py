@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import ndtri
 
 from torusmf import density as dens
 from torusmf.critical import ANDERSON_DEPTH, SolveReport, _gibbs
 from torusmf.density import free_energy, fourier_to_grid, grid_to_fourier
-from torusmf.flow import _PHI3_SERIES, _derivative, _transport_symbols
+from torusmf.flow import (_PHI3_SERIES, _Split, _derivative, _etd_tables,
+                          _transport_symbols)
 from torusmf.potentials import k_sharp
 
 
@@ -318,6 +320,25 @@ def etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
                      h * (4.0 * phi3 - phi2)))
 
 
+def flow_step(q, w, coupling, dt):
+    """One Krogstad ETDRK4 step of the flow of size ``dt`` from q, through
+    ``flow._Split``: the fixed step the adaptive ``integrate`` is built
+    on."""
+    m = q.grid_size
+    split = _Split(w, coupling, m)
+    out = split.step(q.fourier, split.rest(q.fourier),
+                     _etd_tables(split.lin, dt))[0]
+    return dens.from_fourier(out, m)
+
+
+def shift(q, theta0):
+    """q rotated by theta0 through its Fourier coefficients, exact for the
+    trigonometric polynomial."""
+    m = q.grid_size
+    k = np.arange(m // 2 + 1)
+    return dens.from_fourier(q.fourier * np.exp(-2j * np.pi * k * theta0), m)
+
+
 #: safety factor of the transport CFL bound of an explicit step
 CFL_SAFETY = 0.2
 
@@ -378,3 +399,17 @@ def mode_sum_drift(positions, w, coupling):
                  * rows.sum(axis=1).conj() / n)[:, None]
         acc += np.add.reduce(rows, axis=0)
     return -4.0 * np.pi * coupling * acc.imag
+
+
+def philox_uniforms(words):
+    """The top 53 bits of each raw Philox word, centred in their cell."""
+    return ((words >> 11) + 0.5) * 2.0**-53
+
+
+def philox_normals(seed, replicate, step, n):
+    """The particles' step-``step`` normals of key (seed, replicate) from
+    raw words read off the start of the key's Philox stream: n words from
+    word 4 (step + 1) ceil(n/2), through the inverse normal CDF."""
+    start = 4 * (step + 1) * ((n + 1) // 2)
+    words = np.random.Philox(key=(seed, replicate)).random_raw(start + n)
+    return ndtri(philox_uniforms(words[start:]))

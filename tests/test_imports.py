@@ -1,0 +1,38 @@
+"""Package hygiene: every name a source module imports is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "torusmf"
+# the package's own imports are its public names, used by its importers
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name that no expression reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_finds_an_unused_import():
+    source = ("from dataclasses import dataclass, field\n"
+              "import numpy as np\n"
+              "@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert unused_imports(source) == [(1, "field")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -4,6 +4,7 @@ import json
 import platform
 
 import numpy as np
+import pytest
 import scipy
 
 import torusmf as tm
@@ -17,7 +18,9 @@ class TestDensityIO:
         q = tm.from_grid(vals / vals.mean())
         p = tmp_path / "d.json"
         io.save_density_json(p, q)
-        q2 = io.load_density_json(p)
+        rec = json.loads(p.read_text())
+        assert rec["grid_size"] == len(rec["grid_values"]) == 128
+        q2 = tm.from_grid(rec["grid_values"])
         assert np.abs(q.grid_values - q2.grid_values).max() < 1e-15
 
     def test_csv_columns(self, tmp_path):
@@ -37,6 +40,27 @@ class TestDensityIO:
         data = np.load(p)
         assert np.array_equal(data["times"], [0.0, 1.0])
         assert np.abs(data["q00001"] - qs[1].grid_values).max() == 0.0
+
+    def test_npz_writer_failing_midway_leaves_no_file(self, tmp_path,
+                                                      monkeypatch):
+        def broken(f, **arrays):
+            f.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        qs = [tm.uniform(64)]
+        monkeypatch.setattr(np, "savez_compressed", broken)
+        with pytest.raises(OSError, match="disk full"):
+            io.save_densities_npz(tmp_path / "snapshots.npz", qs, [0.0])
+        assert list(tmp_path.iterdir()) == []
+        # a failed rewrite keeps the archive written before it
+        monkeypatch.undo()
+        p = tmp_path / "snapshots.npz"
+        io.save_densities_npz(p, qs, [0.0])
+        monkeypatch.setattr(np, "savez_compressed", broken)
+        with pytest.raises(OSError, match="disk full"):
+            io.save_densities_npz(p, qs, [1.0])
+        assert [f.name for f in tmp_path.iterdir()] == ["snapshots.npz"]
+        assert np.array_equal(np.load(p)["times"], [0.0])
 
 
 class TestPotentialIO:

@@ -1,16 +1,19 @@
 """Particle dynamics: forces, noise, reproducibility, mean-field limit."""
 
+import math
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 from scipy.special import iv, ndtri
 
 import torusmf as tm
-from oracles import mode_sum_drift
+import torusmf.particles as particles
+from oracles import mode_sum_drift, philox_normals, philox_uniforms
 from torusmf.errors import NoClosedForm
 from torusmf.particles import (
+    ParticleState,
     chaos_check,
     drift,
     em_step,
@@ -18,8 +21,6 @@ from torusmf.particles import (
     init_state,
     simulate,
     _StepPlan,
-    _normals,
-    _unit_uniform,
     _wrap,
 )
 from torusmf.potentials import Potential
@@ -50,6 +51,29 @@ DRIFT_KERNELS = {
 @pytest.fixture(scope="module")
 def do128():
     return tm.doi_onsager(truncation=128)
+
+
+def _lm_step(state, w, coupling, dt):
+    """``em_step`` from the oracle's addressed draws xi_s and xi_{s+1}."""
+    seed, rep, step, n = state.seed, state.replicate, state.step, state.n
+    xi, xi_next = (philox_normals(seed, rep, s, n) for s in (step, step + 1))
+    a = math.sqrt(0.75) if step == 0 else 0.5
+    pos = drift(state.positions, w, coupling) * dt + state.positions
+    pos = _wrap(pos + (a * xi + 0.5 * xi_next) * math.sqrt(dt))
+    return ParticleState(pos, state.time + dt, seed, rep, step + 1)
+
+
+def _key(state):
+    return state.seed, state.replicate, state.step, state.time
+
+
+def _counting_streams(monkeypatch):
+    """The keys at which plans set their Philox stream, in call order."""
+    keys = []
+    real = particles._stream
+    monkeypatch.setattr(particles, "_stream",
+                        lambda *a: keys.append(a) or real(*a))
+    return keys
 
 
 class TestDrift:
@@ -138,17 +162,19 @@ class TestEmStep:
             s2 = em_step(s2, do128, 1.0, 1e-3)
         assert np.array_equal(s1.positions, s2.positions)
 
-    def test_noise_is_counter_addressable(self):
+    def test_noise_is_counter_addressable(self, do128):
         # same (seed, step) always yields the same increments, independent
         # of how many draws happened before
-        a = _normals(9, 0, step=7, n=32)
-        b = _normals(9, 0, step=7, n=32)
+        a = _StepPlan(32, do128).normals(9, 0, 7)[0]
+        plan = _StepPlan(32, do128)
+        for step in range(7):
+            plan.normals(9, 0, step)
+        b, c = plan.normals(9, 0, 7)
         assert np.array_equal(a, b)
-        c = _normals(9, 0, step=8, n=32)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("n", [1, 31, 32])
-    def test_steps_draw_disjoint_slices_of_one_stream(self, n):
+    def test_steps_draw_disjoint_slices_of_one_stream(self, do128, n):
         # one word per draw from the key's stream: init_state takes the
         # first n words, step s the n from word 4 (s + 1) ceil(n/2)
         seed, rep, steps = 9, 3, 4
@@ -156,14 +182,15 @@ class TestEmStep:
         words = np.random.Philox(key=(seed, rep)).random_raw(
             reserve * (steps + 1) + n)
         x0 = init_state(None, n, seed, rep).positions
-        assert np.array_equal(x0, _wrap(_unit_uniform(words[:n]) - 0.5))
+        assert np.array_equal(x0, _wrap(philox_uniforms(words[:n]) - 0.5))
         used = np.zeros(len(words), dtype=int)
         used[:n] += 1
+        plan = _StepPlan(n, do128)
         for s in range(steps):
             start = reserve * (s + 1)
             assert np.array_equal(
-                _normals(seed, rep, s, n),
-                ndtri(_unit_uniform(words[start:start + n])))
+                plan.normals(seed, rep, s)[0],
+                ndtri(philox_uniforms(words[start:start + n])))
             used[start:start + n] += 1
         assert used.max() == 1
 
@@ -203,32 +230,23 @@ class TestEmStep:
         x0 = state.positions.copy()
         for _ in range(n_steps):
             state = em_step(state, do128, 0.0, dt)
-        xi = [_normals(seed, 0, s, n) for s in range(n_steps + 1)]
+        xi = [philox_normals(seed, 0, s, n) for s in range(n_steps + 1)]
         expect = np.sqrt(dt) * (np.sqrt(3.0) / 2 * xi[0] + sum(xi[1:-1])
                                 + 0.5 * xi[-1])
         assert np.abs(_wrap(state.positions - x0) - expect).max() < 1e-14
 
     def test_each_step_draws_its_normals_once(self, do128, monkeypatch):
+        # simulate sets each replicate's stream once, at step 0, and
         # xi_{s+1} rides from step s to step s + 1: n steps, n + 1 draws
-        import torusmf.particles as particles
-
-        calls = []
-        monkeypatch.setattr(particles, "_normals",
-                            lambda *a: calls.append(a[2]) or _normals(*a))
-        state = init_state(None, 32, seed=4)
-        for _ in range(7):
-            state = em_step(state, do128, 1.0, 1e-3)
-        assert calls == list(range(8))
-
-    def test_carried_normals_match_fresh_draws(self, do128):
-        # dropping the carried draw redraws it: bit-identical paths
-        carried = fresh = init_state(None, 64, seed=21)
-        for _ in range(6):
-            carried = em_step(carried, do128, 1.0, 1e-3)
-            fresh = em_step(replace(fresh, normals=None), do128, 1.0, 1e-3)
-            assert np.array_equal(carried.positions, fresh.positions)
-        assert np.array_equal(carried.normals, _normals(21, 0, 6, 64))
-        assert not carried.normals.flags.writeable
+        keys = _counting_streams(monkeypatch)
+        reads = []
+        real = _StepPlan._read
+        monkeypatch.setattr(_StepPlan, "_read",
+                            lambda plan: reads.append(1) or real(plan))
+        for rep in (0, 1):
+            simulate(do128, 1.0, 32, 0.007, dt=1e-3, seed=4, replicate=rep)
+        assert keys == [(4, 0, 0, 32), (4, 1, 0, 32)]
+        assert len(reads) == 2 * 8
 
     def test_dt_guard(self, do128):
         state = init_state(None, 8, seed=1)
@@ -246,7 +264,7 @@ class TestEmStep:
         fine_dt = 1.25e-4
         levels = (8, 4, 2, 1)  # multiples of fine_dt
         n_fine = 160
-        xi = np.stack([_normals(seed, 0, s, n) for s in range(n_fine)])
+        xi = np.stack([philox_normals(seed, 0, s, n) for s in range(n_fine)])
         x0 = init_state(None, n, seed=seed).positions
         finals = {}
         for lev in levels:
@@ -266,62 +284,72 @@ class TestEmStep:
 
 class TestStepPlan:
     @pytest.mark.parametrize("n", [1, 7, 31, 32, 2001])
-    def test_stream_reads_the_addressed_normals(self, do128, n):
-        # from step 1, as ``simulate`` stands it, and from mid-stream
+    def test_stream_reads_the_addressed_normals(self, do128, n, monkeypatch):
+        # from step 0, as ``simulate`` starts, from mid-stream, and at keys
+        # elsewhere, where the plan sets its stream to the key it is given
+        keys = _counting_streams(monkeypatch)
         seed, rep = 9, 3
         plan = _StepPlan(n, do128)
-        for start in (1, 40):
-            plan.seek(seed, rep, start)
+        for start in (0, 40):
             for step in range(start, start + 6):
-                assert np.array_equal(plan.normals(seed, rep, step),
-                                      _normals(seed, rep, step, n))
+                xi, xi_next = plan.normals(seed, rep, step)
+                assert np.array_equal(xi, philox_normals(seed, rep, step, n))
+                assert np.array_equal(
+                    xi_next, philox_normals(seed, rep, step + 1, n))
             assert plan.cursor == (seed, rep, start + 6)
+        assert keys == [(seed, rep, 0, n), (seed, rep, 40, n)]
+        elsewhere = ((9, 3, 47), (9, 3, 3), (8, 3, 4), (9, 2, 4))
+        for key in elsewhere:
+            xi, xi_next = plan.normals(*key)
+            assert np.array_equal(xi, philox_normals(*key, n))
+            assert np.array_equal(
+                xi_next, philox_normals(*key[:2], key[2] + 1, n))
+            assert plan.cursor == key[:2] + (key[2] + 1,)
+        assert keys[2:] == [key + (n,) for key in elsewhere]
+        # and reads on from the last of them without setting it again
+        assert np.array_equal(plan.normals(9, 2, 5)[1],
+                              philox_normals(9, 2, 6, n))
+        assert len(keys) == 6
 
-    def test_cursor_elsewhere_draws_afresh(self, do128, monkeypatch):
-        import torusmf.particles as particles
-
-        calls = []
-        monkeypatch.setattr(particles, "_normals",
-                            lambda *a: calls.append(a) or _normals(*a))
-        plan = _StepPlan(7, do128)
-        plan.seek(9, 3, 4)
-        for key in ((9, 3, 5), (9, 3, 3), (8, 3, 4), (9, 2, 4)):
-            assert np.array_equal(plan.normals(*key), _normals(*key, 7))
-        assert calls == [key + (7,) for key in
-                         ((9, 3, 5), (9, 3, 3), (8, 3, 4), (9, 2, 4))]
-        assert plan.cursor == (9, 3, 4)
-        assert np.array_equal(plan.normals(9, 3, 4), _normals(9, 3, 4, 7))
-        assert len(calls) == 4
-
-    def test_em_step_with_a_plan_changes_no_bit(self, do128):
-        # a plan stood mid-stream, then one stood at the wrong step
+    def test_em_step_with_a_plan_changes_no_bit(self, do128, monkeypatch):
+        # one plan carried along one replicate, then moved to another
+        # replicate's state and back: every step is the oracle's, with or
+        # without the plan, and the plan sets its stream at each move only
+        keys = _counting_streams(monkeypatch)
         n, seed, coupling, dt = 33, 6, 1.0, 1e-3
-        plain = init_state(None, n, seed)
-        for _ in range(4):
-            plain = em_step(plain, do128, coupling, dt)
-        planned = plain
         plan = _StepPlan(n, do128)
-        for start in (5, 2):
-            plan.seek(seed, 0, start)
-            for _ in range(4):
-                plain = em_step(plain, do128, coupling, dt)
-                planned = em_step(planned, do128, coupling, dt, plan)
-                assert np.array_equal(planned.positions, plain.positions)
-                assert np.array_equal(planned.normals, plain.normals)
-        assert plan.cursor == (seed, 0, 2)
-        assert planned.step == 12 and planned.time == plain.time
-        assert not planned.positions.flags.writeable
+        states = [init_state(None, n, seed, r) for r in (0, 1)]
+        moves = []
+        for r in (0, 0, 1, 0):
+            for _ in range(3):
+                state = states[r]
+                before = len(keys)
+                planned = em_step(state, do128, coupling, dt, plan)
+                moves += keys[before:]
+                plain = em_step(state, do128, coupling, dt)
+                oracle = _lm_step(state, do128, coupling, dt)
+                assert np.array_equal(planned.positions, oracle.positions)
+                assert np.array_equal(plain.positions, oracle.positions)
+                assert _key(planned) == _key(plain) == _key(oracle)
+                states[r] = planned
+        assert moves == [(seed, 0, 0, n), (seed, 1, 0, n), (seed, 0, 6, n)]
+        assert len(keys) == 3 + 12  # each plain em_step sets its own
+        assert plan.cursor == (seed, 0, 9)
+        assert states[0].step == 9
+        assert not states[0].positions.flags.writeable
 
     def test_simulate_matches_a_plain_em_step_loop(self, do128):
         n, seed, rep, coupling, dt = 101, 4, 2, 1.3, 1e-3
         q0 = tm.cosine_profile({2: 0.2}, 256)
         traj = simulate(do128, coupling, n, 0.03, dt=dt, seed=seed,
                         replicate=rep, q0=q0)
-        state = init_state(q0, n, seed, rep)
+        state = oracle = init_state(q0, n, seed, rep)
         for _ in range(30):
             state = em_step(state, do128, coupling, dt)
+            oracle = _lm_step(oracle, do128, coupling, dt)
         assert np.array_equal(traj.final.positions, state.positions)
-        assert np.array_equal(traj.final.normals, state.normals)
+        assert np.array_equal(traj.final.positions, oracle.positions)
+        assert _key(traj.final) == _key(state) == _key(oracle)
 
     def test_plan_for_another_kernel_or_count_raises(self, do128, rng):
         pos = rng.uniform(-0.5, 0.5, 20)
@@ -411,7 +439,6 @@ class TestChaos:
         assert one.z_score == two.z_score
         for a, b in zip(one.trajectories, two.trajectories):
             assert np.array_equal(a.final.positions, b.final.positions)
-            assert np.array_equal(a.final.normals, b.final.normals)
         # the trajectories hold only their own real arrays, no work rows
         arrays = [a for t in two.trajectories for a in _arrays_in(t)]
         assert arrays
