@@ -20,6 +20,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+# np.linalg.lstsq runs through this gufunc; called directly with
+# rcond = eps * n (lstsq's None for an n x n system) it gives the same bits
+# without the wrapper, which costs as much as a 5 x 5 solve
+from numpy.linalg._umath_linalg import lstsq as _lstsq_kernel
 
 from . import density as dens
 from .density import Density, free_energy, irfft_kernel, rfft_kernel
@@ -37,20 +41,6 @@ ANDERSON_DEPTH = 5
 _EPS = np.finfo(float).eps
 # relative rounding of the free energy that its guard tolerates (16 ulps)
 _F_ROUNDING = 16.0 * _EPS
-
-
-def _lstsq_fallback(a, b, rcond, signature=None):
-    """``np.linalg.lstsq`` called the way its gufunc is."""
-    return np.linalg.lstsq(a, b, rcond=rcond)
-
-
-try:
-    # numpy >= 2 runs np.linalg.lstsq through this gufunc; called directly
-    # with rcond = eps * n (lstsq's None for an n x n system) it gives the
-    # same bits without the wrapper, which costs as much as a 5 x 5 solve
-    from numpy.linalg._umath_linalg import lstsq as _lstsq_kernel
-except ImportError:  # numpy 1.x
-    _lstsq_kernel = _lstsq_fallback
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# numpy.fft runs through these ufuncs.  Calling them directly gives the
+# same bits and skips numpy.fft's per-call argument handling, which at
+# M = 128 costs more than the transform itself: ``rfft_kernel(values, 1.0,
+# out=)``, the unscaled real FFT over the last axis (M even), and its
+# inverse ``irfft_kernel(spectrum, 1.0 / M, out=)`` write into buffers the
+# caller owns and check nothing.
+from numpy.fft._pocketfft_umath import irfft as irfft_kernel
+from numpy.fft._pocketfft_umath import rfft_n_even as rfft_kernel
 
 from .errors import (
     NegativeDensity,
@@ -55,26 +63,6 @@ def grid_phase(m: int, scale: float) -> np.ndarray:
     p[1::2] *= -1.0
     p.flags.writeable = False
     return p
-
-
-try:
-    # numpy >= 2 runs numpy.fft through these ufuncs.  Calling them directly
-    # gives the same bits and skips numpy.fft's per-call argument handling,
-    # which at M = 128 costs more than the transform itself.
-    from numpy.fft._pocketfft_umath import irfft as irfft_kernel
-    from numpy.fft._pocketfft_umath import rfft_n_even as rfft_kernel
-except ImportError:  # numpy 1.x: numpy.fft, which scales the same way
-    def rfft_kernel(values, fct, out):
-        out[...] = np.fft.rfft(values)  # fct is 1
-        return out
-
-    def irfft_kernel(spectrum, fct, out):
-        out[...] = np.fft.irfft(spectrum, n=out.shape[-1])  # fct is 1/M
-        return out
-
-# ``rfft_kernel(values, 1.0, out=)``, the unscaled real FFT over the last
-# axis (M even), and its inverse ``irfft_kernel(spectrum, 1.0 / M, out=)``
-# write into buffers the caller owns and check nothing.
 
 
 def grid_to_fourier(values: np.ndarray) -> np.ndarray:

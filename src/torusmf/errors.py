@@ -67,7 +67,3 @@ class ConstraintViolated(TorusMFError):
 
 class PeriodicityViolated(TorusMFError):
     """Density has off-lattice Fourier content where periodicity is required."""
-
-
-class NoClosedForm(TorusMFError):
-    """Operation requires a closed-form kernel derivative that is unavailable."""

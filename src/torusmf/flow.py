@@ -202,13 +202,6 @@ def _check_state(values: np.ndarray) -> None:
         raise BlowUp("flow state is non-finite or exceeds 1e6")
 
 
-def stationarity_residual(q: Density, w, coupling: float) -> float:
-    """L^2 norm of the flow right-hand side, L q + N(q), evaluated
-    pseudospectrally."""
-    split = _Split(w, coupling, q.grid_size)
-    return split.residual(q.fourier, split.rest(q.fourier))
-
-
 # ---------------------------------------------------------------------------
 # time loop
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,13 @@ _FLOAT_FMT = "%.17g"
 
 def _atomic_write(path: Path, write) -> None:
     """``write(f)`` into a binary temp file next to ``path``, then rename it
-    to ``path``; on any error the temp file goes and ``path`` is as before."""
+    to ``path``; on any error the temp file goes and ``path`` is as before.
+    The temp file is created as ``open`` creates a file, with mode 0o666
+    less the umask (``tempfile.mkstemp`` would make it owner-only)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             write(f)

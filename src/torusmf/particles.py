@@ -38,8 +38,7 @@ from scipy.special import ndtri
 from . import density as dens
 from .density import Density
 from .flow import RecordPolicy, _default_modes, integrate
-from .metrics import _cdf_nodes
-from .potentials import Potential, _wrap, k_sharp
+from .potentials import Potential, k_sharp
 
 _INV_2_53 = 2.0 ** -53
 
@@ -62,6 +61,11 @@ class ParticleState:
         return len(self.positions)
 
 
+def _wrap(theta):
+    """Map angles to the fundamental domain [-1/2, 1/2)."""
+    return theta - np.round(theta)
+
+
 def _unit_uniform(raw: np.ndarray) -> np.ndarray:
     # top 53 bits of each Philox word, centred in its cell: never 0 or 1
     return (np.right_shift(raw, 11) + 0.5) * _INV_2_53
@@ -77,6 +81,16 @@ def _stream(seed: int, replicate: int, step: int, n: int
     # stream.
     bg = np.random.Philox(key=(seed, replicate))
     return bg.advance((step + 1) * ((n + 1) // 2))
+
+
+def _cdf_nodes(q: Density) -> tuple[np.ndarray, np.ndarray]:
+    # piecewise-linear CDF of the cell-wise constant density: node j sits at
+    # the left edge theta_j, F runs from 0 to exactly 1
+    m = q.grid_size
+    x = -0.5 + np.arange(m + 1) / m
+    f = np.concatenate(([0.0], np.cumsum(q.grid_values) / m))
+    f[-1] = 1.0
+    return f, x
 
 
 def init_state(q0: Density | None, n: int, seed: int,
@@ -157,51 +171,43 @@ class _StepPlan:
 
 
 def drift(positions: np.ndarray, w: Potential, coupling: float,
-          mode: str = "fourier_truncated",
           plan: Optional[_StepPlan] = None) -> np.ndarray:
-    """Pairwise force field (K/N) sum_j W'(theta_i - theta_j).
-
-    "pairwise_exact" sums the closed-form derivative over all pairs,
-    O(N^2), and raises ``NoClosedForm`` for a kernel without one;
-    "fourier_truncated" contracts against the empirical Fourier
-    modes, O(N * truncation), and agrees with the exact sum up to the
-    kernel tail.  ``plan`` is ``_StepPlan(len(positions), w)``, for a
-    caller that evaluates the drift many times; it changes no result, and
-    a plan for another kernel or particle count raises ``ValueError``.
+    """Pairwise force field (K/N) sum_j W'(theta_i - theta_j) of the
+    truncated kernel, contracted against the empirical Fourier modes in
+    O(N * truncation); it agrees with the sum over all pairs of the
+    untruncated kernel up to the kernel tail.  ``plan`` is
+    ``_StepPlan(len(positions), w)``, for a caller that evaluates the drift
+    many times; it changes no result, and a plan for another kernel or
+    particle count raises ``ValueError``.
     """
+    # sum_j sin(2 pi k (x_i - x_j)) = Im[z_i^k conj(sum_j z_j^k)] with
+    # z = e^{2 pi i x}.  Active modes sit on the lead lattice, so the
+    # force is a degree-L polynomial in zeta = z^lead.  Its powers split
+    # as zeta^(s p + q) = (zeta^s)^p zeta^q (Paterson and Stockmeyer,
+    # SIAM J. Comput. 1973): s inner rows zeta^1..zeta^s and a outer rows
+    # zeta^0, zeta^s, ..., and the mode sums and the force are then two
+    # small matrix products.
     n = len(positions)
-    if mode == "pairwise_exact":
-        diff = _wrap(positions[:, None] - positions[None, :])
-        return (coupling / n) * w.dw(diff).sum(axis=1)
-    if mode == "fourier_truncated":
-        # sum_j sin(2 pi k (x_i - x_j)) = Im[z_i^k conj(sum_j z_j^k)] with
-        # z = e^{2 pi i x}.  Active modes sit on the lead lattice, so the
-        # force is a degree-L polynomial in zeta = z^lead.  Its powers
-        # split as zeta^(s p + q) = (zeta^s)^p zeta^q (Paterson and
-        # Stockmeyer, SIAM J. Comput. 1973): s inner rows zeta^1..zeta^s
-        # and a outer rows zeta^0, zeta^s, ..., and the mode sums and the
-        # force are then two small matrix products.
-        if plan is None:
-            plan = _StepPlan(n, w)
-        elif plan.kernel is not w or plan.n != n:
-            raise ValueError(
-                f"step plan for {plan.kernel.name} on {plan.n} particles "
-                f"handed {w.name} on {n}")
-        if plan.work is None:
-            return np.zeros(n)
-        s, a = plan.s, plan.a
-        inner, outer, rows = plan.inner, plan.outer, plan.rows
-        np.multiply(positions, plan.phase, out=inner[0])
-        np.exp(inner[0], out=inner[0])
-        for q in range(1, s):
-            np.multiply(inner[q - 1], inner[0], out=inner[q])
-        for p in range(1, a):
-            np.multiply(outer[p - 1], inner[s - 1], out=outer[p])
-        sums = outer @ inner.T  # sums[p, q] = sum_j zeta_j^(s p + q + 1)
-        np.matmul(plan.coef * sums.conj(), inner, out=rows)
-        rows *= outer
-        return -4.0 * np.pi * coupling * rows.sum(axis=0).imag
-    raise ValueError("mode must be 'pairwise_exact' or 'fourier_truncated'")
+    if plan is None:
+        plan = _StepPlan(n, w)
+    elif plan.kernel is not w or plan.n != n:
+        raise ValueError(
+            f"step plan for {plan.kernel.name} on {plan.n} particles "
+            f"handed {w.name} on {n}")
+    if plan.work is None:
+        return np.zeros(n)
+    s, a = plan.s, plan.a
+    inner, outer, rows = plan.inner, plan.outer, plan.rows
+    np.multiply(positions, plan.phase, out=inner[0])
+    np.exp(inner[0], out=inner[0])
+    for q in range(1, s):
+        np.multiply(inner[q - 1], inner[0], out=inner[q])
+    for p in range(1, a):
+        np.multiply(outer[p - 1], inner[s - 1], out=outer[p])
+    sums = outer @ inner.T  # sums[p, q] = sum_j zeta_j^(s p + q + 1)
+    np.matmul(plan.coef * sums.conj(), inner, out=rows)
+    rows *= outer
+    return -4.0 * np.pi * coupling * rows.sum(axis=0).imag
 
 
 def em_step(state: ParticleState, w: Potential, coupling: float,

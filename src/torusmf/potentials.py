@@ -5,8 +5,7 @@ Every kernel is even, zero-mean, and stored as a finite cosine polynomial
     W(theta) = 2 sum_{k=1}^{truncation} what(k) cos(2 pi k theta).
 
 The catalog models come with closed-form coefficients, analytic bounds on
-the discarded tail, pointwise evaluators, and certificates used by the
-coefficient-decay check:
+the discarded tail, and certificates used by the coefficient-decay check:
 
     doi_onsager          what(2l) = (2/pi) / (4 l^2 - 1)
     transformer(beta)    what(l)  = I_l(beta) / beta   (scipy.special.iv)
@@ -15,7 +14,9 @@ coefficient-decay check:
 
 The log-gas coefficient law is not absolutely summable, so there the
 truncated polynomial itself is the model; all spectral functionals are
-exact for it.
+exact for it.  The program only uses the coefficients; the pointwise
+closed forms of the catalog kernels are the test oracle
+``tests/oracles.py:closed_form``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from scipy.special import iv
 from .errors import (
     BadParams,
     NoAttractivePart,
-    NoClosedForm,
     PeriodicityMismatch,
     ZeroLeadCoefficient,
 )
@@ -41,11 +41,6 @@ MODELS = ("doi_onsager", "transformer", "hegselmann_krause", "log_gas", "custom"
 ALIASES = {"do": "doi_onsager", "hk": "hegselmann_krause"}
 #: largest inverse temperature the attention kernel accepts
 _BETA_MAX = 50.0
-
-
-def _wrap(theta):
-    """Map angles to the fundamental domain [-1/2, 1/2)."""
-    return theta - np.round(theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +65,6 @@ class Potential:
     coeffs: np.ndarray
     periodicity: int
     _tail: Callable[[int], float] = field(repr=False)
-    _w: Optional[Callable] = field(default=None, repr=False)
-    _dw: Optional[Callable] = field(default=None, repr=False)
     _decay_certified_from: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -109,18 +102,6 @@ class Potential:
         partial = float(np.abs(self.coeffs[m:]).sum()) if m < self.truncation else 0.0
         return partial + self._tail(max(m, self.truncation))
 
-    def w(self, theta):
-        """Pointwise kernel values (zero-mean closed form)."""
-        if self._w is None:
-            raise NoClosedForm(f"{self.name} has no pointwise evaluator")
-        return self._w(_wrap(np.asarray(theta, dtype=float)))
-
-    def dw(self, theta):
-        """Pointwise derivative W'(theta) (odd, defined a.e.)."""
-        if self._dw is None:
-            raise NoClosedForm(f"{self.name} has no closed-form derivative")
-        return self._dw(_wrap(np.asarray(theta, dtype=float)))
-
 
 def _periodicity_of(coeffs: np.ndarray) -> int:
     active = np.nonzero(coeffs)[0] + 1
@@ -141,15 +122,8 @@ def doi_onsager(truncation: int = 512) -> Potential:
         l0 = m // 2
         return 1.0 / (np.pi * (2 * l0 + 1))
 
-    def w(th):
-        return 2.0 / np.pi - np.abs(np.sin(2.0 * np.pi * th))
-
-    def dw(th):
-        s = np.sin(2.0 * np.pi * th)
-        return -2.0 * np.pi * np.cos(2.0 * np.pi * th) * np.sign(s)
-
     # (4l+1)(l-1) >= 0 for every l >= 1: decay holds at every mode
-    return Potential("doi_onsager", {}, coeffs, 1, tail, w, dw,
+    return Potential("doi_onsager", {}, coeffs, 1, tail,
                      _decay_certified_from=2)
 
 
@@ -172,7 +146,6 @@ def transformer(beta: float, truncation: int = 512) -> Potential:
         raise BadParams(f"beta must lie in (0, {_BETA_MAX:g}], got {beta}")
     _check_truncation(truncation, 1)
     coeffs = iv(np.arange(1, truncation + 1), beta) / beta
-    i0 = float(iv(0, beta))
 
     def tail(m: int) -> float:
         # I_{k+1}/I_k <= beta/(2(k+1)) gives a geometric envelope
@@ -183,16 +156,9 @@ def transformer(beta: float, truncation: int = 512) -> Potential:
         bound = math.exp(max(log_im, math.log(1e-300)))
         return bound / beta * r / (1.0 - r)
 
-    def w(th):
-        return (np.exp(beta * np.cos(2.0 * np.pi * th)) - i0) / beta
-
-    def dw(th):
-        return (-2.0 * np.pi * np.sin(2.0 * np.pi * th)
-                * np.exp(beta * np.cos(2.0 * np.pi * th)))
-
     # k I_k(beta) is decreasing once k >= beta/2, so a verified mode there
     # propagates the decay bound to all larger k
-    return Potential("transformer", {"beta": beta}, coeffs, 0, tail, w, dw,
+    return Potential("transformer", {"beta": beta}, coeffs, 0, tail,
                      _decay_certified_from=max(2, math.ceil(beta / 2.0)))
 
 
@@ -208,38 +174,25 @@ def hegselmann_krause(radius: float, truncation: int = 512) -> Potential:
         # l R - sin(l R) <= l R + 1 and sum_{l>m} l^-2 <= 1/m
         return (2.0 / np.pi) * (radius / m + 0.5 / m**2)
 
-    def w(th):
-        base = np.clip(radius - 2.0 * np.pi * np.abs(th), 0.0, None)
-        return base**2 - radius**3 / (3.0 * np.pi)
-
-    def dw(th):
-        base = np.clip(radius - 2.0 * np.pi * np.abs(th), 0.0, None)
-        return -4.0 * np.pi * base * np.sign(th)
-
     g = radius - math.sin(radius)
     # l^2 g(R) >= l R + 1 >= g(l R) from this order on
     cert = max(2, math.ceil((radius + math.sqrt(radius**2 + 4.0 * g)) / (2.0 * g)))
     return Potential("hegselmann_krause", {"radius": radius}, coeffs, 0,
-                     tail, w, dw, _decay_certified_from=cert)
+                     tail, _decay_certified_from=cert)
 
 
 def log_gas(truncation: int = 512) -> Potential:
     """Circular attractive log-gas -log|2 sin(pi theta)|, truncated.
 
     The coefficient law 1/(2k) is not summable, so the truncation is the
-    model here; there is no pointwise derivative (the kernel is singular).
+    model here.
     """
     _check_truncation(truncation, 1)
     k = np.arange(1, truncation + 1, dtype=float)
     coeffs = 0.5 / k
 
-    def w(th):
-        s = np.abs(2.0 * np.sin(np.pi * th))
-        with np.errstate(divide="ignore"):
-            return -np.log(s)
-
     # the object is the truncated polynomial: no law tail beyond it
-    return Potential("log_gas", {}, coeffs, 0, lambda m: 0.0, w, None,
+    return Potential("log_gas", {}, coeffs, 0, lambda m: 0.0,
                      _decay_certified_from=1)
 
 
@@ -251,8 +204,7 @@ def custom_potential(coeffs) -> Potential:
         raise BadParams("custom kernel needs a nonempty 1-D coefficient list")
     n = _periodicity_of(coeffs)
     return Potential("custom", {"coeffs": coeffs.tolist()}, coeffs, n,
-                     lambda m: 0.0, None, None,
-                     _decay_certified_from=len(coeffs))
+                     lambda m: 0.0, _decay_certified_from=len(coeffs))
 
 
 def make_potential(model: str, truncation: int = 512, **params) -> Potential:
@@ -364,21 +316,10 @@ def normalize(w: Potential, n: int) -> tuple[Potential, float]:
         raise ZeroLeadCoefficient(f"2 what({n + 1}) = {scale} is not positive")
     if scale == 1.0:
         return w, 1.0
-    wfun = None if w._w is None else (lambda th, f=w._w: f(th) / scale)
-    dwfun = None if w._dw is None else (lambda th, f=w._dw: f(th) / scale)
-    return (
-        Potential(
-            w.name,
-            {**w.params, "scale": scale},
-            w.coeffs / scale,
-            w.periodicity,
-            lambda m, f=w._tail: f(m) / scale,
-            wfun,
-            dwfun,
-            w._decay_certified_from,
-        ),
-        scale,
-    )
+    scaled = Potential(w.name, {**w.params, "scale": scale}, w.coeffs / scale,
+                       w.periodicity, lambda m, f=w._tail: f(m) / scale,
+                       w._decay_certified_from)
+    return scaled, scale
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.special import ndtri
+from scipy.optimize import minimize_scalar
+from scipy.special import iv, ndtri
 
 from torusmf import density as dens
 from torusmf.critical import ANDERSON_DEPTH, SolveReport, _gibbs
 from torusmf.density import free_energy, fourier_to_grid, grid_to_fourier
 from torusmf.flow import (_PHI3_SERIES, _Split, _derivative, _etd_tables,
                           _transport_symbols)
+from torusmf.particles import _cdf_nodes, _wrap
 from torusmf.potentials import k_sharp
 
 
@@ -29,34 +31,53 @@ def entropy_quad(q_callable, tol=1e-12):
     return val
 
 
-def kernel_on_grid(w, m):
-    """Truncated cosine polynomial evaluated by direct summation."""
-    th = -0.5 + np.arange(m) / m
-    k = np.arange(1, w.truncation + 1)
-    return 2.0 * (w.coeffs[None, :] * np.cos(
-        2.0 * np.pi * th[:, None] * k[None, :])).sum(axis=1)
-
-
-def interaction_double_sum(q, w):
-    """O(M^2) double rectangle sum of the kernel bilinear form."""
-    m = q.grid_size
+def interaction_double_sum(q, w, kernel=None):
+    """O(M^2) double rectangle sum of the kernel bilinear form, against the
+    truncated cosine polynomial or else the pointwise ``kernel``."""
     th = q.theta
     diff = th[:, None] - th[None, :]
-    k = np.arange(1, w.truncation + 1)
-    wmat = 2.0 * np.tensordot(
-        np.cos(2.0 * np.pi * diff[..., None] * k), w.coeffs, axes=([2], [0])
-    )
+    wmat = (kernel_pointwise_truncated(w, diff) if kernel is None
+            else kernel(diff))
     v = q.grid_values
-    return float(v @ wmat @ v) / m**2
+    return float(v @ wmat @ v) / q.grid_size**2
 
 
-def interaction_double_sum_exact_kernel(q, w):
-    """Double sum against the pointwise (untruncated) kernel values."""
-    m = q.grid_size
-    th = q.theta
-    diff = th[:, None] - th[None, :]
-    v = q.grid_values
-    return float(v @ w.w(diff) @ v) / m**2
+def closed_form(w, derivative=False):
+    """The untruncated catalog kernel W, or W' (odd, defined a.e.), as a
+    function of theta from the closed form of ``w.name`` at ``w.params``,
+    divided by a normalized kernel's ``"scale"``.  ``ValueError`` for the
+    log gas, whose truncation is the model (and whose W is singular), and
+    for a custom kernel."""
+    beta, r = w.params.get("beta"), w.params.get("radius")
+
+    def cap(th):  # (R - 2 pi |theta|)_+
+        return np.clip(r - 2.0 * np.pi * np.abs(th), 0.0, None)
+    forms = {
+        "doi_onsager": (
+            lambda th: 2.0 / np.pi - np.abs(np.sin(2.0 * np.pi * th)),
+            lambda th: (-2.0 * np.pi * np.cos(2.0 * np.pi * th)
+                        * np.sign(np.sin(2.0 * np.pi * th)))),
+        "transformer": (
+            lambda th: (np.exp(beta * np.cos(2.0 * np.pi * th))
+                        - float(iv(0, beta))) / beta,
+            lambda th: (-2.0 * np.pi * np.sin(2.0 * np.pi * th)
+                        * np.exp(beta * np.cos(2.0 * np.pi * th)))),
+        "hegselmann_krause": (
+            lambda th: cap(th) ** 2 - r**3 / (3.0 * np.pi),
+            lambda th: -4.0 * np.pi * cap(th) * np.sign(th)),
+    }
+    if w.name not in forms:
+        raise ValueError(f"no closed form for the {w.name} kernel")
+    g = forms[w.name][derivative]
+    scale = w.params.get("scale", 1.0)
+    return lambda theta: g(_wrap(np.asarray(theta, dtype=float))) / scale
+
+
+def pairwise_drift(positions, dw, coupling):
+    """(K/N) sum_j W'(x_i - x_j) over all pairs, O(N^2), with W' = ``dw``
+    (``closed_form(w, derivative=True)`` for a catalog kernel)."""
+    diff = _wrap(positions[:, None] - positions[None, :])
+    return (coupling / len(positions)) * dw(diff).sum(axis=1)
 
 
 def convolve_direct(w, q):
@@ -118,15 +139,78 @@ def w2_circle_atoms(p, q, refine=True):
     return float(np.sqrt(max(best, 0.0)))
 
 
+#: half-offset of the two-point Gauss-Legendre nodes, 1 / (2 sqrt(3))
+_GAUSS_2 = 0.5 / np.sqrt(3.0)
+#: Brent's absolute offset tolerance, and scipy's relative one
+_XATOL = 1e-10
+_SQRT_EPS = np.sqrt(2.2e-16)
+#: offset tolerance of the search again over Brent's last bracket on
+#: kinked costs; a distance error there is linear in the offset error
+_KINK_XATOL = 1e-13
+
+
+def _quantile(f, x, t):
+    # generalized inverse of the CDF, extended by Q(t + 1) = Q(t) + 1
+    base = np.floor(t)
+    frac = t - base
+    return np.interp(frac, f, x) + base
+
+
+def _offset_cost(alpha, fp, xp, fq, xq):
+    # exact integral of (Qp(t) - Qq(t + alpha))^2 over t in [0, 1]:
+    # both quantiles are piecewise linear, so the integrand is the square of
+    # a linear function between merged breakpoints, and two-point
+    # Gauss-Legendre integrates each piece exactly.  The nodes sit inside
+    # the pieces, clear of the jumps a quantile makes over empty cells.
+    breaks_q = np.concatenate([fq - alpha + s for s in (-1.0, 0.0, 1.0)])
+    breaks_q = breaks_q[(breaks_q > 0.0) & (breaks_q < 1.0)]
+    t = np.unique(np.concatenate((fp, breaks_q, (0.0, 1.0))))
+    t = t[(t >= 0.0) & (t <= 1.0)]
+    dt = np.diff(t)
+    mid = t[:-1] + 0.5 * dt
+    nodes = np.concatenate((mid - _GAUSS_2 * dt, mid + _GAUSS_2 * dt))
+    d = _quantile(fp, xp, nodes) - _quantile(fq, xq, nodes + alpha)
+    d2 = (d * d).reshape(2, -1)
+    return float(np.sum(dt * (d2[0] + d2[1])) / 2.0)
+
+
+def w2_circle_brent(p, q):
+    """Circular W2 between any two densities on one grid: the minimum over
+    a CDF offset of the line cost ``_offset_cost`` between the shifted
+    quantile functions (Delon, Salomon & Sobolevski, SIAM J. Appl. Math.
+    70, 2010), convex and piecewise quadratic, by bounded Brent search.
+
+    Brent stops once the offset is known to 1e-10 plus scipy's relative
+    term 1.5e-8 |offset|, which moves a smooth cost's minimum only at
+    rounding level.  Where both densities vanish on whole cells the cost
+    has kinks and the stop could leave the distance ~1e-8 relative high,
+    so the last bracket is searched again around its centre, where the
+    relative term vanishes, down to ``_KINK_XATOL``.
+    """
+    fp, xp = _cdf_nodes(p)
+    fq, xq = _cdf_nodes(q)
+    args = (fp, xp, fq, xq)
+    res = minimize_scalar(_offset_cost, bounds=(-1.0, 1.0), args=args,
+                          method="bounded", options={"xatol": _XATOL})
+    best = res.fun
+    if np.any(p.grid_values <= 0.0) and np.any(q.grid_values <= 0.0):
+        # Brent's last bracket lies within x +- 2 (sqrt(eps) |x| + xatol/3)
+        x = res.x
+        half = 2.0 * (_SQRT_EPS * abs(x) + _XATOL / 3.0)
+        ref = minimize_scalar(lambda y: _offset_cost(x + y, *args),
+                              bounds=(-half, half), method="bounded",
+                              options={"xatol": _KINK_XATOL})
+        best = min(best, ref.fun)
+    return float(np.sqrt(max(best, 0.0)))
+
+
 def w2_circle_ternary(p, q, tol=1e-10):
     """Circular W2 by ternary search over the quantile-coupling offset.
 
-    Minimizes the library's exact offset cost, which is convex, by
+    Minimizes the exact offset cost ``_offset_cost``, which is convex, by
     shrinking [-1, 1] to ``tol`` in thirds (about 119 cost evaluations):
-    an oracle for the minimization step alone.
+    an oracle for the minimization step of ``w2_circle_brent`` alone.
     """
-    from torusmf.metrics import _cdf_nodes, _offset_cost
-
     fp, xp = _cdf_nodes(p)
     fq, xq = _cdf_nodes(q)
     lo, hi = -1.0, 1.0
@@ -329,6 +413,13 @@ def flow_step(q, w, coupling, dt):
     out = split.step(q.fourier, split.rest(q.fourier),
                      _etd_tables(split.lin, dt))[0]
     return dens.from_fourier(out, m)
+
+
+def stationarity_residual(q, w, coupling):
+    """L^2 norm of the flow right-hand side, L q + N(q), through
+    ``flow._Split``, evaluated pseudospectrally."""
+    split = _Split(w, coupling, q.grid_size)
+    return split.residual(q.fourier, split.rest(q.fourier))
 
 
 def shift(q, theta0):

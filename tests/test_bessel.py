@@ -38,7 +38,7 @@ def program_iv(order, beta, truncation=256):
     """
     w = kernel(beta, truncation)
     if order == 0:
-        return 1.0 - beta * float(w.w(0.25))
+        return 1.0 - beta * float(oracles.closed_form(w)(0.25))
     return beta * float(w.coeff(order))
 
 

@@ -7,9 +7,8 @@ import pytest
 
 import torusmf as tm
 from torusmf import critical
-from torusmf.critical import (_best_gap, _lstsq_fallback, _lstsq_kernel,
-                              _map_exponent, _scan_row, multistart,
-                              standard_seeds)
+from torusmf.critical import (_best_gap, _lstsq_kernel, _map_exponent,
+                              _scan_row, multistart, standard_seeds)
 from torusmf.density import (fourier_to_grid, free_energy, grid_to_fourier,
                              kernel_spectrum, theta_grid)
 from torusmf.errors import BracketNotStraddling, ExpOverflow
@@ -111,7 +110,8 @@ class TestMapKernels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_lstsq_kernel_and_fallback_match_numpy(self, n):
         # Gram systems as the solver forms them, a view of the 5 x 5 ring;
-        # every other one of rank below n (0 included)
+        # every other one of rank below n (0 included).  The gufunc and
+        # lstsq called with its arguments give the bits of lstsq's default
         rng = np.random.default_rng(n)
         eps = np.finfo(float).eps
         gram = np.empty((5, 5))
@@ -122,9 +122,10 @@ class TestMapKernels:
             gram[:n, :n] = a @ a.T
             rhs = a @ rng.normal(size=512)
             ref = np.linalg.lstsq(gram[:n, :n], rhs, rcond=None)[0]
-            for kernel in (_lstsq_kernel, _lstsq_fallback):
-                x = kernel(gram[:n, :n], rhs[:, None], eps * n,
-                           signature="ddd->ddid")[0]
+            for x in (_lstsq_kernel(gram[:n, :n], rhs[:, None], eps * n,
+                                    signature="ddd->ddid")[0],
+                      np.linalg.lstsq(gram[:n, :n], rhs[:, None],
+                                      rcond=eps * n)[0]):
                 assert x.shape == (n, 1)
                 assert x[:, 0].tobytes() == ref.tobytes()
 

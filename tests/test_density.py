@@ -159,7 +159,7 @@ class TestInteraction:
         w = tm.transformer(1.0, truncation=128)
         vals = np.exp(rng.normal(0, 0.3, 256))
         q = tm.from_grid(vals / vals.mean())
-        direct = oracles.interaction_double_sum_exact_kernel(q, w)
+        direct = oracles.interaction_double_sum(q, w, oracles.closed_form(w))
         assert abs(direct - tm.interaction_energy(q, w)) < 1e-9
 
     def test_truncation_guard(self):

@@ -1,4 +1,5 @@
-"""Package hygiene: every name a source module imports is used in it."""
+"""Package hygiene: every name a source module imports is used in it, and
+every error type the package declares is raised by one of its modules."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,30 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unraised_errors(errors: str, modules: list[str]) -> list[str]:
+    """Classes of ``errors`` derived, at any depth, from TorusMFError that
+    no ``raise`` statement of ``modules`` names."""
+    found = {"TorusMFError"}
+    for node in ast.parse(errors).body:  # a base comes before its subclasses
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in found for b in node.bases):
+            found.add(node.name)
+    for node in (n for m in modules for n in ast.walk(ast.parse(m))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = getattr(node.exc, "func", node.exc)
+            found.discard(getattr(exc, "id", getattr(exc, "attr", None)))
+    return sorted(found - {"TorusMFError"})
+
+
+def test_finds_an_error_type_nothing_raises():
+    errors = ("class TorusMFError(Exception): pass\n"
+              "class A(TorusMFError): pass\nclass B(A): pass\n")
+    module = "def f(x):\n    raise errors.A('a')\n"
+    assert unraised_errors(errors, [module, "raise ValueError"]) == ["B"]
+
+
+def test_every_error_type_is_raised():
+    assert unraised_errors((SRC / "errors.py").read_text(),
+                           [p.read_text() for p in MODULES]) == []

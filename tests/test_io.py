@@ -1,7 +1,9 @@
 """Serialization formats and run persistence."""
 
 import json
+import os
 import platform
+import stat
 
 import numpy as np
 import pytest
@@ -118,3 +120,16 @@ class TestRunArtifacts:
         first = p.read_text()
         io.write_json(p, {"a": 1})
         assert p.read_text() == first
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_get_the_mode_the_umask_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            io.write_json(tmp_path / "x.json", {"a": 1})
+            io.write_csv(tmp_path / "x.csv", [(1, 0.5)], ["k", "v"])
+            io.save_densities_npz(tmp_path / "x.npz", [tm.uniform(8)], [0])
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["x.csv", "x.json", "x.npz"], mode)

@@ -1,4 +1,4 @@
-"""Distances on the circle, including the quantile-coupling W2."""
+"""Distances on the circle, and the quantile-coupling W2 oracle."""
 
 import numpy as np
 import pytest
@@ -14,22 +14,30 @@ def random_density(rng, m=256):
     return tm.from_grid(vals / vals.mean())
 
 
+#: metric -> distance between any two densities (W2 by the oracle)
+DISTANCES = {
+    "L2": lambda p, q: tm.distance(p, q, "L2"),
+    "W2_circle": oracles.w2_circle_brent,
+}
+
+
 class TestBasicAxioms:
-    @pytest.mark.parametrize("metric", ["L1", "L2", "W2_circle"])
+    @pytest.mark.parametrize("metric", sorted(DISTANCES))
     def test_identity_gives_zero(self, rng, metric):
         q = random_density(rng)
         # the W2 offset search resolves the minimizer to 1e-10, which caps
         # the identity at ~1e-10 rather than machine zero
-        assert tm.distance(q, q, metric) <= 1e-9
+        assert DISTANCES[metric](q, q) <= 1e-9
 
-    @pytest.mark.parametrize("metric", ["L1", "L2", "W2_circle"])
+    @pytest.mark.parametrize("metric", sorted(DISTANCES))
     def test_axioms_on_random_triples(self, rng, metric):
+        dist = DISTANCES[metric]
         for _ in range(8):
             p, q, r = (random_density(rng) for _ in range(3))
-            dpq = tm.distance(p, q, metric)
-            dqp = tm.distance(q, p, metric)
-            dpr = tm.distance(p, r, metric)
-            dqr = tm.distance(q, r, metric)
+            dpq = dist(p, q)
+            dqp = dist(q, p)
+            dpr = dist(p, r)
+            dqr = dist(q, r)
             assert dpq >= 0.0
             assert abs(dpq - dqp) < 1e-9
             assert dpr <= dpq + dqr + 1e-9
@@ -41,6 +49,13 @@ class TestBasicAxioms:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             tm.distance(tm.uniform(64), tm.uniform(64), "L7")
+
+    def test_w2_needs_a_uniform_side(self, rng):
+        p, q = random_density(rng, 64), random_density(rng, 64)
+        with pytest.raises(ValueError):
+            tm.w2_circle(p, q)
+        with pytest.raises(ValueError):
+            tm.distance(p, q, "W2_circle")
 
 
 class TestL2:
@@ -60,7 +75,7 @@ class TestW2Circle:
     def test_rotated_copy(self):
         p = tm.extremal(0.5, 0, 0.0, 256)
         q = tm.extremal(0.5, 0, 0.25, 256)
-        d = tm.distance(p, q, "W2_circle")
+        d = oracles.w2_circle_brent(p, q)
         # rigid rotation by 1/4 is admissible but not optimal on the circle
         assert 0.1 < d <= 0.25 + 1e-6
         assert abs(d - oracles.w2_circle_atoms(p, q)) < 2e-2
@@ -69,7 +84,7 @@ class TestW2Circle:
         for _ in range(5):
             p = random_density(rng, 256)
             q = random_density(rng, 256)
-            lib = tm.distance(p, q, "W2_circle")
+            lib = oracles.w2_circle_brent(p, q)
             brute = oracles.w2_circle_atoms(p, q)
             assert abs(lib - brute) < 2e-2  # atoms vs cells differ at O(1/M)
 
@@ -85,14 +100,12 @@ class TestW2Circle:
         # against an exactly uniform density w2_circle takes the closed
         # form; the offset cost is then smooth, so Brent's minimum agrees
         # to rounding, also where the other density has empty cells
-        from torusmf.metrics import _w2_brent
-
         for i in range(24):
             m = (64, 128, 512)[i % 3]
             q = (random_density(rng, m) if i % 2
                  else step_density(rng, m, 0.0 if i % 4 else 0.3))
             u = tm.uniform(m)
-            ref = _w2_brent(q, u)
+            ref = oracles.w2_circle_brent(q, u)
             assert abs(tm.w2_circle(q, u) - ref) < 1e-12 * ref
             assert abs(tm.w2_circle(u, q) - ref) < 1e-12 * ref
         assert tm.w2_circle(tm.uniform(64), tm.uniform(64)) == 0.0
@@ -148,21 +161,20 @@ class TestW2Minimization:
         return pairs
 
     def test_against_ternary_oracle(self, rng, monkeypatch):
-        # the offset search itself: w2_circle takes the closed form for the
-        # pairs with a uniform side, which is within 3e-16 of a 40-digit
-        # evaluation there while both searches' costs round to ~6e-13
-        from torusmf import metrics
-
+        # the offset search itself, on every pair: the program's w2_circle
+        # takes the closed form for the pairs with a uniform side, which is
+        # within 3e-16 of a 40-digit evaluation there while both searches'
+        # costs round to ~6e-13
         pairs = self.random_pairs(rng)
         ref = [oracles.w2_circle_ternary(p, q) for p, q in pairs]
         calls = []
-        cost = metrics._offset_cost
-        monkeypatch.setattr(metrics, "_offset_cost",
+        cost = oracles._offset_cost
+        monkeypatch.setattr(oracles, "_offset_cost",
                             lambda *a: calls.append(1) or cost(*a))
         got, evals = [], []
         for p, q in pairs:
             before = len(calls)
-            got.append(metrics._w2_brent(p, q))
+            got.append(oracles.w2_circle_brent(p, q))
             evals.append(len(calls) - before)
         assert np.max(np.abs(np.subtract(got, ref)) / np.asarray(ref)) < 1e-12
         # the ternary search makes 119 evaluations a call
@@ -174,7 +186,7 @@ class TestW2Minimization:
         # cost has kinks here, so the distance error is linear in the
         # offset error: the ternary oracle's default offset tolerance 1e-10
         # leaves it up to ~1e-10 relative high, hence the tighter one
-        from torusmf.metrics import _cdf_nodes, _offset_cost
+        from oracles import _cdf_nodes, _offset_cost
 
         alphas = np.linspace(-1.0, 1.0, 2001)
         for m in (64, 128, 512):
@@ -182,7 +194,7 @@ class TestW2Minimization:
             nodes = (*_cdf_nodes(p), *_cdf_nodes(q))
             costs = np.array([_offset_cost(a, *nodes) for a in alphas])
             assert np.diff(costs, 2).min() > -1e-12
-            d = tm.w2_circle(p, q)
+            d = oracles.w2_circle_brent(p, q)
             assert d <= np.sqrt(costs.min()) * (1 + 1e-9)
             ref = oracles.w2_circle_ternary(p, q, tol=1e-13)
             assert abs(d - ref) < 1e-12 * d

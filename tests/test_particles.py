@@ -10,8 +10,8 @@ from scipy.special import iv, ndtri
 
 import torusmf as tm
 import torusmf.particles as particles
-from oracles import mode_sum_drift, philox_normals, philox_uniforms
-from torusmf.errors import NoClosedForm
+from oracles import (closed_form, mode_sum_drift, pairwise_drift,
+                     philox_normals, philox_uniforms)
 from torusmf.particles import (
     ParticleState,
     chaos_check,
@@ -30,21 +30,23 @@ def _one_mode_kernel() -> Potential:
     # 2 what(3) cos(6 pi theta) with what(3) = 1/4: lead mode 3, one power
     coeffs = np.zeros(12)
     coeffs[2] = 0.25
-    return Potential("one_mode", {}, coeffs, 2, lambda m: 0.0,
-                     lambda th: 0.5 * np.cos(6 * np.pi * th),
-                     lambda th: -3 * np.pi * np.sin(6 * np.pi * th))
+    return Potential("one_mode", {}, coeffs, 2, lambda m: 0.0)
 
 
-#: name -> (kernel, whether it is its own truncation to rounding, so that
-#: ``pairwise_exact`` is an oracle for the truncated drift too)
+#: name -> (kernel, and where the kernel is its own truncation to rounding
+#: its derivative W', so that the pairwise sum ``pairwise_drift`` is an
+#: oracle for the truncated drift too)
 DRIFT_KERNELS = {
-    "rod_L64": (lambda: tm.doi_onsager(truncation=128), False),
-    "transformer3_lead1": (lambda: tm.transformer(3.0, truncation=64), True),
-    "hk_R1_L128_padded": (lambda: tm.hegselmann_krause(1.0, 128), False),
-    "one_mode_L1": (_one_mode_kernel, True),
+    "rod_L64": (lambda: tm.doi_onsager(truncation=128), None),
+    "transformer3_lead1": (lambda: tm.transformer(3.0, truncation=64),
+                           closed_form(tm.transformer(3.0, truncation=64),
+                                       derivative=True)),
+    "hk_R1_L128_padded": (lambda: tm.hegselmann_krause(1.0, 128), None),
+    "one_mode_L1": (_one_mode_kernel,
+                    lambda th: -3 * np.pi * np.sin(6 * np.pi * th)),
     "custom_L7_padded": (lambda: tm.custom_potential(
         [0, 0.3, 0, 0.1, 0, 0.05, 0, 0.02, 0, 0.01, 0, 0.005, 0, 0.002]),
-        False),
+        None),
 }
 
 
@@ -79,13 +81,14 @@ def _counting_streams(monkeypatch):
 class TestDrift:
     def test_all_at_one_point_is_zero(self, do128):
         pos = np.zeros(16)
-        assert np.abs(drift(pos, do128, 1.5, "pairwise_exact")).max() == 0.0
-        assert np.abs(drift(pos, do128, 1.5, "fourier_truncated")).max() < 1e-12
+        dw = closed_form(do128, derivative=True)
+        assert np.abs(pairwise_drift(pos, dw, 1.5)).max() == 0.0
+        assert np.abs(drift(pos, do128, 1.5)).max() < 1e-12
 
     def test_two_particle_hand_value(self, do128):
         coupling = 1.3
         pos = np.array([0.125, 0.0])
-        d = drift(pos, do128, coupling, "pairwise_exact")
+        d = pairwise_drift(pos, closed_form(do128, derivative=True), coupling)
         assert abs(d[0] - (-coupling * np.pi / np.sqrt(2))) < 1e-14
         assert abs(d[1] - (+coupling * np.pi / np.sqrt(2))) < 1e-14
 
@@ -98,42 +101,42 @@ class TestDrift:
                 / (1 - r))
         for _ in range(20):
             pos = rng.uniform(-0.5, 0.5, 100)
-            d1 = drift(pos, w, coupling, "pairwise_exact")
-            d2 = drift(pos, w, coupling, "fourier_truncated")
+            d1 = pairwise_drift(pos, closed_form(w, derivative=True), coupling)
+            d2 = drift(pos, w, coupling)
             assert np.abs(d1 - d2).max() <= tail + 1e-12
 
     def test_translation_equivariance(self, do128, rng):
         pos = rng.uniform(-0.5, 0.5, 50)
-        d = drift(pos, do128, 1.1, "fourier_truncated")
+        d = drift(pos, do128, 1.1)
         shifted = _wrap(pos + 0.27)
-        d2 = drift(shifted, do128, 1.1, "fourier_truncated")
+        d2 = drift(shifted, do128, 1.1)
         assert np.abs(d - d2).max() < 1e-10
 
     def test_permutation_equivariance(self, do128, rng):
         pos = rng.uniform(-0.5, 0.5, 50)
         perm = rng.permutation(50)
-        d = drift(pos, do128, 1.1, "fourier_truncated")
-        d2 = drift(pos[perm], do128, 1.1, "fourier_truncated")
+        d = drift(pos, do128, 1.1)
+        d2 = drift(pos[perm], do128, 1.1)
         assert np.abs(d[perm] - d2).max() < 1e-13
 
     def test_equispaced_lattice_cancellation(self, do128):
         for n in (8, 12):
             pos = _wrap(-0.5 + np.arange(n) / n + 0.123)
-            d = drift(pos, do128, 2.0, "fourier_truncated")
+            d = drift(pos, do128, 2.0)
             assert np.abs(d).max() < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 101, 2000])
     @pytest.mark.parametrize("kernel", sorted(DRIFT_KERNELS))
     def test_matches_blocked_mode_sum_and_pairwise_sum(self, kernel, n, rng):
-        make, exact = DRIFT_KERNELS[kernel]
+        make, dw = DRIFT_KERNELS[kernel]
         w, coupling = make(), 1.3
         ks = w.active_modes
         for pos in (rng.uniform(-0.5, 0.5, n),
                     _wrap(0.03 * rng.standard_normal(n))):
             d = drift(pos, w, coupling)
             refs = [mode_sum_drift(pos, w, coupling)]
-            if exact:
-                refs.append(drift(pos, w, coupling, "pairwise_exact"))
+            if dw is not None:
+                refs.append(pairwise_drift(pos, dw, coupling))
             for ref in refs:
                 # one particle feels no force: scale by |F|'s bound there
                 scale = (np.abs(ref).max() if n > 1 else 4 * np.pi * coupling
@@ -148,9 +151,11 @@ class TestDrift:
                                   drift(pos, do128, 1.3))
 
     def test_no_closed_form_for_log_gas(self):
-        w = tm.log_gas(32)
-        with pytest.raises(NoClosedForm):
-            drift(np.zeros(4), w, 1.0, "pairwise_exact")
+        # the pairwise drift's oracle has no closed-form derivative for the
+        # singular log-gas kernel, nor for a custom one
+        for w in (tm.log_gas(32), tm.custom_potential([0.0, 0.3])):
+            with pytest.raises(ValueError):
+                closed_form(w, derivative=True)
 
 
 class TestEmStep:
