@@ -12,7 +12,6 @@ from .critical import (
     SolveReport,
     find_minimizer,
     k_star,
-    km_map,
     lambda_star,
     landau_min,
     landau_p,
@@ -23,7 +22,6 @@ from .critical import (
 )
 from .density import (
     Density,
-    convolve,
     cosine_profile,
     dual_dirichlet_sum,
     extremal,
@@ -34,7 +32,7 @@ from .density import (
     relative_entropy,
     uniform,
 )
-from .metrics import distance, w2_circle
+from .metrics import w2_circle
 from .potentials import (
     DecayReport,
     Potential,

@@ -47,14 +47,6 @@ _F_ROUNDING = 16.0 * _EPS
 # the fixed-point map
 
 
-def km_map(q: Density, w: Potential, coupling: float) -> Density:
-    """One application of the self-consistency map T(q) = e^{2K W*q} / Z."""
-    m = q.grid_size
-    expo = _map_exponent(q.grid_values,
-                         2.0 * coupling * dens.kernel_spectrum(w, m), m)[2]
-    return dens.from_grid(_gibbs(expo, m)[0])
-
-
 def _map_exponent(values: np.ndarray, wk2: np.ndarray, m: int):
     """(raw, ck, expo): raw = M (-1)^k qhat(k), the unscaled real FFT of
     the grid values, ck = raw * wk2 (wk2 = 2K what), and expo = 2K W*q,
@@ -142,7 +134,8 @@ def solve_fixed_point(
     the rod kernel at K_#) it shrinks algebraically, so there the
     fallback stays the plain step.
 
-    Returns T(q) of the last kept iterate q with residual sup|T(q) - q|;
+    Returns T(q) of the last kept iterate q with residual sup|T(q) - q|
+    (so ``max_iter=1`` returns T(q0), one map application);
     ``iterations`` counts map applications, dropped trial iterates
     included, and ``rejected`` the dropped ones, mixed or extrapolated.
     Non-convergence within ``max_iter`` map applications is reported in

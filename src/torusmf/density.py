@@ -117,19 +117,9 @@ class Density:
     def theta(self) -> np.ndarray:
         return theta_grid(self.grid_size)
 
-    def coeff(self, k) -> complex | np.ndarray:
-        """qhat(k) for any |k| <= M/2 (negative k via conjugation)."""
-        k = np.asarray(k)
-        out = self.fourier[np.abs(k)]
-        return np.where(k < 0, np.conj(out), out)[()]
-
     def order_parameter(self, k: int) -> float:
         """|qhat(k)|, the amplitude of mode k."""
         return float(np.abs(self.fourier[abs(k)]))
-
-    def roll(self, cells: int) -> "Density":
-        """Rotate by a whole number of grid cells (exact permutation)."""
-        return from_grid(np.roll(self.grid_values, cells))
 
 
 def _validate_values(values: np.ndarray) -> np.ndarray:
@@ -288,7 +278,7 @@ def interaction_energy(q: Density, w, tol: float | None = 1e-2) -> float:
                 f"kernel tail {dropped:.3e} beyond mode "
                 f"{min(kmax, w.truncation)} exceeds tol={tol:.1e}"
             )
-    wk = w.coeff_array(kmax)
+    wk = kernel_spectrum(w, m)[1:]
     amp2 = np.abs(q.fourier[1:]) ** 2
     return float(2.0 * np.sum(wk * amp2))
 
@@ -302,19 +292,9 @@ def free_energy(q: Density, w, coupling: float) -> float:
 
 
 def kernel_spectrum(w, m: int) -> np.ndarray:
-    """what(k) for k = 0..M/2, what(0) = 0: the half-spectrum of W *."""
-    return np.concatenate(([0.0], w.coeff_array(m // 2)))
-
-
-def convolve(w, q: Density) -> np.ndarray:
-    """Grid profile of (w * q)(theta_j); coefficients what(k) qhat(k)."""
-    m = q.grid_size
-    return fourier_to_grid(q.fourier * kernel_spectrum(w, m), m)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers (JSON-friendly dicts; file I/O lives in io.py)
-
-
-def to_dict(q: Density) -> dict:
-    return {"grid_size": q.grid_size, "grid_values": q.grid_values.tolist()}
+    """what(k) for k = 0..M/2, zero at k = 0 and beyond the truncation:
+    the half-spectrum of W *."""
+    out = np.zeros(m // 2 + 1)
+    upto = min(m // 2, w.truncation)
+    out[1:upto + 1] = w.coeffs[:upto]
+    return out

@@ -38,7 +38,7 @@ from . import density as dens
 from .density import (Density, fourier_to_grid, free_energy, irfft_kernel,
                       rfft_kernel)
 from .errors import BlowUp, DegenerateWindow
-from .metrics import distance
+from .metrics import w2_circle
 
 #: L^2 norm of the error estimate that an accepted step may reach
 STEP_TOL = 1e-8
@@ -213,6 +213,8 @@ class RecordPolicy:
     kind "uniform" records n_records evenly spaced times; "geometric"
     records t0 * factor^j (plus t = 0 and t = T), which suits log-scale
     rate fits.  Every ``snapshot_every``-th record keeps the full density.
+    Construction raises ``ValueError`` unless the kind is one of these,
+    n_records >= 1, t0 > 0, factor > 1 and snapshot_every >= 1.
     """
 
     kind: str = "uniform"
@@ -221,19 +223,23 @@ class RecordPolicy:
     factor: float = 1.15
     snapshot_every: int = 25
 
+    def __post_init__(self):
+        if not (self.kind in ("uniform", "geometric") and self.n_records >= 1
+                and self.t0 > 0.0 and self.factor > 1.0
+                and self.snapshot_every >= 1):
+            raise ValueError(f"invalid record policy {self}")
+
     def times(self, horizon: float) -> np.ndarray:
         if self.kind == "uniform":
             return np.linspace(0.0, horizon, self.n_records + 1)
-        if self.kind == "geometric":
-            ts = [0.0]
-            t = self.t0
-            # a product that misses the horizon by rounding is the horizon
-            while t < horizon * (1.0 - 1e-12):
-                ts.append(t)
-                t *= self.factor
-            ts.append(horizon)
-            return np.asarray(ts)
-        raise ValueError(f"unknown record policy {self.kind!r}")
+        ts = [0.0]
+        t = self.t0
+        # a product that misses the horizon by rounding is the horizon
+        while t < horizon * (1.0 - 1e-12):
+            ts.append(t)
+            t *= self.factor
+        ts.append(horizon)
+        return np.asarray(ts)
 
 
 @dataclass
@@ -268,8 +274,8 @@ def integrate(
     track_modes: Optional[list[int]] = None,
     stop_residual: float = 1e-12,
 ) -> FlowTrace:
-    """Run the flow to the horizon, recording distances to the uniform
-    state, tracked Fourier amplitudes, free energy, and the mass defect.
+    """Run the flow to the horizon, recording the L2 and W2 distances to the
+    uniform state, tracked mode amplitudes, free energy and the mass defect.
 
     ``dt`` is the first trial step.  A Krogstad ETDRK4 step h is accepted
     when the L^2 norm err of its error estimate is at most tol, the smaller
@@ -362,8 +368,9 @@ def integrate(
                 _check_state(fourier_to_grid(qhat, m))
         q = dens.from_fourier(qhat, m)
         out["t"].append(t)
-        out["l2"].append(distance(q, qu, "L2"))
-        out["w2"].append(distance(q, qu, "W2_circle"))
+        d = q.grid_values - 1.0  # the uniform state's values are exactly 1
+        out["l2"].append(float(np.sqrt((d * d).mean())))
+        out["w2"].append(w2_circle(q, qu))
         out["f"].append(free_energy(q, w, coupling))
         out["mass"].append(abs(float(qhat[0].real) - 1.0))
         for k in track_modes:

@@ -122,7 +122,7 @@ def coercivity_gap(q: Density, w: Potential, coupling: float,
     term1 = entropy_seminorm_gap(q, n)
     m = q.grid_size
     k = np.arange(1, m // 2 + 1)
-    wk = w.coeff_array(m // 2)
+    wk = dens.kernel_spectrum(w, m)[1:]
     amp2 = np.abs(q.fourier[1:]) ** 2
     term2 = float(
         np.sum(((n + 1) / k - 2.0 * coupling * wk) * amp2)
@@ -182,10 +182,6 @@ class SuiteReport:
     median_gap: float
     max_gap: float
     tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
 
 
 def run_entropy_suite(n: int, samples: int = 500, m: int = 2048,

@@ -17,7 +17,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import density as dens
 from .critical import PhaseDiagram, SolveReport
 from .density import Density
 from .flow import FlowTrace
@@ -73,7 +72,8 @@ def write_csv(path, rows, header) -> None:
 
 
 def save_density_json(path, q: Density) -> None:
-    write_json(path, dens.to_dict(q))
+    write_json(path, {"grid_size": q.grid_size,
+                      "grid_values": q.grid_values.tolist()})
 
 
 def save_density_csv(path, q: Density) -> None:

@@ -1,11 +1,12 @@
-"""Distances between densities on the circle.
+"""The quadratic Wasserstein distance on the circle to the uniform state.
 
-The quadratic Wasserstein distance is taken where one side is the uniform
-state.  There the cost of the circular quantile coupling (Delon, Salomon &
-Sobolevski, SIAM J. Appl. Math. 70, 2010) is quadratic in its CDF offset
-(Bonet et al., ICLR 2023, Prop. 1), and the distance has a closed form.
-The distance between two non-uniform densities, by Brent's minimization
-over the offset, is the test oracle ``tests/oracles.py:w2_circle_brent``.
+The gradient flow records it at every record time (``flow.integrate``).
+Against the uniform state the cost of the circular quantile coupling
+(Delon, Salomon & Sobolevski, SIAM J. Appl. Math. 70, 2010) is quadratic
+in its CDF offset (Bonet et al., ICLR 2023, Prop. 1), and the distance
+has a closed form.  The distance between two non-uniform densities, by
+Brent's minimization over the offset, is the test oracle
+``tests/oracles.py:w2_circle_brent``.
 """
 
 from __future__ import annotations
@@ -13,23 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .density import Density
-
-_METRICS = ("L2", "W2_circle")
-
-
-def distance(p: Density, q: Density, metric: str = "L2") -> float:
-    """Distance between two densities on the same grid.
-
-    metric is one of "L2", "W2_circle".
-    """
-    if p.grid_size != q.grid_size:
-        raise ValueError("densities live on different grids")
-    if metric == "L2":
-        d = p.grid_values - q.grid_values
-        return float(np.sqrt((d * d).mean()))
-    if metric == "W2_circle":
-        return w2_circle(p, q)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {_METRICS}")
 
 
 def _w2_to_uniform(q: Density) -> float:

@@ -89,13 +89,6 @@ class Potential:
         out = np.where((k >= 1) & (k <= self.truncation), self.coeffs[idx], 0.0)
         return out[()]
 
-    def coeff_array(self, kmax: int) -> np.ndarray:
-        """what(1..kmax) padded with zeros beyond the truncation."""
-        out = np.zeros(kmax)
-        upto = min(kmax, self.truncation)
-        out[:upto] = self.coeffs[:upto]
-        return out
-
     def tail_bound(self, m: int) -> float:
         """Bound on sum_{k > m} |what_model(k)| (law tail past the object)."""
         m = int(m)
@@ -262,9 +255,7 @@ class DecayReport:
 
     passed: bool
     first_violation: Optional[int]
-    checked_up_to: int
     tail_certified: bool
-    lead_scale: float  # 2 what(n+1) used for normalization
 
 
 def check_decay(w: Potential, n: int) -> DecayReport:
@@ -298,9 +289,7 @@ def check_decay(w: Potential, n: int) -> DecayReport:
     return DecayReport(
         passed=first is None,
         first_violation=first,
-        checked_up_to=w.truncation,
         tail_certified=certified,
-        lead_scale=lead,
     )
 
 

@@ -39,48 +39,39 @@ def _check_witness_rows(w, tol_K, seeds, tol_F=1e-10):
 
 
 class TestKmMap:
+    """The self-consistency map T(q) = e^{2K W*q} / Z, as the solver's
+    first map application."""
+
     def test_uniform_fixed_for_any_coupling(self, do_kernel):
         q = tm.uniform(256)
         for coupling in (0.0, 1.0, 5.0):
-            out = tm.km_map(q, do_kernel, coupling)
+            out = tm.solve_fixed_point(do_kernel, coupling, q,
+                                       max_iter=1).density
             assert np.abs(out.grid_values - 1.0).max() < 1e-14
 
     def test_zero_coupling_maps_to_uniform(self, do_kernel, rng):
         vals = np.exp(rng.normal(0, 0.4, 256))
         q = tm.from_grid(vals / vals.mean())
-        out = tm.km_map(q, do_kernel, 0.0)
+        out = tm.solve_fixed_point(do_kernel, 0.0, q, max_iter=1).density
         assert np.abs(out.grid_values - 1.0).max() < 1e-14
 
     @pytest.mark.parametrize("c", [0.2, 0.5])
     def test_log_gas_family_fixed(self, c):
         w = tm.log_gas(64)
         q = tm.extremal(c, 0, 0.0, 512)
-        out = tm.km_map(q, w, 1.0)
+        out = tm.solve_fixed_point(w, 1.0, q, max_iter=1).density
         assert np.abs(out.grid_values - q.grid_values).max() < 1e-8
 
     def test_output_positive(self, do_kernel):
         q = tm.extremal(0.9, 1, 0.0, 256)
-        out = tm.km_map(q, do_kernel, 2.0)
+        out = tm.solve_fixed_point(do_kernel, 2.0, q, max_iter=1).density
         assert out.grid_values.min() > 0.0
 
     def test_exp_overflow(self):
         w = tm.custom_potential([400.0])
         q = tm.from_grid(1 + 0.9 * np.cos(2 * np.pi * theta_grid(256)))
         with pytest.raises(ExpOverflow):
-            tm.km_map(q, w, 2.0)
-
-
-    @pytest.mark.parametrize("seed", ["cos_a0.6", "extremal_c0.7",
-                                      "bump_c0.99"])
-    def test_is_the_solvers_first_map(self, do_kernel, seed):
-        # one map kernel: the solve's first map is km_map's, bit for bit
-        for w, coupling in ((do_kernel, 2.0), (tm.transformer(3.0), 0.37634),
-                            (tm.hegselmann_krause(1.0), 1.0)):
-            q0 = dict(standard_seeds(w, 512))[seed]
-            ref = tm.solve_fixed_point(w, coupling, q0, max_iter=1).density
-            out = tm.km_map(q0, w, coupling)
-            assert out.grid_values.tobytes() == ref.grid_values.tobytes()
-            assert out.fourier.tobytes() == ref.fourier.tobytes()
+            tm.solve_fixed_point(w, 2.0, q, max_iter=1)
 
 
 class TestMapKernels:
@@ -154,11 +145,14 @@ class TestSolve:
         rep = tm.solve_fixed_point(do_normalized, 1.3, q0, tol=1e-12)
         q = rep.density
         logq = np.log(q.grid_values)
-        pot = 2 * 1.3 * tm.convolve(do_normalized, q)
+        pot = _map_exponent(q.grid_values,
+                            2 * 1.3 * kernel_spectrum(do_normalized, 512),
+                            512)[2]
         resid = logq - pot
         assert resid.max() - resid.min() <= 10 * 1e-12 * 1e3  # sup-var of log residual
         # sharper: compare against the map residual scale
-        assert np.abs(q.grid_values - tm.km_map(q, do_normalized, 1.3).grid_values).max() <= 1e-11
+        mapped = tm.solve_fixed_point(do_normalized, 1.3, q, max_iter=1)
+        assert np.abs(q.grid_values - mapped.density.grid_values).max() <= 1e-11
 
     def test_periodicity_inherited(self, do_normalized):
         rep = tm.solve_fixed_point(
@@ -187,11 +181,11 @@ class TestSolve:
         for w, coupling, base in cases:
             shift = m // (4 * w.lead_mode)
             r1 = tm.solve_fixed_point(w, coupling, base, tol=1e-12)
-            r2 = tm.solve_fixed_point(w, coupling, base.roll(shift),
-                                      tol=1e-12)
+            rolled = tm.from_grid(np.roll(base.grid_values, shift))
+            r2 = tm.solve_fixed_point(w, coupling, rolled, tol=1e-12)
             assert r1.converged and r2.converged
             assert abs(r1.free_energy - r2.free_energy) < 1e-11
-            assert np.abs(r1.density.roll(shift).grid_values
+            assert np.abs(np.roll(r1.density.grid_values, shift)
                           - r2.density.grid_values).max() < 1e-8
 
     @pytest.mark.parametrize("case", ["rod_1.2", "rod_1.3", "attention",
@@ -233,7 +227,8 @@ class TestSolve:
         assert free_energy(rep.density, do_normalized, 1.2) == rep.free_energy
         assert full.free_energy <= rep.free_energy < -1e-10
         # its residual is that of the returned density itself
-        mapped = tm.km_map(rep.density, do_normalized, 1.2)
+        mapped = tm.solve_fixed_point(do_normalized, 1.2, rep.density,
+                                      max_iter=1).density
         assert rep.residual == pytest.approx(
             np.abs(mapped.grid_values - rep.density.grid_values).max(),
             rel=1e-9)

@@ -231,6 +231,24 @@ class TestResidual:
         assert abs(r - expect) / expect < 1e-10
 
 
+class TestRecordPolicy:
+    # with factor <= 1 or t0 <= 0 times() never reaches the horizon;
+    # n_records = 0 ends integrate at t = 0, snapshot_every = 0 divides
+    # by zero in it
+    @pytest.mark.parametrize("fields", [
+        {"kind": "log"},
+        {"kind": "geometric", "t0": 0.05, "factor": 1.0},
+        {"kind": "geometric", "factor": 0.9},
+        {"kind": "geometric", "t0": 0.0},
+        {"kind": "geometric", "t0": -1.0},
+        {"kind": "uniform", "n_records": 0},
+        {"snapshot_every": 0},
+    ], ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items()))
+    def test_rejects_an_invalid_field(self, fields):
+        with pytest.raises(ValueError):
+            RecordPolicy(**fields)
+
+
 class TestIntegrate:
     def test_subcritical_relaxes_to_uniform(self, do_kernel):
         q0 = tm.from_grid(1 + 0.1 * np.cos(4 * np.pi * theta_grid(256)))
@@ -258,10 +276,11 @@ class TestIntegrate:
         q = tr.snapshots[-1]
         # align phases before comparing (the orbit is a circle of states)
         k = 2
-        shift = (np.angle(q.coeff(k)) - np.angle(best.density.coeff(k))) / (
-            2 * np.pi * k)
+        shift = (np.angle(q.fourier[k])
+                 - np.angle(best.density.fourier[k])) / (2 * np.pi * k)
         aligned = oracles.shift(best.density, -shift)
-        assert tm.distance(q, aligned, "L2") < 1e-6
+        d = q.grid_values - aligned.grid_values
+        assert np.sqrt((d * d).mean()) < 1e-6
 
     def test_linearized_mode_rate(self, do_kernel):
         coupling = 3 * np.pi / 8
@@ -409,8 +428,8 @@ class TestIntegrate:
         m = 128
         q0 = tm.cosine_profile({2: 0.3}, m)
         tr = _critical_flow(do_kernel)
-        ref = tm.distance(oracles.bdf_flow(q0, do_kernel, 3 * np.pi / 4, 20.0),
-                          tm.uniform(m), "W2_circle")
+        ref = tm.w2_circle(oracles.bdf_flow(q0, do_kernel, 3 * np.pi / 4, 20.0),
+                           tm.uniform(m))
         assert tr.meta["steps"] <= 1500
         assert abs(tr.w2[-1] - ref) < 5e-5 * ref
 

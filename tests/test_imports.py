@@ -1,5 +1,6 @@
-"""Package hygiene: every name a source module imports is used in it, and
-every error type the package declares is raised by one of its modules."""
+"""Package hygiene: every name a source module imports is used in it,
+every error type the package declares is raised by one of its modules,
+and every name the package exports is used outside the unit tests."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,59 @@ def test_finds_an_error_type_nothing_raises():
 def test_every_error_type_is_raised():
     assert unraised_errors((SRC / "errors.py").read_text(),
                            [p.read_text() for p in MODULES]) == []
+
+
+ROOT = SRC.parents[1]
+#: where a package name counts as used: its modules (the definition itself
+#: is no use), the demos, the benchmark and the acceptance criteria
+USERS = [p.read_text() for p in [*MODULES, *ROOT.glob("demos/*.py"),
+                                 *ROOT.glob("perfbench/*.py"),
+                                 ROOT / "tests" / "test_acceptance.py"]]
+
+
+def used_names(source: str) -> set[str]:
+    """Names that ``source`` reads bare, imports from torusmf, or reads as
+    an attribute of a torusmf module: one the source imports from the
+    package, or ``tm``, the name that the tests, the demos and the
+    benchmark (as a parameter) give the package."""
+    tree = ast.parse(source)
+    modules, used = {"tm"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name.split(".")[0] == "torusmf"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("torusmf")):
+            used |= {a.name for a in node.names}
+            modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                used.add(node.attr)
+    return used
+
+
+def unused_exports(init: str, users: list[str]) -> list[str]:
+    """Names that the package ``init`` imports from its modules and that
+    no source of ``users`` uses."""
+    exports = {a.asname or a.name for node in ast.parse(init).body
+               if isinstance(node, ast.ImportFrom) and node.level
+               for a in node.names}
+    return sorted(exports.difference(*map(used_names, users)))
+
+
+def test_finds_an_export_only_tests_use():
+    init = "from .a import f, g, h, k, n\n"
+    users = ["def f(): pass\ndef g(): pass\nh = k = n = 1\nprint(n)\n",
+             "import numpy as np\nfrom . import a as mod\nmod.g()\nnp.h()\n",
+             "import torusmf as tm\nk = tm.a.k\n"]
+    assert unused_exports(init, users) == ["f", "h"]
+
+
+def test_no_test_only_exports():
+    assert unused_exports((SRC / "__init__.py").read_text(), USERS) == []

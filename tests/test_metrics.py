@@ -1,10 +1,12 @@
-"""Distances on the circle, and the quantile-coupling W2 oracle."""
+"""W2 on the circle, the flow's L2 record, and the quantile-coupling W2
+oracle."""
 
 import numpy as np
 import pytest
 
 import torusmf as tm
 from torusmf.density import theta_grid
+from torusmf.flow import RecordPolicy, integrate
 
 import oracles
 
@@ -14,11 +16,8 @@ def random_density(rng, m=256):
     return tm.from_grid(vals / vals.mean())
 
 
-#: metric -> distance between any two densities (W2 by the oracle)
-DISTANCES = {
-    "L2": lambda p, q: tm.distance(p, q, "L2"),
-    "W2_circle": oracles.w2_circle_brent,
-}
+#: metric -> distance between any two densities, by the oracle
+DISTANCES = {"W2_circle": oracles.w2_circle_brent}
 
 
 class TestBasicAxioms:
@@ -42,33 +41,26 @@ class TestBasicAxioms:
             assert abs(dpq - dqp) < 1e-9
             assert dpr <= dpq + dqr + 1e-9
 
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tm.distance(tm.uniform(64), tm.uniform(128))
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            tm.distance(tm.uniform(64), tm.uniform(64), "L7")
-
     def test_w2_needs_a_uniform_side(self, rng):
         p, q = random_density(rng, 64), random_density(rng, 64)
         with pytest.raises(ValueError):
             tm.w2_circle(p, q)
-        with pytest.raises(ValueError):
-            tm.distance(p, q, "W2_circle")
 
 
 class TestL2:
-    def test_parseval_value(self):
+    def test_parseval_value(self, do_kernel):
+        # the flow's first record is the L2 distance of its start to uniform
         eps = 0.1
         q = tm.from_grid(1 + eps * np.cos(2 * np.pi * theta_grid(512)))
-        assert abs(tm.distance(tm.uniform(512), q, "L2") - eps / np.sqrt(2)) < 1e-10
+        tr = integrate(q, do_kernel, 0.0, 1e-6,
+                       record=RecordPolicy("uniform", 1))
+        assert abs(tr.l2[0] - eps / np.sqrt(2)) < 1e-10
 
 
 class TestW2Circle:
     def test_uniform_vs_peak_bound(self):
         q = tm.extremal(0.99, 0, 0.0, 512)
-        d = tm.distance(tm.uniform(512), q, "W2_circle")
+        d = tm.w2_circle(tm.uniform(512), q)
         assert d <= 1 / np.sqrt(12) + 0.05
         assert d > 0.2
 
@@ -93,7 +85,7 @@ class TestW2Circle:
         ds = []
         for eps in (1e-2, 1e-3):
             q = tm.from_grid(1 + eps * np.cos(2 * np.pi * theta_grid(512)))
-            ds.append(tm.distance(tm.uniform(512), q, "W2_circle"))
+            ds.append(tm.w2_circle(tm.uniform(512), q))
         assert abs(ds[0] / ds[1] - 10.0) < 0.1
 
     def test_uniform_closed_form_matches_brent(self, rng):
