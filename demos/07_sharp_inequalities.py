@@ -36,14 +36,14 @@ for c in (0.3, 0.6, 0.9):
           f"both sides = {-np.log(1 - c * c):.6f}")
 
 print("\ncoercivity split of the free energy (rod kernel, normalized):")
-w, _ = tm.normalize(tm.doi_onsager(), 1)
+w, _ = tm.normalize(tm.doi_onsager())
 q = tm.extremal(0.4, 1, 0.0, 1024)
 for coupling in (0.8, 1.0, 1.3):
-    t1, t2, tot = coercivity_gap(q, w, coupling, 1)
+    t1, t2, tot = coercivity_gap(q, w, coupling)
     print(f"  K = {coupling}: entropy term {t1:+.5f}, mode term {t2:+.5f}, "
           f"free energy {tot:+.5f}")
 best, _ = tm.find_minimizer(w, 1.3, m=512)
-t1, t2, tot = coercivity_gap(best.density, w, 1.3, 1)
+t1, t2, tot = coercivity_gap(best.density, w, 1.3)
 print(f"  K = 1.3 at the true minimizer: total {tot:+.6f} < 0 "
       "(uniform no longer global)")
 

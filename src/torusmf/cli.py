@@ -151,15 +151,14 @@ def _model_stem(w) -> str:
 
 def cmd_thresholds(s: dict) -> int:
     w = _build_potential(s)
-    n = w.periodicity
     ks, mode = k_sharp(w)
-    kst = k_star(w, n)
-    decay = check_decay(w, n)
+    kst = k_star(w)
+    decay = check_decay(w)
     pred = predicted_continuity(w.name, w.params)
     table = {
         "model": w.name,
         "params": w.params,
-        "periodicity_n": n,
+        "periodicity_n": w.periodicity,
         "K_sharp": ks,
         "sharp_mode": mode,
         "K_star": kst,
@@ -306,11 +305,11 @@ def cmd_verify(s: dict) -> int:
     if suite in ("coercivity", "all"):
         rng = np.random.default_rng(seed)
         worst = 0.0
-        wnorm, _ = normalize(make_potential("doi_onsager"), 1)
+        wnorm, _ = normalize(make_potential("doi_onsager"))
         for _ in range(samples):
             q = random_tilted_density(1, 512, rng)
             coupling = rng.uniform(0.0, 1.5)
-            t1, t2, tot = coercivity_gap(q, wnorm, coupling, 1)
+            t1, t2, tot = coercivity_gap(q, wnorm, coupling)
             worst = max(worst, abs(t1 + t2 - tot))
         out["coercivity_identity_worst"] = worst
         failures += int(worst > 1e-9)

@@ -138,8 +138,9 @@ def solve_fixed_point(
     (so ``max_iter=1`` returns T(q0), one map application);
     ``iterations`` counts map applications, dropped trial iterates
     included, and ``rejected`` the dropped ones, mixed or extrapolated.
-    Non-convergence within ``max_iter`` map applications is reported in
-    the ``converged`` flag, not raised.
+    Non-convergence within ``max_iter`` >= 1 map applications is reported
+    in the ``converged`` flag, not raised.  The order parameter is |qhat|
+    at the mode of the largest what(k) (``k_sharp``'s mode, if any).
 
     With a finite ``stop_below`` the solve instead returns the first kept
     iterate q (seed excluded) with ``free_energy(q) < stop_below``, as a
@@ -150,8 +151,10 @@ def solve_fixed_point(
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     m = q0.grid_size
-    _, mode = k_sharp(w)
+    mode = int(np.argmax(w.coeffs)) + 1
     wk2 = 2.0 * coupling * dens.kernel_spectrum(w, m)
     # ring buffers of the secant differences of the residual f = g(u) - u
     # and of g, and the Gram matrix of the f differences
@@ -299,13 +302,17 @@ def multistart(
     stop_below: float = -math.inf,
 ) -> list[SolveReport]:
     """Solve from every seed, ``"standard"`` (``standard_seeds(w, m)``) or
-    a list of (id, density) pairs; reports in seed order.
+    a list of (id, density) pairs on the ``m`` grid; reports in seed order.
 
     ``stop_below`` goes to each solve; the first witness report (an
     iterate with free energy below it) ends the list, and the later seeds
     are not solved.
     """
     seed_list = standard_seeds(w, m) if seeds == "standard" else list(seeds)
+    for sid, q0 in seed_list:
+        if q0.grid_size != m:
+            raise ValueError(f"seed {sid!r} lives on M={q0.grid_size}, "
+                             f"but the grid is m={m}")
     reports = []
     for sid, q0 in seed_list:
         reports.append(solve_fixed_point(w, coupling, q0, tol, max_iter,
@@ -441,8 +448,10 @@ def scan_kc(
     zero-offset intercept of |qhat(k_*)|^2 against coupling just above
     K_c (the raw order parameter at K_c + delta is also reported).
     """
+    if not tol_K > 0.0:
+        raise ValueError(f"tol_K must be positive, got {tol_K}")
     ks, mode = k_sharp(w)
-    kstar = k_star(w, w.periodicity)
+    kstar = k_star(w)
     if bracket is None:
         bracket = (0.95 * kstar, 1.1 * ks)
     lo, hi = bracket
@@ -571,10 +580,12 @@ def lambda_star(w: Potential, coupling: float) -> SpectralGap:
     return SpectralGap(float(rates[i]), int(ks[i]), bool(rates[i] <= 0.0))
 
 
-def k_star(w: Potential, n: int) -> float:
+def k_star(w: Potential) -> float:
     """Largest coupling with all coercivity coefficients nonnegative:
 
-        K_* = min over attractive k of (n+1) / (k * 2 what(k)).
+        K_* = min over attractive k of (n+1) / (k * 2 what(k)),
+
+    with n = ``w.periodicity``, the kernel's own period 1/(n+1).
 
     Always a rigorous lower bound for the critical coupling; equals K_#
     exactly when the decay condition holds.
@@ -584,5 +595,5 @@ def k_star(w: Potential, n: int) -> float:
     if not pos.any():
         return math.inf
     with np.errstate(over="ignore"):  # denormal coefficients give inf, harmless
-        vals = (n + 1) / (k[pos] * 2.0 * w.coeffs[pos])
+        vals = w.lead_mode / (k[pos] * 2.0 * w.coeffs[pos])
     return float(vals.min())

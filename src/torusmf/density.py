@@ -66,19 +66,16 @@ def grid_phase(m: int, scale: float) -> np.ndarray:
 
 
 def grid_to_fourier(values: np.ndarray) -> np.ndarray:
+    """qhat(0..M/2) of float64 grid values, M even, over the last axis."""
     m = values.shape[-1]
-    if values.dtype != np.float64 or m % 2:
-        raw = np.fft.rfft(values)
-    else:
-        raw = rfft_kernel(values, 1.0, out=np.empty(
-            values.shape[:-1] + (m // 2 + 1,), dtype=complex))
+    raw = rfft_kernel(values, 1.0, out=np.empty(
+        values.shape[:-1] + (m // 2 + 1,), dtype=complex))
     return raw * grid_phase(m, 1.0 / m)
 
 
 def fourier_to_grid(fourier: np.ndarray, m: int) -> np.ndarray:
+    """Grid values of a complex128 half-spectrum qhat(0..M/2)."""
     spectrum = fourier * grid_phase(m, m)
-    if spectrum.dtype != np.complex128:
-        return np.fft.irfft(spectrum, n=m)
     return irfft_kernel(spectrum, 1.0 / m,
                         out=np.empty(spectrum.shape[:-1] + (m,)))
 
@@ -94,8 +91,6 @@ class Density:
     fourier : ndarray, shape (M/2 + 1,), complex
         Coefficients qhat(k) for k = 0..M/2; qhat(0) == 1.  Negative modes
         follow from Hermitian symmetry (the density is real).
-    grid_size : int
-        M, a power of two.
     renormalized : bool
         Input mass deviated from 1 by more than the constructor tolerance
         and was rescaled.
@@ -105,13 +100,17 @@ class Density:
 
     grid_values: np.ndarray
     fourier: np.ndarray
-    grid_size: int
     renormalized: bool = False
     clipped_mass: float = 0.0
 
     def __post_init__(self):
         self.grid_values.flags.writeable = False
         self.fourier.flags.writeable = False
+
+    @property
+    def grid_size(self) -> int:
+        """M, a power of two."""
+        return len(self.grid_values)
 
     @property
     def theta(self) -> np.ndarray:
@@ -155,7 +154,7 @@ def from_grid(values: np.ndarray) -> "Density":
     fourier = grid_to_fourier(values)
     # pin the exactly-known mass; rounding in the FFT stays in k >= 1
     fourier[0] = 1.0
-    return Density(values, fourier, values.shape[0], renormalized=renorm)
+    return Density(values, fourier, renormalized=renorm)
 
 
 def from_fourier(fourier: np.ndarray, m: int) -> "Density":
@@ -179,7 +178,7 @@ def from_fourier(fourier: np.ndarray, m: int) -> "Density":
         if abs(total - 1.0) <= 1e-15:
             f = fourier.copy()
             f[0] = 1.0
-            return Density(values / total, f, m)
+            return Density(values / total, f)
         return from_grid(values)
     clipped = -float(values[neg].sum()) / m
     if clipped > CLIP_TOL:
@@ -189,8 +188,8 @@ def from_fourier(fourier: np.ndarray, m: int) -> "Density":
         )
     values = np.clip(values, 0.0, None)
     d = from_grid(values)
-    return Density(d.grid_values, d.fourier, m,
-                   renormalized=d.renormalized, clipped_mass=clipped)
+    return Density(d.grid_values, d.fourier, renormalized=d.renormalized,
+                   clipped_mass=clipped)
 
 
 def uniform(m: int = 512) -> "Density":

@@ -33,10 +33,6 @@ class NoAttractivePart(TorusMFError):
     """Kernel has no positive Fourier coefficient; no transition exists."""
 
 
-class PeriodicityMismatch(TorusMFError):
-    """Kernel has an active mode off the claimed period lattice."""
-
-
 class ZeroLeadCoefficient(TorusMFError):
     """Cannot normalize: leading coefficient vanishes."""
 

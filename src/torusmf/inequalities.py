@@ -46,10 +46,11 @@ CONSTRAINT_TOL = 1e-9
 def lebedev_milin_gap(phi: np.ndarray, n: int) -> float:
     """Slack of the exponential inequality for a grid function phi.
 
-    Nonnegative for admissible phi (ConstraintViolated otherwise); zero
-    up to quadrature on the extremal family.
+    phi lives on a density grid (a power of two M >= 4).  Nonnegative for
+    admissible phi (ConstraintViolated otherwise); zero up to quadrature
+    on the extremal family.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = dens._validate_values(phi)
     m = phi.shape[0]
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -99,8 +100,8 @@ def entropy_seminorm_gap(q: Density, n: int) -> float:
     return relative_entropy(q) - dual_dirichlet_sum(q, n)
 
 
-def coercivity_gap(q: Density, w: Potential, coupling: float,
-                   n: int) -> tuple[float, float, float]:
+def coercivity_gap(q: Density, w: Potential,
+                   coupling: float) -> tuple[float, float, float]:
     """Split F_K(q) into the entropy gap plus the mode-wise quadratic form.
 
     Returns (term1, term2, total) with
@@ -109,11 +110,13 @@ def coercivity_gap(q: Density, w: Potential, coupling: float,
         term2 = sum_k ((n+1)/k - 2 K what(k)) |qhat(k)|^2,
         total = F_K(q),
 
-    an exact identity (the dual-seminorm parts cancel).  Requires the
-    lead-normalized kernel 2 what(n+1) = 1 and a 1/(n+1)-periodic q; for
-    K below the coercivity threshold both terms are nonnegative, which is
-    the mechanism pinning the critical coupling.
+    an exact identity (the dual-seminorm parts cancel).  Here n is
+    ``w.periodicity``; the kernel must be lead-normalized, 2 what(n+1) = 1,
+    and q 1/(n+1)-periodic.  For K below the coercivity threshold both
+    terms are nonnegative, which is the mechanism pinning the critical
+    coupling.
     """
+    n = w.periodicity
     lead = 2.0 * float(w.coeff(n + 1))
     if abs(lead - 1.0) > 1e-10:
         raise ValueError(

@@ -331,10 +331,13 @@ class ChaosReport:
     particle_mean_sq: float
     particle_se: float
     z_score: float
-    replicates: int
     #: each replicate's trajectory at ``simulate``'s default modes and
     #: cadence, plus ``mode`` when it is not among them
     trajectories: tuple[ParticleTrajectory, ...] = field(repr=False)
+
+    @property
+    def replicates(self) -> int:
+        return len(self.trajectories)
 
 
 def chaos_check(
@@ -412,6 +415,5 @@ def chaos_check(
         particle_mean_sq=mean,
         particle_se=se,
         z_score=float(z),
-        replicates=replicates,
         trajectories=trajs,
     )

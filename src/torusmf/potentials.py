@@ -29,12 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import iv
 
-from .errors import (
-    BadParams,
-    NoAttractivePart,
-    PeriodicityMismatch,
-    ZeroLeadCoefficient,
-)
+from .errors import BadParams, NoAttractivePart, ZeroLeadCoefficient
 
 MODELS = ("doi_onsager", "transformer", "hegselmann_krause", "log_gas", "custom")
 #: short names ``make_potential`` also accepts
@@ -54,16 +49,13 @@ class Potential:
     params : dict
         Model parameters (e.g. {"beta": 2.0}).
     coeffs : ndarray
-        what(k) for k = 1..truncation.
-    periodicity : int
-        Smallest n >= 0 with all active modes on the (n+1) lattice, so the
-        kernel has period 1/(n+1).
+        what(k) for k = 1..truncation; they alone fix the kernel's period
+        lattice (``periodicity``).
     """
 
     name: str
     params: dict
     coeffs: np.ndarray
-    periodicity: int
     _tail: Callable[[int], float] = field(repr=False)
     _decay_certified_from: Optional[int] = field(default=None, repr=False)
 
@@ -77,6 +69,13 @@ class Potential:
     @property
     def active_modes(self) -> np.ndarray:
         return np.nonzero(self.coeffs)[0] + 1
+
+    @property
+    def periodicity(self) -> int:
+        """Smallest n >= 0 with all active modes on the (n+1) lattice, so
+        the kernel has period 1/(n+1): the gcd of the active modes minus 1
+        (0 for the zero kernel)."""
+        return max(int(np.gcd.reduce(self.active_modes)), 1) - 1
 
     @property
     def lead_mode(self) -> int:
@@ -96,13 +95,6 @@ class Potential:
         return partial + self._tail(max(m, self.truncation))
 
 
-def _periodicity_of(coeffs: np.ndarray) -> int:
-    active = np.nonzero(coeffs)[0] + 1
-    if len(active) == 0:
-        return 0
-    return int(np.gcd.reduce(active)) - 1
-
-
 def doi_onsager(truncation: int = 512) -> Potential:
     """Rod-suspension kernel -|sin(2 pi theta)| (zero-mean part)."""
     _check_truncation(truncation, 2)
@@ -116,7 +108,7 @@ def doi_onsager(truncation: int = 512) -> Potential:
         return 1.0 / (np.pi * (2 * l0 + 1))
 
     # (4l+1)(l-1) >= 0 for every l >= 1: decay holds at every mode
-    return Potential("doi_onsager", {}, coeffs, 1, tail,
+    return Potential("doi_onsager", {}, coeffs, tail,
                      _decay_certified_from=2)
 
 
@@ -151,7 +143,7 @@ def transformer(beta: float, truncation: int = 512) -> Potential:
 
     # k I_k(beta) is decreasing once k >= beta/2, so a verified mode there
     # propagates the decay bound to all larger k
-    return Potential("transformer", {"beta": beta}, coeffs, 0, tail,
+    return Potential("transformer", {"beta": beta}, coeffs, tail,
                      _decay_certified_from=max(2, math.ceil(beta / 2.0)))
 
 
@@ -170,8 +162,8 @@ def hegselmann_krause(radius: float, truncation: int = 512) -> Potential:
     g = radius - math.sin(radius)
     # l^2 g(R) >= l R + 1 >= g(l R) from this order on
     cert = max(2, math.ceil((radius + math.sqrt(radius**2 + 4.0 * g)) / (2.0 * g)))
-    return Potential("hegselmann_krause", {"radius": radius}, coeffs, 0,
-                     tail, _decay_certified_from=cert)
+    return Potential("hegselmann_krause", {"radius": radius}, coeffs, tail,
+                     _decay_certified_from=cert)
 
 
 def log_gas(truncation: int = 512) -> Potential:
@@ -185,7 +177,7 @@ def log_gas(truncation: int = 512) -> Potential:
     coeffs = 0.5 / k
 
     # the object is the truncated polynomial: no law tail beyond it
-    return Potential("log_gas", {}, coeffs, 0, lambda m: 0.0,
+    return Potential("log_gas", {}, coeffs, lambda m: 0.0,
                      _decay_certified_from=1)
 
 
@@ -195,8 +187,7 @@ def custom_potential(coeffs) -> Potential:
     coeffs = np.asarray(coeffs, dtype=float).copy()
     if coeffs.ndim != 1 or len(coeffs) == 0:
         raise BadParams("custom kernel needs a nonempty 1-D coefficient list")
-    n = _periodicity_of(coeffs)
-    return Potential("custom", {"coeffs": coeffs.tolist()}, coeffs, n,
+    return Potential("custom", {"coeffs": coeffs.tolist()}, coeffs,
                      lambda m: 0.0, _decay_certified_from=len(coeffs))
 
 
@@ -258,24 +249,19 @@ class DecayReport:
     tail_certified: bool
 
 
-def check_decay(w: Potential, n: int) -> DecayReport:
-    """Verify 2 what(k) <= (n+1)/k for all k after lead normalization.
+def check_decay(w: Potential) -> DecayReport:
+    """Verify 2 what(k) <= (n+1)/k for all k after lead normalization,
+    with n = ``w.periodicity``, the kernel's own period 1/(n+1).
 
-    The kernel must be 1/(n+1)-periodic.  Modes up to the truncation are
-    checked numerically, with a relative slack of 1e-12 for rounding; the
-    remainder is certified from the model's analytic envelope when one is
-    attached.
+    Modes up to the truncation are checked numerically, with a relative
+    slack of 1e-12 for rounding; the remainder is certified from the
+    model's analytic envelope when one is attached.
     """
+    n = w.periodicity
     lead = 2.0 * float(w.coeff(n + 1))
     if lead <= 0.0:
         raise ZeroLeadCoefficient(f"2 what({n + 1}) = {lead} is not positive")
     k = np.arange(1, w.truncation + 1)
-    off_lattice = (k % (n + 1) != 0) & (w.coeffs != 0.0)
-    if off_lattice.any():
-        bad = int(k[off_lattice][0])
-        raise PeriodicityMismatch(
-            f"active mode {bad} is not a multiple of {n + 1}"
-        )
     ratio = 2.0 * w.coeffs / lead
     allowed = (n + 1) / k
     bad = ratio > allowed * (1.0 + 1e-12)
@@ -293,20 +279,22 @@ def check_decay(w: Potential, n: int) -> DecayReport:
     )
 
 
-def normalize(w: Potential, n: int) -> tuple[Potential, float]:
-    """Rescale so the lead coefficient satisfies 2 what(n+1) = 1.
+def normalize(w: Potential) -> tuple[Potential, float]:
+    """Rescale so the lead coefficient satisfies 2 what(n+1) = 1, with
+    n = ``w.periodicity``.
 
     Returns (normalized kernel, scale) with scale = 2 what(n+1); coupling
     thresholds transform as K -> K / scale when moving back to the raw
     kernel.
     """
-    scale = 2.0 * float(w.coeff(n + 1))
+    lead = w.lead_mode
+    scale = 2.0 * float(w.coeff(lead))
     if scale <= 0.0:
-        raise ZeroLeadCoefficient(f"2 what({n + 1}) = {scale} is not positive")
+        raise ZeroLeadCoefficient(f"2 what({lead}) = {scale} is not positive")
     if scale == 1.0:
         return w, 1.0
     scaled = Potential(w.name, {**w.params, "scale": scale}, w.coeffs / scale,
-                       w.periodicity, lambda m, f=w._tail: f(m) / scale,
+                       lambda m, f=w._tail: f(m) / scale,
                        w._decay_certified_from)
     return scaled, scale
 

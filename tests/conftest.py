@@ -50,5 +50,5 @@ def do_kernel():
 
 @pytest.fixture(scope="session")
 def do_normalized():
-    w, _ = tm.normalize(tm.doi_onsager(), 1)
+    w, _ = tm.normalize(tm.doi_onsager())
     return w

@@ -42,7 +42,7 @@ def catalog_normalized():
         ("hegselmann_krause", 0, {"radius": 2.5}),
         ("log_gas", 0, {}),
     ):
-        w, _ = tm.normalize(tm.make_potential(model, 256, **kw), n)
+        w, _ = tm.normalize(tm.make_potential(model, 256, **kw))
         out.append((model, n, w))
     return out
 
@@ -207,7 +207,7 @@ def test_c06_coercivity_decomposition():
         for _ in range(200):
             q = random_tilted_density(n, 512, rng)
             coupling = rng.uniform(0.0, 1.5)
-            t1, t2, tot = coercivity_gap(q, w, coupling, n)
+            t1, t2, tot = coercivity_gap(q, w, coupling)
             worst = max(worst, abs(t1 + t2 - tot))
     ok = worst <= 1e-9
     detail = f"identity residual {worst:.2e} over 200 pairs x 4 kernels " \

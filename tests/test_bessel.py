@@ -128,4 +128,4 @@ class TestDecayLemma:
         for ell in range(3, 31):
             assert coeffs[ell - 1] < coeffs[0] / ell
             assert mp_iv(ell, beta) < mp_iv(1, beta) / ell
-        assert tm.check_decay(tm.transformer(beta), 0).passed
+        assert tm.check_decay(tm.transformer(beta)).passed

@@ -135,6 +135,7 @@ class TestBadValues:
         (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
           "--records", "-3"], "--records"),
         (["flow", "do", "--K", "1.0", "--T", "1", "--dt", "0"], "dt"),
+        (["scan", "do", "--max-iter", "0"], "max_iter"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])

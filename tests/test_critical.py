@@ -233,6 +233,18 @@ class TestSolve:
             np.abs(mapped.grid_values - rep.density.grid_values).max(),
             rel=1e-9)
 
+    def test_kernel_without_positive_coefficient(self):
+        # the minimizer of a purely repulsive kernel is the uniform state;
+        # the order parameter sits on the mode of the largest what(k)
+        w = tm.custom_potential([-0.25, -0.1])
+        rep = tm.solve_fixed_point(w, 1.0, tm.cosine_profile({1: 0.3}, 64))
+        assert rep.converged
+        assert rep.order_parameter < 1e-12
+
+    def test_max_iter_below_one_rejected(self, do_kernel):
+        with pytest.raises(ValueError, match="max_iter"):
+            tm.solve_fixed_point(do_kernel, 1.0, tm.uniform(64), max_iter=0)
+
     def test_degenerate_threshold_within_500_maps(self, do_kernel):
         # at K_# = 3 pi/4 the map's linear rate is 1; Picard is capped at
         # 20000 maps from this seed
@@ -390,6 +402,11 @@ class TestFindMinimizer:
         assert best.order_parameter > 0.1
         assert best.free_energy < 0.0
 
+    def test_seed_off_the_grid_rejected(self, do_kernel):
+        seeds = standard_seeds(do_kernel, 512)[:2]
+        with pytest.raises(ValueError, match="'uniform'.*512.*256"):
+            multistart(do_kernel, 1.0, 256, seeds)
+
     def test_gap_monotone_in_coupling(self, do_normalized):
         gaps = []
         for coupling in (0.8, 1.05, 1.2, 1.4):
@@ -423,6 +440,17 @@ class TestScan:
 
     def test_c01_witness_rows(self, do_kernel):
         _check_witness_rows(do_kernel, 5e-3, "standard")
+
+    @pytest.mark.parametrize("tol_k", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_tol_k_rejected(self, do_kernel, tol_k,
+                                        monkeypatch):
+        # a bisection to zero width would never end; fail instead of hanging
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scan_kc solved before checking tol_K")
+
+        monkeypatch.setattr(critical, "multistart", unreachable)
+        with pytest.raises(ValueError, match="tol_K"):
+            tm.scan_kc(do_kernel, m=128, tol_K=tol_k)
 
     def test_bad_bracket_rejected(self, do_kernel):
         with pytest.raises(BracketNotStraddling):
@@ -499,12 +527,12 @@ class TestSpectralGap:
 
 class TestKStar:
     def test_do_equals_k_sharp(self, do_kernel):
-        assert abs(tm.k_star(do_kernel, 1) - 3 * np.pi / 4) < 1e-12
+        assert abs(tm.k_star(do_kernel) - 3 * np.pi / 4) < 1e-12
 
     def test_transformer_strictly_below(self):
         w = tm.transformer(4.0)
         ks, _ = tm.k_sharp(w)
-        assert tm.k_star(w, 0) < ks - 1e-3
+        assert tm.k_star(w) < ks - 1e-3
 
     def test_log_gas_unity(self):
-        assert abs(tm.k_star(tm.log_gas(64), 0) - 1.0) < 1e-14
+        assert abs(tm.k_star(tm.log_gas(64)) - 1.0) < 1e-14

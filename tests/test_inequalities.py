@@ -44,6 +44,10 @@ class TestLebedevMilin:
         with pytest.raises(ConstraintViolated):
             lebedev_milin_gap(phi, 1)
 
+    def test_grid_not_a_power_of_two_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            lebedev_milin_gap(np.zeros(6), 0)
+
     def test_random_admissible_nonnegative(self, rng):
         from torusmf.inequalities import random_tilted_phi
         for n in (0, 1, 2):
@@ -117,12 +121,12 @@ class TestEntropySeminorm:
 
 class TestCoercivity:
     def test_uniform_all_zero(self, do_normalized):
-        t1, t2, tot = coercivity_gap(tm.uniform(512), do_normalized, 1.0, 1)
+        t1, t2, tot = coercivity_gap(tm.uniform(512), do_normalized, 1.0)
         assert t1 == 0.0 and t2 == 0.0 and tot == 0.0
 
     def test_extremal_at_unit_coupling(self, do_normalized):
         q = tm.extremal(0.4, 1, 0.0, 1024)
-        t1, t2, tot = coercivity_gap(q, do_normalized, 1.0, 1)
+        t1, t2, tot = coercivity_gap(q, do_normalized, 1.0)
         assert abs(t1) <= 1e-8  # equality case of the entropy inequality
         assert t2 > 1e-4
         assert tot > 0.0
@@ -130,7 +134,7 @@ class TestCoercivity:
 
     def test_supercritical_minimizer_negative_total(self, do_normalized):
         best, _ = tm.find_minimizer(do_normalized, 1.3, m=512)
-        t1, t2, tot = coercivity_gap(best.density, do_normalized, 1.3, 1)
+        t1, t2, tot = coercivity_gap(best.density, do_normalized, 1.3)
         assert tot < -1e-4
         assert abs(t1 + t2 - tot) <= 1e-9
 
@@ -141,16 +145,16 @@ class TestCoercivity:
     def test_identity_randomized(self, model, n, rng):
         kw = {"beta": 1.5} if model == "transformer" else (
             {"radius": 2.5} if model == "hegselmann_krause" else {})
-        w, _ = tm.normalize(tm.make_potential(model, 256, **kw), n)
-        kstar = tm.k_star(w, n)
+        w, _ = tm.normalize(tm.make_potential(model, 256, **kw))
+        kstar = tm.k_star(w)
         for _ in range(40):
             q = random_tilted_density(n, 512, rng)
             coupling = rng.uniform(0.0, 1.5)
-            t1, t2, tot = coercivity_gap(q, w, coupling, n)
+            t1, t2, tot = coercivity_gap(q, w, coupling)
             assert abs(t1 + t2 - tot) <= 1e-9
             if coupling <= kstar:
                 assert t1 >= -1e-9 and t2 >= -1e-9
 
     def test_requires_normalized_kernel(self, do_kernel):
         with pytest.raises(ValueError):
-            coercivity_gap(tm.uniform(256), do_kernel, 1.0, 1)
+            coercivity_gap(tm.uniform(256), do_kernel, 1.0)

@@ -5,12 +5,7 @@ import pytest
 from scipy.special import iv
 
 import torusmf as tm
-from torusmf.errors import (
-    BadParams,
-    NoAttractivePart,
-    PeriodicityMismatch,
-    ZeroLeadCoefficient,
-)
+from torusmf.errors import BadParams, NoAttractivePart, ZeroLeadCoefficient
 
 import oracles
 
@@ -22,6 +17,16 @@ class TestCoefficientLaws:
         assert abs(w.coeff(4) - 2 / (15 * np.pi)) < 1e-15
         assert w.coeff(1) == 0.0 and w.coeff(3) == 0.0
         assert w.periodicity == 1
+
+    def test_direct_build_reads_the_lattice_from_coeffs(self):
+        w = tm.Potential("direct", {}, tm.doi_onsager().coeffs,
+                         lambda m: 0.0)
+        assert w.periodicity == 1 and w.lead_mode == 2
+        for sid, q in tm.standard_seeds(w, 64):
+            if sid.startswith("cos"):
+                amps = np.abs(q.fourier[1:])
+                assert amps[1] >= 0.1 - 1e-15  # a/2, a >= 0.2
+                assert np.delete(amps, 1).max() < 1e-15
 
     def test_transformer_bessel_ratio(self):
         beta = 2.0
@@ -111,7 +116,7 @@ class TestKSharp:
 class TestDecay:
     def test_doi_onsager_passes_strictly(self):
         w = tm.doi_onsager()
-        rep = tm.check_decay(w, 1)
+        rep = tm.check_decay(w)
         assert rep.passed and rep.tail_certified
         # strict from the second active mode on
         lead = 2 * w.coeff(2)
@@ -121,19 +126,19 @@ class TestDecay:
     @pytest.mark.parametrize("beta,expect", [(1.0, True), (2.0, True),
                                              (2.6, False), (3.0, False)])
     def test_transformer_dichotomy(self, beta, expect):
-        rep = tm.check_decay(tm.transformer(beta), 0)
+        rep = tm.check_decay(tm.transformer(beta))
         assert rep.passed == expect
         if not expect:
             assert rep.first_violation == 2
 
     def test_transformer_at_beta_star_passes(self):
-        rep = tm.check_decay(tm.transformer(tm.beta_star()), 0)
+        rep = tm.check_decay(tm.transformer(tm.beta_star()))
         assert rep.passed and rep.tail_certified
 
     @pytest.mark.parametrize("radius,expect", [(1.0, False), (2.5, True),
                                                (3.0, True)])
     def test_hk_dichotomy(self, radius, expect):
-        rep = tm.check_decay(tm.hegselmann_krause(radius), 0)
+        rep = tm.check_decay(tm.hegselmann_krause(radius))
         assert rep.passed == expect
         if not expect:
             assert rep.first_violation == 2
@@ -160,44 +165,37 @@ class TestDecay:
 
     def test_log_gas_equality_everywhere(self):
         w = tm.log_gas(64)
-        rep = tm.check_decay(w, 0)
+        rep = tm.check_decay(w)
         assert rep.passed and rep.tail_certified
         ks = np.arange(1, 65)
         assert np.abs(2 * w.coeff(ks) - 1.0 / ks).max() == 0.0
 
-    def test_periodicity_mismatch(self):
-        w = tm.custom_potential([0.1, 0.5])
-        with pytest.raises(PeriodicityMismatch):
-            tm.check_decay(w, 1)
-
 
 class TestNormalize:
     def test_doi_onsager_scale(self):
-        w, scale = tm.normalize(tm.doi_onsager(), 1)
+        w, scale = tm.normalize(tm.doi_onsager())
         assert abs(scale - 4 / (3 * np.pi)) < 1e-15
         assert abs(2 * w.coeff(2) - 1.0) < 1e-15
         ks, _ = tm.k_sharp(w)
         assert abs(ks - 1.0) < 1e-12
 
     def test_log_gas_identity(self):
-        w, scale = tm.normalize(tm.log_gas(64), 0)
+        w, scale = tm.normalize(tm.log_gas(64))
         assert scale == 1.0
 
     def test_custom_identity(self):
-        w, scale = tm.normalize(tm.custom_potential([0.5]), 0)
+        w, scale = tm.normalize(tm.custom_potential([0.5]))
         assert scale == 1.0
 
     def test_zero_lead_rejected(self):
-        w = tm.custom_potential([0.0, 0.3])
+        w = tm.custom_potential([0.0, -0.3])
         with pytest.raises(ZeroLeadCoefficient):
-            tm.normalize(w, 0)
+            tm.normalize(w)
 
     def test_normalized_k_sharp_is_one_when_decay_passes(self):
-        for w0, n in ((tm.doi_onsager(), 1),
-                      (tm.transformer(1.5), 0),
-                      (tm.hegselmann_krause(2.5), 0),
-                      (tm.log_gas(64), 0)):
-            assert tm.check_decay(w0, n).passed
-            w, _ = tm.normalize(w0, n)
+        for w0 in (tm.doi_onsager(), tm.transformer(1.5),
+                   tm.hegselmann_krause(2.5), tm.log_gas(64)):
+            assert tm.check_decay(w0).passed
+            w, _ = tm.normalize(w0)
             ks, _ = tm.k_sharp(w)
             assert abs(ks - 1.0) < 1e-12
