@@ -36,7 +36,7 @@ for c in (0.3, 0.6, 0.9):
           f"both sides = {-np.log(1 - c * c):.6f}")
 
 print("\ncoercivity split of the free energy (rod kernel, normalized):")
-w, _ = tm.normalize(tm.doi_onsager())
+w = tm.normalize(tm.doi_onsager())
 q = tm.extremal(0.4, 1, 0.0, 1024)
 for coupling in (0.8, 1.0, 1.3):
     t1, t2, tot = coercivity_gap(q, w, coupling)

@@ -305,7 +305,7 @@ def cmd_verify(s: dict) -> int:
     if suite in ("coercivity", "all"):
         rng = np.random.default_rng(seed)
         worst = 0.0
-        wnorm, _ = normalize(make_potential("doi_onsager"))
+        wnorm = normalize(make_potential("doi_onsager"))
         for _ in range(samples):
             q = random_tilted_density(1, 512, rng)
             coupling = rng.uniform(0.0, 1.5)

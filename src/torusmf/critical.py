@@ -395,7 +395,6 @@ class PhaseDiagram:
     bracket_width: float
     k_sharp: float
     k_star: float
-    sharp_mode: int
     continuity: str  # continuous | discontinuous
     jump_estimate: float
     op_at_delta: float
@@ -450,7 +449,7 @@ def scan_kc(
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
-    ks, mode = k_sharp(w)
+    ks = k_sharp(w)[0]
     kstar = k_star(w)
     if bracket is None:
         bracket = (0.95 * kstar, 1.1 * ks)
@@ -514,7 +513,6 @@ def scan_kc(
         bracket_width=hi - lo,
         k_sharp=ks,
         k_star=kstar,
-        sharp_mode=mode,
         continuity=continuity,
         jump_estimate=jump,
         op_at_delta=op_at_delta,
@@ -559,7 +557,6 @@ def landau_min(w2: float) -> LandauMin:
 class SpectralGap(NamedTuple):
     rate: float
     mode: int
-    supercritical: bool
 
 
 def lambda_star(w: Potential, coupling: float) -> SpectralGap:
@@ -570,14 +567,14 @@ def lambda_star(w: Potential, coupling: float) -> SpectralGap:
     pattern of the radian parametrization carries the extra (2 pi)^2
     here).  k ranges over the kernel's period lattice, which is what a
     flow started on the lattice relaxes with.  Beyond the truncation the
-    rate only grows, so the finite minimum is certified.  A nonpositive
-    value is flagged supercritical.
+    rate only grows, so the finite minimum is certified.  The rate is
+    nonpositive exactly when the coupling is supercritical.
     """
     ks = np.arange(w.lead_mode, w.truncation + 1, w.lead_mode)
     rates = (2.0 * np.pi**2 * ks.astype(float) ** 2
              * (1.0 - 2.0 * coupling * w.coeff(ks)))
     i = int(np.argmin(rates))
-    return SpectralGap(float(rates[i]), int(ks[i]), bool(rates[i] <= 0.0))
+    return SpectralGap(float(rates[i]), int(ks[i]))
 
 
 def k_star(w: Potential) -> float:

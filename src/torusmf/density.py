@@ -34,8 +34,6 @@ from .errors import (
     TruncationTooCoarse,
 )
 
-#: unit-mass tolerance used by constructors
-MASS_TOL = 1e-8
 #: clipped negative mass above which construction refuses to proceed
 CLIP_TOL = 1e-6
 
@@ -91,17 +89,10 @@ class Density:
     fourier : ndarray, shape (M/2 + 1,), complex
         Coefficients qhat(k) for k = 0..M/2; qhat(0) == 1.  Negative modes
         follow from Hermitian symmetry (the density is real).
-    renormalized : bool
-        Input mass deviated from 1 by more than the constructor tolerance
-        and was rescaled.
-    clipped_mass : float
-        Total negative mass removed when building from a spectral state.
     """
 
     grid_values: np.ndarray
     fourier: np.ndarray
-    renormalized: bool = False
-    clipped_mass: float = 0.0
 
     def __post_init__(self):
         self.grid_values.flags.writeable = False
@@ -137,8 +128,7 @@ def from_grid(values: np.ndarray) -> "Density":
     """Build a density from grid samples.
 
     Values must be nonnegative up to -1e-12 (tiny spectral undershoots are
-    clipped).  The mean is renormalized to exactly 1; deviations beyond
-    1e-8 set the ``renormalized`` flag.
+    clipped).  The values are divided by their mean, so the mean is 1.
     """
     values = _validate_values(values).copy()
     if np.any(values < -1e-12):
@@ -149,12 +139,11 @@ def from_grid(values: np.ndarray) -> "Density":
     total = values.mean()
     if total <= 0.0:
         raise NonPositiveMass("density has non-positive total mass")
-    renorm = abs(total - 1.0) > MASS_TOL
     values /= total
     fourier = grid_to_fourier(values)
     # pin the exactly-known mass; rounding in the FFT stays in k >= 1
     fourier[0] = 1.0
-    return Density(values, fourier, renormalized=renorm)
+    return Density(values, fourier)
 
 
 def from_fourier(fourier: np.ndarray, m: int) -> "Density":
@@ -162,7 +151,8 @@ def from_fourier(fourier: np.ndarray, m: int) -> "Density":
 
     Grid values are clipped at zero; if the clipped negative mass exceeds
     CLIP_TOL the spectral state is declared under-resolved.  When no
-    clipping occurs the given spectrum is kept verbatim.
+    clipping occurs and qhat(0) is 1 to 1e-15, the given spectrum is kept
+    verbatim; otherwise the density is ``from_grid`` of the clipped values.
     """
     fourier = np.asarray(fourier, dtype=complex)
     if fourier.shape != (m // 2 + 1,):
@@ -171,25 +161,18 @@ def from_fourier(fourier: np.ndarray, m: int) -> "Density":
         raise NotFinite("Fourier coefficients contain NaN or inf")
     values = fourier_to_grid(fourier, m)
     neg = values < 0.0
-    if not neg.any():
-        total = float(fourier[0].real)
-        if total <= 0.0:
-            raise NonPositiveMass("density has non-positive total mass")
-        if abs(total - 1.0) <= 1e-15:
-            f = fourier.copy()
-            f[0] = 1.0
-            return Density(values / total, f)
-        return from_grid(values)
+    total = float(fourier[0].real)
+    if not neg.any() and abs(total - 1.0) <= 1e-15:
+        f = fourier.copy()
+        f[0] = 1.0
+        return Density(values / total, f)
     clipped = -float(values[neg].sum()) / m
     if clipped > CLIP_TOL:
         raise PositivityLoss(
             f"clipped negative mass {clipped:.3e} exceeds {CLIP_TOL:.0e}; "
             "increase the grid resolution"
         )
-    values = np.clip(values, 0.0, None)
-    d = from_grid(values)
-    return Density(d.grid_values, d.fourier, renormalized=d.renormalized,
-                   clipped_mass=clipped)
+    return from_grid(np.clip(values, 0.0, None))
 
 
 def uniform(m: int = 512) -> "Density":

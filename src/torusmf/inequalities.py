@@ -191,35 +191,27 @@ def run_entropy_suite(n: int, samples: int = 500, m: int = 2048,
                       seed: int = 0) -> SuiteReport:
     """Randomized check of the entropy inequality at periodicity n; a gap
     below -1e-9 is a violation."""
-    rng = np.random.default_rng(seed)
-    gaps = np.empty(samples)
-    for i in range(samples):
-        q = random_tilted_density(n, m, rng)
-        gaps[i] = entropy_seminorm_gap(q, n)
-    return _report("entropy_seminorm", n, gaps)
+    return _run_suite("entropy_seminorm", random_tilted_density,
+                      entropy_seminorm_gap, n, samples, m, seed)
 
 
 def run_exponential_suite(n: int, samples: int = 500, m: int = 2048,
                           seed: int = 0) -> SuiteReport:
     """Randomized check of the exponential inequality at periodicity n; a
     gap below -1e-9 is a violation."""
+    return _run_suite("lebedev_milin", random_tilted_phi, lebedev_milin_gap,
+                      n, samples, m, seed)
+
+
+def _run_suite(name: str, draw, gap, n: int, samples: int, m: int,
+               seed: int) -> SuiteReport:
+    """``gap(draw(n, m, rng), n)`` over ``samples`` draws from one rng."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    gaps = np.empty(samples)
-    for i in range(samples):
-        phi = random_tilted_phi(n, m, rng)
-        gaps[i] = lebedev_milin_gap(phi, n)
-    return _report("lebedev_milin", n, gaps)
-
-
-def _report(name: str, n: int, gaps: np.ndarray) -> SuiteReport:
+    gaps = np.array([gap(draw(n, m, rng), n) for _ in range(samples)])
     tol = 1e-9
-    return SuiteReport(
-        suite=name,
-        n=n,
-        samples=len(gaps),
-        violations=int(np.sum(gaps < -tol)),
-        min_gap=float(gaps.min()),
-        median_gap=float(np.median(gaps)),
-        max_gap=float(gaps.max()),
-        tolerance=tol,
-    )
+    return SuiteReport(suite=name, n=n, samples=samples, tolerance=tol,
+                       violations=int(np.sum(gaps < -tol)),
+                       min_gap=float(gaps.min()), max_gap=float(gaps.max()),
+                       median_gap=float(np.median(gaps)))

@@ -267,7 +267,16 @@ class ParticleTrajectory:
     times: np.ndarray
     mode_abs: dict[int, np.ndarray]
     final: ParticleState
-    meta: dict = field(default_factory=dict)
+
+
+def _step_count(horizon: float, dt: float) -> int:
+    """horizon / dt, which must be within 1e-9 of a positive integer."""
+    steps = horizon / dt
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(steps - n) > 1e-9 * n:
+        raise ValueError(f"horizon {horizon:g} is not a positive whole "
+                         f"number of steps dt = {dt:g}")
+    return n
 
 
 def simulate(
@@ -286,11 +295,13 @@ def simulate(
     (default: the first four multiples of the lead mode).  The step plan,
     with the drift's work rows and the replicate's noise stream, lives for
     this call only: the first step sets the stream, and each later step
-    reads on."""
+    reads on.  ``horizon`` must be a whole number of steps ``dt``."""
+    n_steps = _step_count(horizon, dt)
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     if track_modes is None:
         track_modes = _default_modes(w)
     state = init_state(q0, n, seed, replicate)
-    n_steps = int(round(horizon / dt))
     times = [0.0]
     rec: dict[int, list[float]] = {
         k: [abs(empirical_fourier(state.positions, k))] for k in track_modes
@@ -302,15 +313,8 @@ def simulate(
             times.append(state.time)
             for k in track_modes:
                 rec[k].append(abs(empirical_fourier(state.positions, k)))
-    return ParticleTrajectory(
-        times=np.asarray(times),
-        mode_abs={k: np.asarray(v) for k, v in rec.items()},
-        final=state,
-        meta={
-            "model": w.name, "params": w.params, "coupling": coupling,
-            "n": n, "dt": dt, "seed": seed, "replicate": replicate,
-        },
-    )
+    modes = {k: np.asarray(v) for k, v in rec.items()}
+    return ParticleTrajectory(np.asarray(times), modes, state)
 
 
 @dataclass(frozen=True)
@@ -369,11 +373,15 @@ def chaos_check(
     supercritical comparison at dt = 1e-3 many standard errors off.
     ``dt_pde`` is the flow side's first trial step: ``integrate`` adapts
     the step from there, and the report carries the steps it took.
+    ``horizon`` must be a whole number of steps ``dt``: both sides stop there.
     """
     if n < 10:
         raise ValueError("need at least a few particles")
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _step_count(horizon, dt)
     if q0 is not None and q0.grid_size != m_pde:
         raise ValueError(
             f"q0 lives on M={q0.grid_size} but the flow grid is m_pde={m_pde}"

@@ -279,24 +279,23 @@ def check_decay(w: Potential) -> DecayReport:
     )
 
 
-def normalize(w: Potential) -> tuple[Potential, float]:
+def normalize(w: Potential) -> Potential:
     """Rescale so the lead coefficient satisfies 2 what(n+1) = 1, with
     n = ``w.periodicity``.
 
-    Returns (normalized kernel, scale) with scale = 2 what(n+1); coupling
-    thresholds transform as K -> K / scale when moving back to the raw
-    kernel.
+    The scale 2 what(n+1) is stored as ``params["scale"]``, and ``w``
+    itself comes back when the scale is 1; coupling thresholds transform
+    as K -> K / scale when moving back to the raw kernel.
     """
     lead = w.lead_mode
     scale = 2.0 * float(w.coeff(lead))
     if scale <= 0.0:
         raise ZeroLeadCoefficient(f"2 what({lead}) = {scale} is not positive")
     if scale == 1.0:
-        return w, 1.0
-    scaled = Potential(w.name, {**w.params, "scale": scale}, w.coeffs / scale,
-                       lambda m, f=w._tail: f(m) / scale,
-                       w._decay_certified_from)
-    return scaled, scale
+        return w
+    return Potential(w.name, {**w.params, "scale": scale}, w.coeffs / scale,
+                     lambda m, f=w._tail: f(m) / scale,
+                     w._decay_certified_from)
 
 
 # ---------------------------------------------------------------------------

@@ -50,5 +50,4 @@ def do_kernel():
 
 @pytest.fixture(scope="session")
 def do_normalized():
-    w, _ = tm.normalize(tm.doi_onsager())
-    return w
+    return tm.normalize(tm.doi_onsager())

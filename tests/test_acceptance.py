@@ -42,7 +42,7 @@ def catalog_normalized():
         ("hegselmann_krause", 0, {"radius": 2.5}),
         ("log_gas", 0, {}),
     ):
-        w, _ = tm.normalize(tm.make_potential(model, 256, **kw))
+        w = tm.normalize(tm.make_potential(model, 256, **kw))
         out.append((model, n, w))
     return out
 

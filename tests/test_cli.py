@@ -136,6 +136,13 @@ class TestBadValues:
           "--records", "-3"], "--records"),
         (["flow", "do", "--K", "1.0", "--T", "1", "--dt", "0"], "dt"),
         (["scan", "do", "--max-iter", "0"], "max_iter"),
+        (["particles", "do", "--K", "1", "--T", "0.0015"],
+         "whole number of steps"),
+        (["particles", "do", "--K", "1", "--T", "0.01", "--workers", "0"],
+         "workers"),
+        (["particles", "do", "--K", "1", "--T", "0.01", "--workers", "-3"],
+         "workers"),
+        (["verify", "--samples", "0"], "samples"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Package hygiene: every name a source module imports is used in it,
 every error type the package declares is raised by one of its modules,
-and every name the package exports is used outside the unit tests."""
+every name the package exports is used outside the unit tests, and every
+field of its dataclasses is read there."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,44 @@ def test_finds_an_export_only_tests_use():
 
 def test_no_test_only_exports():
     assert unused_exports((SRC / "__init__.py").read_text(), USERS) == []
+
+
+def unread_fields(modules: list[str], users: list[str],
+                  exempt: frozenset[str] = frozenset()) -> list[str]:
+    """``Class.field`` of each field of a ``@dataclass`` in ``modules``
+    (outside the ``exempt`` classes) whose name no source of ``users``
+    reads as an attribute.
+
+    The check goes by name alone, so it misses a field read only to be
+    copied into another instance of its class (as the ``renormalized``
+    flag of ``Density`` once was) and a field whose name another class's
+    read attribute shares (as ``ParticleTrajectory``'s ``meta`` shared
+    ``FlowTrace.meta``).
+    """
+    fields = []
+    for node in (n for m in modules for n in ast.walk(ast.parse(m))):
+        if isinstance(node, ast.ClassDef) and node.name not in exempt and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            fields += [(node.name, f.target.id) for f in node.body
+                       if isinstance(f, ast.AnnAssign)]
+    read = {node.attr for u in users for node in ast.walk(ast.parse(u))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{c}.{f}" for c, f in fields if f not in read)
+
+
+def test_finds_an_unread_field():
+    module = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+              "@dataclass\nclass B:\n    z: int\n"
+              "class C:\n    v: int\n")
+    users = ["def f(a):\n    a.y = a.x\n    return B(z=1)\n"]
+    assert unread_fields([module], users) == ["A.y", "B.z"]
+    assert unread_fields([module], users, frozenset({"B"})) == ["A.y"]
+
+
+def test_every_dataclass_field_is_read():
+    # ``cmd_verify`` writes a SuiteReport whole, through its ``__dict__``
+    assert unread_fields([p.read_text() for p in MODULES], USERS,
+                         frozenset({"SuiteReport"})) == []

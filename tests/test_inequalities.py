@@ -107,6 +107,12 @@ class TestEntropySeminorm:
             rep = run_exponential_suite(n, samples=120, m=1024, seed=9 + n)
             assert rep.violations == 0
 
+    @pytest.mark.parametrize("suite", [run_entropy_suite,
+                                       run_exponential_suite])
+    def test_no_samples_rejected(self, suite):
+        with pytest.raises(ValueError, match="samples"):
+            suite(0, samples=0, m=256)
+
     def test_atomic_limit_diverges(self):
         # as c -> 1 both sides of the entropy inequality blow up together
         prev_h, prev_d = -1.0, -1.0
@@ -145,7 +151,7 @@ class TestCoercivity:
     def test_identity_randomized(self, model, n, rng):
         kw = {"beta": 1.5} if model == "transformer" else (
             {"radius": 2.5} if model == "hegselmann_krause" else {})
-        w, _ = tm.normalize(tm.make_potential(model, 256, **kw))
+        w = tm.normalize(tm.make_potential(model, 256, **kw))
         kstar = tm.k_star(w)
         for _ in range(40):
             q = random_tilted_density(n, 512, rng)

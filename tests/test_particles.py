@@ -383,6 +383,19 @@ class TestStepPlan:
         simulate(do128, 1.0, 50, 0.013, dt=1e-3)
         assert counts == {"em_step": 13, "drift": 13}
 
+    @pytest.mark.parametrize("horizon", [0.0015, 0.0004, 0.0, -0.002,
+                                         math.inf, math.nan])
+    def test_horizon_not_a_whole_number_of_steps_rejected(self, do128,
+                                                          horizon):
+        # at 0.0015 the particles stopped at t = 0.002, and at 0.0004
+        # they never moved, while a flow run to the horizon stops there
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(do128, 1.0, 50, horizon, dt=1e-3)
+
+    def test_record_every_below_one_rejected(self, do128):
+        with pytest.raises(ValueError, match="record_every"):
+            simulate(do128, 1.0, 50, 0.002, dt=1e-3, record_every=0)
+
 
 class TestEmpiricalFourier:
     def test_zero_mode(self, rng):
@@ -458,6 +471,21 @@ class TestChaos:
     def test_fewer_than_two_replicates_rejected(self, do128):
         with pytest.raises(ValueError, match="replicates"):
             chaos_check(do128, 1.0, n=100, horizon=0.01, replicates=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, do128, workers):
+        with pytest.raises(ValueError, match="workers"):
+            chaos_check(do128, 1.0, n=100, horizon=0.01, replicates=2,
+                        m_pde=256, workers=workers)
+
+    def test_horizon_checked_before_the_flow_runs(self, do128, monkeypatch):
+        def no_flow(*args, **kw):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(particles, "integrate", no_flow)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            chaos_check(do128, 1.0, n=200, horizon=0.0015, replicates=2,
+                        dt=1e-3, m_pde=256)
 
     def test_flow_side_is_one_integrate_call(self, do128, monkeypatch):
         from torusmf import particles

@@ -173,19 +173,19 @@ class TestDecay:
 
 class TestNormalize:
     def test_doi_onsager_scale(self):
-        w, scale = tm.normalize(tm.doi_onsager())
-        assert abs(scale - 4 / (3 * np.pi)) < 1e-15
+        w = tm.normalize(tm.doi_onsager())
+        assert abs(w.params["scale"] - 4 / (3 * np.pi)) < 1e-15
         assert abs(2 * w.coeff(2) - 1.0) < 1e-15
         ks, _ = tm.k_sharp(w)
         assert abs(ks - 1.0) < 1e-12
 
     def test_log_gas_identity(self):
-        w, scale = tm.normalize(tm.log_gas(64))
-        assert scale == 1.0
+        w = tm.log_gas(64)
+        assert tm.normalize(w) is w
 
     def test_custom_identity(self):
-        w, scale = tm.normalize(tm.custom_potential([0.5]))
-        assert scale == 1.0
+        w = tm.custom_potential([0.5])
+        assert tm.normalize(w) is w
 
     def test_zero_lead_rejected(self):
         w = tm.custom_potential([0.0, -0.3])
@@ -196,6 +196,6 @@ class TestNormalize:
         for w0 in (tm.doi_onsager(), tm.transformer(1.5),
                    tm.hegselmann_krause(2.5), tm.log_gas(64)):
             assert tm.check_decay(w0).passed
-            w, _ = tm.normalize(w0)
+            w = tm.normalize(w0)
             ks, _ = tm.k_sharp(w)
             assert abs(ks - 1.0) < 1e-12
