@@ -291,6 +291,8 @@ def cmd_particles(s: dict) -> int:
 
 def cmd_verify(s: dict) -> int:
     suite, samples, seed = s["suite"], s["samples"], s["seed"]
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     out = {}
     failures = 0
     for n in s["n"]:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-# np.linalg.lstsq runs through this gufunc; called directly with
-# rcond = eps * n (lstsq's None for an n x n system) it gives the same bits
-# without the wrapper, which costs as much as a 5 x 5 solve
-from numpy.linalg._umath_linalg import lstsq as _lstsq_kernel
+# np.linalg.solve runs through this LU gufunc; called directly it gives the
+# same bits without the wrapper, which costs as much as a 5 x 5 solve, and
+# a singular system gives NaN (flagged "invalid") where the wrapper raises
+from numpy.linalg._umath_linalg import solve1 as _lu_solve
 
 from . import density as dens
 from .density import Density, free_energy, irfft_kernel, rfft_kernel
@@ -38,9 +38,6 @@ from .potentials import Potential, k_sharp
 EXP_LIMIT = 700.0
 #: secant steps remembered by the Anderson mixing of ``solve_fixed_point``
 ANDERSON_DEPTH = 5
-_EPS = np.finfo(float).eps
-# relative rounding of the free energy that its guard tolerates (16 ulps)
-_F_ROUNDING = 16.0 * _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +105,19 @@ def solve_fixed_point(
     exponent is again a positive unit-mass density, so every iterate
     stays a density and its free energy an upper bound for min F.  Each
     step mixes the last ``ANDERSON_DEPTH`` secant steps (Walker & Ni,
-    SIAM J. Numer. Anal. 49, 2011).
+    SIAM J. Numer. Anal. 49, 2011), with coefficients from their normal
+    equations solved by LU.  Where those are not finite (a singular
+    history) the solve forgets the history and takes the plain step.
 
-    A mixed iterate is kept only if it does not raise the free energy;
-    otherwise the solve forgets its history and falls back to the plain
-    step g(u_b) from the last kept iterate b.  Unguarded mixing can
-    converge onto a saddle: on transformer(3) at K = 0.37634 it lands on
-    the unstable branch (order parameter 0.27, F > 0) from seeds whose
-    plain iterates reach the minimizer (0.49, F < 0).  For what >= 0 the
-    plain step never raises F (it is the concave-convex procedure), so
-    the guard only ever falls back to a descent step.
+    A mixed iterate is kept only if it does not raise the free energy F
+    by more than its rounding, 1e-14 (1 + |F|); otherwise the solve
+    forgets its history and falls back to the plain step g(u_b) from the
+    last kept iterate b.  Unguarded mixing can converge onto a saddle:
+    on transformer(3) at K = 0.37634 it lands on the unstable branch
+    (order parameter 0.27, F > 0) from seeds whose plain iterates reach
+    the minimizer (0.49, F < 0).  For what >= 0 the plain step never
+    raises F (it is the concave-convex procedure), so the guard only
+    ever falls back to a descent step.
 
     Mixing is a root-finder, so next to a saddle it keeps heading back,
     its steps are dropped, and the plain steps leave at Picard's rate.
@@ -178,78 +178,83 @@ def solve_fixed_point(
     rejected = 0
     witness = False
     it = 0
-    for it in range(1, max_iter + 1):
-        raw, ck, expo = _map_exponent(v, wk2, m)
-        if u is not None:
-            # F(v) from the map's own coefficients: entropy mean(v log v)
-            # with log v = u - lz, interaction K * 2 sum what |qhat|^2
-            entropy = np.dot(v, u) / m
-            interaction = np.vdot(raw, ck).real / (m * m)
-            energy = entropy - lz - interaction
-            # a rise within the rounding of those terms is no rise (near
-            # the fixed point F moves by residual^2, far below it); NaN
-            # from a wild trial is a rise
-            rounding = _F_ROUNDING * (abs(entropy) + abs(lz)
-                                      + abs(interaction))
-            if trial and not energy <= energy_kept + rounding:
-                rejected += 1
-                if escape is None and f_plain > f_plain_before:
-                    # leaving a saddle: double along b's plain step
-                    escape, scale = (u_prev, f_prev), 2.0
-                    u = u_prev + scale * f_prev
+    # a singular history's solve flags "invalid" and gives NaN, which the
+    # loop handles; one errstate per solve, since one per step costs about
+    # as much as the solve
+    with np.errstate(invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            raw, ck, expo = _map_exponent(v, wk2, m)
+            if u is not None:
+                # F(v) from the map's own coefficients: entropy
+                # mean(v log v) with log v = u - lz, interaction
+                # K * 2 sum what |qhat|^2
+                energy = (np.dot(v, u) / m - lz
+                          - np.vdot(raw, ck).real / (m * m))
+                # a rise of at most 1e-14 (1 + |F|) is rounding, not a rise
+                # (near the fixed point F moves by residual^2, far below
+                # it); NaN from a wild trial is a rise
+                if trial and not energy <= energy_kept + 1e-14 * (
+                        1.0 + abs(energy)):
+                    rejected += 1
+                    if escape is None and f_plain > f_plain_before:
+                        # leaving a saddle: double along b's plain step
+                        escape, scale = (u_prev, f_prev), 2.0
+                        u = u_prev + scale * f_prev
+                        v, lz = _gibbs(u, m, check=False)
+                    else:
+                        escape = None
+                        v, u, lz, trial = t, g_prev, lz_t, False
+                    # the ring restarts at row 0: the live secants are rows
+                    # [:n_hist] only while slot == n_hist or the ring is full
+                    n_hist = slot = 0
+                    f_prev = None
+                    continue
+                energy_kept = energy
+            t, lz_t = _gibbs(expo, m)
+            residual = float(np.maximum.reduce(np.abs(t - v)))
+            if residual <= tol:
+                break
+            if u is not None and energy < stop_below:
+                # the loop's energy only screens: the stop tests, and the
+                # report carries, free_energy of the kept iterate v itself
+                q = dens.from_grid(v)
+                energy_q = free_energy(q, w, coupling)
+                if energy_q < stop_below:
+                    witness = True
+                    break
+            if escape is not None:
+                # a kept trial: its map is the fallback should the next rise
+                g_prev, scale = expo, 2.0 * scale
+                u = escape[0] + scale * escape[1]
+                v, lz = _gibbs(u, m, check=False)
+                continue
+            if u is not None:
+                f = expo - u
+                if not trial:
+                    f_plain_before = f_plain
+                    f_plain = float(np.maximum.reduce(np.abs(f)))
+                if f_prev is not None:
+                    np.subtract(f, f_prev, out=d_f[slot])
+                    np.subtract(expo, g_prev, out=d_g[slot])
+                    n_hist = min(n_hist + 1, ANDERSON_DEPTH)
+                    row = d_f[:n_hist] @ d_f[slot]
+                    gram[slot, :n_hist] = row
+                    gram[:n_hist, slot] = row
+                    slot = (slot + 1) % ANDERSON_DEPTH
+                f_prev, g_prev, u_prev = f, expo, u
+            if n_hist:
+                # least squares min |f - dF^T gamma| in the history's
+                # dimension, by LU on its normal equations
+                gamma = _lu_solve(gram[:n_hist, :n_hist], d_f[:n_hist] @ f)
+                if math.isfinite(np.add.reduce(gamma)):
+                    u = expo - gamma @ d_g[:n_hist]
                     v, lz = _gibbs(u, m, check=False)
-                else:
-                    escape = None
-                    v, u, lz, trial = t, g_prev, lz_t, False
-                # the ring restarts at row 0: the live secants are rows
-                # [:n_hist] only while slot == n_hist or the ring is full
+                    trial = True
+                    continue
+                # a singular history (LU met a zero pivot or overflowed):
+                # forget it and take the plain step, as after a dropped trial
                 n_hist = slot = 0
                 f_prev = None
-                continue
-            energy_kept = energy
-        t, lz_t = _gibbs(expo, m)
-        residual = float(np.maximum.reduce(np.abs(t - v)))
-        if residual <= tol:
-            break
-        if u is not None and energy < stop_below:
-            # the loop's energy only screens: the stop tests, and the
-            # report carries, free_energy of the kept iterate v itself
-            q = dens.from_grid(v)
-            energy_q = free_energy(q, w, coupling)
-            if energy_q < stop_below:
-                witness = True
-                break
-        if escape is not None:
-            # a kept trial: its map is the fallback should the next rise
-            g_prev, scale = expo, 2.0 * scale
-            u = escape[0] + scale * escape[1]
-            v, lz = _gibbs(u, m, check=False)
-            continue
-        if u is not None:
-            f = expo - u
-            if not trial:
-                f_plain_before = f_plain
-                f_plain = float(np.maximum.reduce(np.abs(f)))
-            if f_prev is not None:
-                np.subtract(f, f_prev, out=d_f[slot])
-                np.subtract(expo, g_prev, out=d_g[slot])
-                n_hist = min(n_hist + 1, ANDERSON_DEPTH)
-                row = d_f[:n_hist] @ d_f[slot]
-                gram[slot, :n_hist] = row
-                gram[:n_hist, slot] = row
-                slot = (slot + 1) % ANDERSON_DEPTH
-            f_prev, g_prev, u_prev = f, expo, u
-        if n_hist:
-            # least squares in the history's dimension: min |f - dF^T gamma|
-            # through the Gram matrix, rank-truncated where the secant
-            # steps are nearly dependent
-            gamma = _lstsq_kernel(gram[:n_hist, :n_hist],
-                                  (d_f[:n_hist] @ f)[:, None], _EPS * n_hist,
-                                  signature="ddd->ddid")[0]
-            u = expo - gamma[:, 0] @ d_g[:n_hist]
-            v, lz = _gibbs(u, m, check=False)
-            trial = True
-        else:
             v, u, lz, trial = t, expo, lz_t, False
     if not witness:
         q = dens.from_grid(t)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .particles import step_count
+
 
 def stationary_coeffs(c: float, n: int, m: int) -> np.ndarray:
     """qhat(1..m) of the stationary family at coupling K = n:
@@ -66,18 +68,19 @@ def integrate_hierarchy(
     rtol 1e-12, atol 1e-14 and first step ``dt`` on the hierarchy.
 
     Returns (times, trajectory) with trajectory[i] = qhat(1..M) at
-    times[i] = j dt for every ``record_every``-th j below n = round(horizon
-    / dt), and at n dt.
+    times[i] = j dt for every ``record_every``-th j below n = horizon / dt,
+    and at n dt.  ``horizon`` must be a whole number of steps ``dt``, and
+    ``record_every`` at least 1.
     """
     # here: the CLI imports loggas; scipy.integrate takes 29-45 ms to import
     from scipy.integrate import solve_ivp
 
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     times = dt * np.unique(np.append(np.arange(0, n_steps, record_every),
                                      n_steps))
     q0 = np.array(q0, dtype=complex)
-    if n_steps == 0:
-        return times, q0[None]
     sol = solve_ivp(lambda t, q: loggas_rhs(q, coupling), (0.0, times[-1]),
                     q0, method="BDF", t_eval=times, first_step=dt,
                     rtol=1e-12, atol=1e-14)

@@ -269,7 +269,7 @@ class ParticleTrajectory:
     final: ParticleState
 
 
-def _step_count(horizon: float, dt: float) -> int:
+def step_count(horizon: float, dt: float) -> int:
     """horizon / dt, which must be within 1e-9 of a positive integer."""
     steps = horizon / dt
     n = round(steps) if math.isfinite(steps) else 0
@@ -296,7 +296,7 @@ def simulate(
     with the drift's work rows and the replicate's noise stream, lives for
     this call only: the first step sets the stream, and each later step
     reads on.  ``horizon`` must be a whole number of steps ``dt``."""
-    n_steps = _step_count(horizon, dt)
+    n_steps = step_count(horizon, dt)
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if track_modes is None:
@@ -381,7 +381,7 @@ def chaos_check(
         raise ValueError("need at least 2 replicates for a standard error")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _step_count(horizon, dt)
+    step_count(horizon, dt)
     if q0 is not None and q0.grid_size != m_pde:
         raise ValueError(
             f"q0 lives on M={q0.grid_size} but the flow grid is m_pde={m_pde}"

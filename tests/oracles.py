@@ -283,14 +283,16 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
     secant history kept as plain lists, oldest first, and its least-squares
     problem rebuilt from them at every step.
 
-    Returns (SolveReport, number of dropped trial iterates).  A mixed
-    iterate e^u / Z is kept only if its free energy, evaluated by
-    ``free_energy``, does not exceed the last kept one by more than
-    rounding; otherwise the history is emptied and, if sup|g(u) - u| at
-    the latest kept plain iterate exceeds that at the one before, the
-    trials u_b + 2^j f_b (j = 1, 2, ...) from the last kept iterate b are
-    kept while the same test passes, and the plain step is taken from the
-    last kept trial, or else from b itself.
+    Returns (SolveReport, number of dropped trial iterates).  The mixing
+    coefficients solve the normal equations by ``np.linalg.solve``; where
+    that fails or gives a non-finite answer, the history is emptied and
+    the plain step taken.  A mixed iterate e^u / Z is kept only if its
+    free energy, evaluated by ``free_energy``, does not exceed the last
+    kept one by more than 1e-14 (1 + |F|); otherwise the history is
+    emptied and, if sup|g(u) - u| at the latest kept plain iterate exceeds
+    that at the one before, the trials u_b + 2^j f_b (j = 1, 2, ...) from
+    the last kept iterate b are kept while the same test passes, and the
+    plain step is taken from the last kept trial, or else from b itself.
     """
     m = q0.grid_size
     _, mode = k_sharp(w)
@@ -355,11 +357,17 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
             f_prev, g_prev, u_prev = f, expo, u
         if hist_f:
             df, dg = np.array(hist_f), np.array(hist_g)
-            gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
-            u = expo - gamma @ dg
-            v, mixed = density(u), True
-        else:
-            v, u, mixed = t, expo, False
+            try:
+                gamma = np.linalg.solve(df @ df.T, df @ f)
+            except np.linalg.LinAlgError:
+                gamma = np.full(len(hist_f), np.nan)
+            if np.isfinite(gamma).all():
+                u = expo - gamma @ dg
+                v, mixed = density(u), True
+                continue
+            hist_f, hist_g = [], []
+            f_prev = None
+        v, u, mixed = t, expo, False
     q = dens.from_grid(t)
     return SolveReport(
         density=q,

@@ -143,10 +143,13 @@ class TestBadValues:
         (["particles", "do", "--K", "1", "--T", "0.01", "--workers", "-3"],
          "workers"),
         (["verify", "--samples", "0"], "samples"),
+        (["verify", "--suite", "coercivity", "--samples", "0"], "samples"),
+        (["verify", "--suite", "loggas", "--samples", "-1"], "samples"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
         assert code == 2
+        assert not any(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err

@@ -1,5 +1,6 @@
 """Fixed-point solver, stability quantities, and the scanner internals."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import torusmf as tm
 from torusmf import critical
-from torusmf.critical import (_best_gap, _lstsq_kernel, _map_exponent,
+from torusmf.critical import (_best_gap, _gibbs, _lu_solve, _map_exponent,
                               _scan_row, multistart, standard_seeds)
 from torusmf.density import (fourier_to_grid, free_energy, grid_to_fourier,
                              kernel_spectrum, theta_grid)
@@ -75,9 +76,8 @@ class TestKmMap:
 
 
 class TestMapKernels:
-    """The solver's map runs on raw real-FFT spectra and calls numpy's
-    least-squares gufunc directly; both give the bits of the public
-    routes."""
+    """The solver's map runs on raw real-FFT spectra and calls numpy's LU
+    gufunc directly; both give the bits of the public routes."""
 
     @pytest.mark.parametrize("m", [8, 64, 512, 4096])
     def test_phase_free_exponent_and_interaction(self, m, do_kernel):
@@ -99,26 +99,59 @@ class TestMapKernels:
                 assert np.float64(interaction).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_lstsq_kernel_and_fallback_match_numpy(self, n):
-        # Gram systems as the solver forms them, a view of the 5 x 5 ring;
-        # every other one of rank below n (0 included).  The gufunc and
-        # lstsq called with its arguments give the bits of lstsq's default
+    def test_lu_kernel_matches_numpy_solve(self, n):
+        # Gram systems as the solver forms them, a view of the 5 x 5 ring,
+        # over ten decades of scale
         rng = np.random.default_rng(n)
-        eps = np.finfo(float).eps
         gram = np.empty((5, 5))
-        for case in range(300):
-            rank = n if case % 2 == 0 else int(rng.integers(0, n))
-            a = rng.normal(size=(rank, 512)) * 10.0 ** rng.uniform(-8.0, 2.0)
-            a = np.vstack([a, rng.normal(size=(n - rank, rank)) @ a])
+        for _ in range(300):
+            a = rng.normal(size=(n, 512)) * 10.0 ** rng.uniform(-8.0, 2.0)
             gram[:n, :n] = a @ a.T
             rhs = a @ rng.normal(size=512)
-            ref = np.linalg.lstsq(gram[:n, :n], rhs, rcond=None)[0]
-            for x in (_lstsq_kernel(gram[:n, :n], rhs[:, None], eps * n,
-                                    signature="ddd->ddid")[0],
-                      np.linalg.lstsq(gram[:n, :n], rhs[:, None],
-                                      rcond=eps * n)[0]):
-                assert x.shape == (n, 1)
-                assert x[:, 0].tobytes() == ref.tobytes()
+            x = _lu_solve(gram[:n, :n], rhs)
+            assert x.shape == (n,)
+            assert x.tobytes() == np.linalg.solve(gram[:n, :n],
+                                                  rhs).tobytes()
+
+    def test_singular_history_takes_the_plain_step(self, monkeypatch):
+        # the first solve with two or more secants gets its last secant
+        # zeroed, as two equal residuals make it: an exactly zero row and
+        # column of the Gram matrix, so LU meets a zero pivot and gives
+        # NaN (two equal nonzero secants need not: LAPACK scales by the
+        # pivot's reciprocal, so their difference can round to a tiny
+        # nonzero pivot).  The solve must forget the history and map the
+        # plain step T(q) next, never a NaN trial, spending no map and
+        # warning nothing
+        w = tm.transformer(3.0)
+        seed = dict(standard_seeds(w, 512))["cos_a0.6"]
+        mapped, singular = [], []
+
+        def recording_map(values, wk2, m):
+            raw, ck, expo = _map_exponent(values, wk2, m)
+            mapped.append((values.copy(), expo.copy()))
+            return raw, ck, expo
+
+        def zero_secant(gram, rhs):
+            if len(rhs) >= 2 and not singular:
+                gram, rhs = gram.copy(), rhs.copy()
+                gram[-1], gram[:, -1], rhs[-1] = 0.0, 0.0, 0.0
+                gamma = _lu_solve(gram, rhs)
+                singular.append((len(mapped), gamma))
+                return gamma
+            return _lu_solve(gram, rhs)
+
+        monkeypatch.setattr(critical, "_map_exponent", recording_map)
+        monkeypatch.setattr(critical, "_lu_solve", zero_secant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = tm.solve_fixed_point(w, 0.37634, seed)
+        ((k, gamma),) = singular
+        assert np.isnan(gamma).all()
+        assert all(np.isfinite(v).all() for v, _ in mapped)
+        plain = _gibbs(mapped[k - 1][1], 512)[0]
+        assert mapped[k][0].tobytes() == plain.tobytes()
+        assert rep.converged and rep.iterations == len(mapped)
+        assert rep.free_energy < 0.0
 
 
 class TestSolve:
@@ -252,6 +285,13 @@ class TestSolve:
         rep = tm.solve_fixed_point(do_kernel, 3 * np.pi / 4, seed)
         assert rep.converged and rep.iterations <= 500
 
+    def test_degenerate_threshold_within_60_maps(self, do_kernel):
+        # F moves by about residual^2 here, so a guard that counted
+        # rounding-level rises as rises dropped 83 of 307 maps
+        seed = dict(standard_seeds(do_kernel, 512))["cos_a0.6"]
+        rep = tm.solve_fixed_point(do_kernel, 3 * np.pi / 4, seed)
+        assert rep.converged and rep.iterations <= 60
+
 
 class TestAttentionAboveKc:
     """transformer(3.0) just above its first-order K_c.  The cosine seed
@@ -319,12 +359,26 @@ class TestAttentionAboveKc:
 
     def test_benchmark_seeds_scan_within_720_maps(self, setup):
         # the bisection solves stop at their first witness below -tol_F:
-        # 691 maps, 905 when every seed ran to the residual tolerance
+        # 681 maps (691 with a guard at 16 ulps of the energy's terms, 905
+        # when every seed ran to the residual tolerance)
         w, seeds = setup
         pd = tm.scan_kc(w, m=512, tol_K=2e-4,
                         seeds=[(s, seeds[s]) for s in self.bench_seeds])
         assert sum(r.map_applications for r in pd.rows) <= 720
         assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
+
+    def test_benchmark_seeds_scan_same_maps_at_every_roll(self, setup):
+        # the map commutes with whole-cell rolls, so only rounding differs
+        # between these scans; a guard that took rounding-level rises for
+        # rises made them take 732 to 774 maps
+        w, seeds = setup
+        counts = []
+        for roll in (0, 1, 171, 256, 389):
+            rolled = [(s, tm.from_grid(np.roll(seeds[s].grid_values, roll)))
+                      for s in self.bench_seeds]
+            pd = tm.scan_kc(w, m=512, tol_K=2e-4, seeds=rolled)
+            counts.append(sum(r.map_applications for r in pd.rows))
+        assert len(set(counts)) == 1 and counts[0] <= 690, counts
 
     def test_benchmark_seeds_witness_rows(self, setup):
         w, seeds = setup

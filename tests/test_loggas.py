@@ -45,12 +45,10 @@ class TestRhs:
         assert np.abs(traj - expect).max() < 1e-10
 
     @pytest.mark.parametrize("horizon, dt, every", [
-        (1.0, 2e-5, 10**6), (1.0, 2e-5, 12500), (0.4, 5e-5, 2000),
-        (4e-6, 1e-5, 100)])
+        (1.0, 2e-5, 10**6), (1.0, 2e-5, 12500), (0.4, 5e-5, 2000)])
     def test_records_fall_on_whole_steps(self, horizon, dt, every):
         # the record times of C07 and demo 08 are step * dt, bit for bit,
-        # for every ``every``-th step and the last; a horizon below half a
-        # step records the initial state alone
+        # for every ``every``-th step and the last
         q0 = stationary_coeffs(0.5, 1, 8).astype(complex)
         times, _ = integrate_hierarchy(q0, 1.0, horizon, dt=dt,
                                        record_every=every)
@@ -58,6 +56,22 @@ class TestRhs:
         assert times.tolist() == [0.0] + [
             step * dt for step in range(1, n + 1)
             if step % every == 0 or step == n]
+
+
+    @pytest.mark.parametrize("horizon, dt", [
+        (0.0015, 1e-3), (4e-6, 1e-5), (0.0, 1e-3), (-1e-3, 1e-3)])
+    def test_horizon_off_the_step_grid_rejected(self, horizon, dt):
+        # the solve used to stop at round(horizon / dt) dt: 0.0015 gave
+        # times [0, 0.002], and 4e-6 the initial state alone
+        q0 = stationary_coeffs(0.5, 1, 8).astype(complex)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate_hierarchy(q0, 0.8, horizon, dt=dt)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_record_every_below_one_rejected(self, every):
+        q0 = stationary_coeffs(0.5, 1, 8).astype(complex)
+        with pytest.raises(ValueError, match="record_every"):
+            integrate_hierarchy(q0, 0.8, 0.002, dt=1e-3, record_every=every)
 
 
 class TestFlowConsistency:
