@@ -9,6 +9,7 @@ dashes as underscores (``--grid-size`` sets ``grid_size``, ``--R`` sets
 ``radius``, the model argument sets ``model``); ``particles`` also reads
 ``grid_size`` and ``dt_particles``, which have no flag there.  A config
 key the verb does not read ends the run with exit status 2, as does a
+config value of another type (or choice) than its flag takes, a
 --K that is neither a number nor subcritical, critical or supercritical
 (multiples 0.5, 1 and 1.2 of K_sharp), a value the computation rejects
 (a nonpositive --T, too few particles or replicates), or a ``report``
@@ -359,14 +360,39 @@ def cmd_report(s: dict) -> int:
 def _setting(p: argparse.ArgumentParser, *flags, default=None, **kw) -> None:
     """Add a flag to verb parser ``p``; ``default`` applies only when
     neither the config file nor the command line sets it."""
-    dest = p.add_argument(*flags, default=None, **kw).dest
-    p.get_default("settings")[dest] = default
+    action = p.add_argument(*flags, default=None, **kw)
+    p.get_default("settings")[action.dest] = default
+    p.get_default("flags")[action.dest] = action
+
+
+#: JSON types a config value may have where its flag parses to each type
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _config_mismatch(key: str, value, action, default) -> bool:
+    """Whether config ``value`` differs in type or choice from what the
+    flag ``action`` parses to (for a key with no flag, from the type of
+    its ``default``).  null stands for a setting whose default is None;
+    a --K may also be a number, which its own check reads."""
+    if value is None:
+        return default is not None
+    if action is not None and action.nargs == 0:  # a switch
+        return not isinstance(value, bool)
+    kind, choices, many = ((type(default), None, False) if action is None
+                           else (action.type, action.choices,
+                                 action.nargs == "*"))
+    if many != isinstance(value, list):
+        return True
+    allowed = (str, int, float) if key == "K" else _CONFIG_TYPES[kind]
+    return any(isinstance(v, bool) or not isinstance(v, allowed)
+               or (choices is not None and v not in choices)
+               for v in (value if many else [value]))
 
 
 def _verb(sub, name: str, func, help: str, model: bool = True,
           config: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func, settings={})
+    p.set_defaults(func=func, settings={}, flags={})
     if model:
         _setting(p, "model", nargs="?", choices=MODELS + tuple(ALIASES),
                  default=_REQUIRED, help="kernel (or `model` in the config)")
@@ -459,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
-    command, func, settings = (args.pop(k) for k in ("command", "func",
-                                                     "settings"))
+    command, func, settings, flags = (
+        args.pop(k) for k in ("command", "func", "settings", "flags"))
     config = {}
     config_path = args.pop("config", None)
     if config_path:
@@ -469,6 +495,10 @@ def main(argv=None) -> int:
     unknown = sorted(set(config) - set(settings))
     if unknown:
         parser.error(f"{command} reads no config key {', '.join(unknown)}")
+    for key, value in config.items():
+        if _config_mismatch(key, value, flags.get(key), settings[key]):
+            parser.error(f"config key {key} of {command} does not take "
+                         f"{value!r}")
     # a flag left off the command line parses as None
     settings = {**settings, **config,
                 **{k: v for k, v in args.items() if v is not None}}

@@ -433,10 +433,10 @@ def scan_kc(
     """Locate the critical coupling and classify the transition.
 
     Bisection on the predicate "some seed reaches free energy below
-    -tol_F" over the bracket (defaults to [0.95 K_*, 1.1 K_#]); the
-    predicate needs no converged solves because every iterate of
-    ``solve_fixed_point``, mixed or not, is a density, so its energy is
-    an upper bound for the minimum.  So at the upper endpoint and the
+    -tol_F" (tol_F >= 1e-14) over the bracket (defaults to [0.95 K_*,
+    1.1 K_#]); the predicate needs no converged solves because every
+    iterate of ``solve_fixed_point``, mixed or not, is a density, so its
+    energy is an upper bound for the minimum.  So at the upper endpoint and the
     bisection midpoints ``multistart`` runs with ``stop_below=-tol_F``:
     it returns at the first kept iterate below -tol_F, and the row is a
     witness row (``ScanRow.witness``) whose later seeds went unsolved.
@@ -454,6 +454,10 @@ def scan_kc(
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
+    if not tol_F >= 1e-14:
+        # below the rounding of F near the uniform state, 1e-14 (1 + |F|),
+        # a rounding error reads as a witness
+        raise ValueError(f"tol_F must be at least 1e-14, got {tol_F}")
     ks = k_sharp(w)[0]
     kstar = k_star(w)
     if bracket is None:

@@ -26,13 +26,7 @@ import numpy as np
 from numpy.fft._pocketfft_umath import irfft as irfft_kernel
 from numpy.fft._pocketfft_umath import rfft_n_even as rfft_kernel
 
-from .errors import (
-    NegativeDensity,
-    NonPositiveMass,
-    NotFinite,
-    PositivityLoss,
-    TruncationTooCoarse,
-)
+from .errors import NegativeDensity, NonPositiveMass, NotFinite, PositivityLoss
 
 #: clipped negative mass above which construction refuses to proceed
 CLIP_TOL = 1e-6
@@ -244,23 +238,13 @@ def dual_dirichlet_sum(q: Density, n: int) -> float:
     return float((n + 1) * np.sum(amp2 / k))
 
 
-def interaction_energy(q: Density, w, tol: float | None = 1e-2) -> float:
+def interaction_energy(q: Density, w) -> float:
     """Interaction energy of q with itself through kernel w.
 
     Parseval form 2 sum_{k>=1} what(k) |qhat(k)|^2 over the modes the grid
-    resolves.  ``tol`` bounds the kernel tail dropped beyond those modes
-    (conservatively assuming |qhat| <= 1); pass None to skip the check.
+    resolves.
     """
-    m = q.grid_size
-    kmax = m // 2
-    if tol is not None:
-        dropped = w.tail_bound(min(kmax, w.truncation))
-        if dropped > tol:
-            raise TruncationTooCoarse(
-                f"kernel tail {dropped:.3e} beyond mode "
-                f"{min(kmax, w.truncation)} exceeds tol={tol:.1e}"
-            )
-    wk = kernel_spectrum(w, m)[1:]
+    wk = kernel_spectrum(w, q.grid_size)[1:]
     amp2 = np.abs(q.fourier[1:]) ** 2
     return float(2.0 * np.sum(wk * amp2))
 
@@ -270,7 +254,7 @@ def free_energy(q: Density, w, coupling: float) -> float:
 
     Zero at the uniform state for every zero-mean kernel.
     """
-    return relative_entropy(q) - coupling * interaction_energy(q, w, tol=None)
+    return relative_entropy(q) - coupling * interaction_energy(q, w)
 
 
 def kernel_spectrum(w, m: int) -> np.ndarray:

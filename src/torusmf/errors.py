@@ -21,10 +21,6 @@ class PositivityLoss(TorusMFError):
     """Spectral truncation produced too much negative mass to clip silently."""
 
 
-class TruncationTooCoarse(TorusMFError):
-    """Kernel tail beyond the available modes exceeds the requested tolerance."""
-
-
 class BadParams(TorusMFError):
     """Model parameter outside its admissible range."""
 

@@ -276,6 +276,8 @@ def integrate(
 ) -> FlowTrace:
     """Run the flow to the horizon, recording the L2 and W2 distances to the
     uniform state, tracked mode amplitudes, free energy and the mass defect.
+    ``track_modes`` defaults to the first four multiples of the lead mode
+    that the grid resolves (k <= M/2); a mode above M/2 is a ValueError.
 
     ``dt`` is the first trial step.  A Krogstad ETDRK4 step h is accepted
     when the L^2 norm err of its error estimate is at most tol, the smaller
@@ -308,7 +310,10 @@ def integrate(
     if record is None:
         record = RecordPolicy()
     if track_modes is None:
-        track_modes = _default_modes(w)
+        track_modes = [k for k in _default_modes(w) if k <= m // 2]
+    elif max(map(abs, track_modes), default=0) > m // 2:
+        raise ValueError(f"track_modes {track_modes} go past mode M/2 = "
+                         f"{m // 2} of the grid")
     split = _Split(w, coupling, m)
     tables = lru_cache(maxsize=32)(lambda h: _etd_tables(split.lin, h))
     qu = dens.uniform(m)

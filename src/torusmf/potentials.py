@@ -4,26 +4,26 @@ Every kernel is even, zero-mean, and stored as a finite cosine polynomial
 
     W(theta) = 2 sum_{k=1}^{truncation} what(k) cos(2 pi k theta).
 
-The catalog models come with closed-form coefficients, analytic bounds on
-the discarded tail, and certificates used by the coefficient-decay check:
+The catalog models come with closed-form coefficients and certificates
+used by the coefficient-decay check:
 
     doi_onsager          what(2l) = (2/pi) / (4 l^2 - 1)
     transformer(beta)    what(l)  = I_l(beta) / beta   (scipy.special.iv)
     hegselmann_krause(R) what(l)  = (2 / (pi l^3)) (l R - sin(l R))
     log_gas              what(l)  = 1 / (2 l)
 
-The log-gas coefficient law is not absolutely summable, so there the
-truncated polynomial itself is the model; all spectral functionals are
-exact for it.  The program only uses the coefficients; the pointwise
-closed forms of the catalog kernels are the test oracle
-``tests/oracles.py:closed_form``.
+The coefficients are the kernel: what(k) is zero beyond the truncation,
+and every spectral functional is exact for the polynomial (the log-gas law
+is not even summable).  The pointwise closed forms of the catalog kernels
+and the bounds on their discarded law tails are test oracles, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -56,7 +56,6 @@ class Potential:
     name: str
     params: dict
     coeffs: np.ndarray
-    _tail: Callable[[int], float] = field(repr=False)
     _decay_certified_from: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -88,12 +87,6 @@ class Potential:
         out = np.where((k >= 1) & (k <= self.truncation), self.coeffs[idx], 0.0)
         return out[()]
 
-    def tail_bound(self, m: int) -> float:
-        """Bound on sum_{k > m} |what_model(k)| (law tail past the object)."""
-        m = int(m)
-        partial = float(np.abs(self.coeffs[m:]).sum()) if m < self.truncation else 0.0
-        return partial + self._tail(max(m, self.truncation))
-
 
 def doi_onsager(truncation: int = 512) -> Potential:
     """Rod-suspension kernel -|sin(2 pi theta)| (zero-mean part)."""
@@ -102,23 +95,8 @@ def doi_onsager(truncation: int = 512) -> Potential:
     even = np.arange(2, truncation + 1, 2, dtype=float)
     coeffs[1::2] = (2.0 / np.pi) / (even**2 - 1.0)
 
-    def tail(m: int) -> float:
-        # sum_{l > m/2} (2/pi)/(4 l^2 - 1) telescopes to 1/(pi (2 l0 + 1))
-        l0 = m // 2
-        return 1.0 / (np.pi * (2 * l0 + 1))
-
     # (4l+1)(l-1) >= 0 for every l >= 1: decay holds at every mode
-    return Potential("doi_onsager", {}, coeffs, tail,
-                     _decay_certified_from=2)
-
-
-def _log_bessel_i_upper(order: int, x: float) -> float:
-    """log of the bound I_order(x) <= (x/2)^order e^{x^2/4} / order!.
-
-    Safe in log space for large orders where the value itself underflows;
-    used for the certified transformer tail.
-    """
-    return order * math.log(0.5 * x) + 0.25 * x * x - math.lgamma(order + 1)
+    return Potential("doi_onsager", {}, coeffs, _decay_certified_from=2)
 
 
 def transformer(beta: float, truncation: int = 512) -> Potential:
@@ -132,18 +110,9 @@ def transformer(beta: float, truncation: int = 512) -> Potential:
     _check_truncation(truncation, 1)
     coeffs = iv(np.arange(1, truncation + 1), beta) / beta
 
-    def tail(m: int) -> float:
-        # I_{k+1}/I_k <= beta/(2(k+1)) gives a geometric envelope
-        r = beta / (2.0 * (m + 1))
-        if r >= 1.0:
-            return math.inf
-        log_im = _log_bessel_i_upper(m, beta)
-        bound = math.exp(max(log_im, math.log(1e-300)))
-        return bound / beta * r / (1.0 - r)
-
     # k I_k(beta) is decreasing once k >= beta/2, so a verified mode there
     # propagates the decay bound to all larger k
-    return Potential("transformer", {"beta": beta}, coeffs, tail,
+    return Potential("transformer", {"beta": beta}, coeffs,
                      _decay_certified_from=max(2, math.ceil(beta / 2.0)))
 
 
@@ -155,14 +124,10 @@ def hegselmann_krause(radius: float, truncation: int = 512) -> Potential:
     k = np.arange(1, truncation + 1, dtype=float)
     coeffs = (2.0 / (np.pi * k**3)) * (k * radius - np.sin(k * radius))
 
-    def tail(m: int) -> float:
-        # l R - sin(l R) <= l R + 1 and sum_{l>m} l^-2 <= 1/m
-        return (2.0 / np.pi) * (radius / m + 0.5 / m**2)
-
     g = radius - math.sin(radius)
     # l^2 g(R) >= l R + 1 >= g(l R) from this order on
     cert = max(2, math.ceil((radius + math.sqrt(radius**2 + 4.0 * g)) / (2.0 * g)))
-    return Potential("hegselmann_krause", {"radius": radius}, coeffs, tail,
+    return Potential("hegselmann_krause", {"radius": radius}, coeffs,
                      _decay_certified_from=cert)
 
 
@@ -174,11 +139,7 @@ def log_gas(truncation: int = 512) -> Potential:
     """
     _check_truncation(truncation, 1)
     k = np.arange(1, truncation + 1, dtype=float)
-    coeffs = 0.5 / k
-
-    # the object is the truncated polynomial: no law tail beyond it
-    return Potential("log_gas", {}, coeffs, lambda m: 0.0,
-                     _decay_certified_from=1)
+    return Potential("log_gas", {}, 0.5 / k, _decay_certified_from=1)
 
 
 def custom_potential(coeffs) -> Potential:
@@ -188,7 +149,7 @@ def custom_potential(coeffs) -> Potential:
     if coeffs.ndim != 1 or len(coeffs) == 0:
         raise BadParams("custom kernel needs a nonempty 1-D coefficient list")
     return Potential("custom", {"coeffs": coeffs.tolist()}, coeffs,
-                     lambda m: 0.0, _decay_certified_from=len(coeffs))
+                     _decay_certified_from=len(coeffs))
 
 
 def make_potential(model: str, truncation: int = 512, **params) -> Potential:
@@ -294,7 +255,6 @@ def normalize(w: Potential) -> Potential:
     if scale == 1.0:
         return w
     return Potential(w.name, {**w.params, "scale": scale}, w.coeffs / scale,
-                     lambda m, f=w._tail: f(m) / scale,
                      w._decay_certified_from)
 
 

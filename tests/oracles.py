@@ -73,6 +73,39 @@ def closed_form(w, derivative=False):
     return lambda theta: g(_wrap(np.asarray(theta, dtype=float))) / scale
 
 
+def log_bessel_i_upper(order, x):
+    """log of the bound I_order(x) <= (x/2)^order e^{x^2/4} / order!,
+    finite for large orders where the value itself underflows."""
+    return order * math.log(0.5 * x) + 0.25 * x * x - math.lgamma(order + 1)
+
+
+def tail_bound(w, m):
+    """Bound on sum_{k > m} |what(k)| over the untruncated coefficient law
+    of ``w.name`` at ``w.params``, divided by a normalized kernel's
+    ``"scale"``: the law tail a truncation at m drops, whatever w's own
+    truncation.  ``ValueError`` for the log gas, whose law is not summable,
+    and for a custom kernel."""
+    m = int(m)
+    if w.name == "doi_onsager":
+        # sum_{l > m/2} (2/pi)/(4 l^2 - 1) telescopes to 1/(pi (2 l0 + 1))
+        bound = 1.0 / (math.pi * (2 * (m // 2) + 1))
+    elif w.name == "transformer":
+        # I_{k+1}/I_k <= beta/(2(k+1)) gives a geometric envelope
+        beta = w.params["beta"]
+        r = beta / (2.0 * (m + 1))
+        if r >= 1.0:
+            return math.inf
+        i_m = math.exp(max(log_bessel_i_upper(m, beta), math.log(1e-300)))
+        bound = i_m / beta * r / (1.0 - r)
+    elif w.name == "hegselmann_krause":
+        # l R - sin(l R) <= l R + 1 and sum_{l>m} l^-2 <= 1/m
+        radius = w.params["radius"]
+        bound = (2.0 / math.pi) * (radius / m + 0.5 / m**2)
+    else:
+        raise ValueError(f"no tail bound for the {w.name} kernel")
+    return bound / w.params.get("scale", 1.0)
+
+
 def pairwise_drift(positions, dw, coupling):
     """(K/N) sum_j W'(x_i - x_j) over all pairs, O(N^2), with W' = ``dw``
     (``closed_form(w, derivative=True)`` for a catalog kernel)."""

@@ -1,9 +1,9 @@
 """The Bessel numbers the program uses, against independent oracles.
 
 The attention kernel takes what(l) = I_l(beta)/beta and I_0(beta) from
-``scipy.special.iv``; beta_* solves I_2 = I_1/2 and the certified tail rests
-on an upper bound for I_l.  Each is checked here against mpmath or a
-bounded power series.
+``scipy.special.iv``, and beta_* solves I_2 = I_1/2.  Each is checked here
+against mpmath or a bounded power series, as is the upper bound for I_l
+behind the test oracle ``oracles.tail_bound``.
 """
 
 import functools
@@ -14,7 +14,6 @@ import pytest
 
 import torusmf as tm
 from torusmf.errors import BadParams
-from torusmf.potentials import _log_bessel_i_upper
 
 import oracles
 
@@ -88,11 +87,12 @@ class TestValues:
     def test_log_upper_bound_is_upper(self):
         for ell in (5, 20, 80):
             for x in (0.5, 3.0, 20.0):
-                assert np.log(mp_iv(ell, x)) <= _log_bessel_i_upper(ell, x) + 1e-12
-        # the certified tail it feeds bounds the discarded modes
+                assert (np.log(mp_iv(ell, x))
+                        <= oracles.log_bessel_i_upper(ell, x) + 1e-12)
+        # the tail bound it feeds bounds the discarded modes
         w = tm.transformer(3.0, truncation=16)
         tail = sum(mp_iv(k, 3.0) / 3.0 for k in range(17, 80))
-        assert tail <= w.tail_bound(16)
+        assert tail <= oracles.tail_bound(w, 16)
 
 
 class TestThresholds:

@@ -145,6 +145,8 @@ class TestBadValues:
         (["verify", "--samples", "0"], "samples"),
         (["verify", "--suite", "coercivity", "--samples", "0"], "samples"),
         (["verify", "--suite", "loggas", "--samples", "-1"], "samples"),
+        (["scan", "do", "--tol-f", "0"], "tol_F"),
+        (["scan", "hk", "--R", "1", "--tol-f", "1e-16"], "tol_F"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
@@ -325,6 +327,21 @@ class TestSettings:
             main(verb + ["--config", str(path), "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_*"))
+
+    @pytest.mark.parametrize("verb,cfg,key", [
+        (["thresholds"], {"model": "custom", "coeffs": [0.5, 0.2]}, "coeffs"),
+        (["thresholds"], {"model": "do", "truncation": "64"}, "truncation"),
+        (["flow", "do", "--K", "0.5"], {"T": "0.01"}, "T"),
+    ])
+    def test_config_value_of_the_wrong_type_is_rejected(self, verb, cfg, key,
+                                                        tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"config key {key} " in capsys.readouterr().err
         assert not list(tmp_path.glob("*_*"))
 
     def test_particles_writes_replicate0_from_the_check(self, tmp_path,

@@ -506,6 +506,19 @@ class TestScan:
         with pytest.raises(ValueError, match="tol_K"):
             tm.scan_kc(do_kernel, m=128, tol_K=tol_k)
 
+    @pytest.mark.parametrize("tol_f", [0.0, 1e-16, 9.9e-15, -1e-10,
+                                       float("nan")])
+    def test_tol_f_below_rounding_rejected(self, do_kernel, tol_f,
+                                           monkeypatch):
+        # at 0.95 K_*, below the proven K_*, F of about -1e-17 is rounding;
+        # a tol_F under that level would read it as a witness
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scan_kc solved before checking tol_F")
+
+        monkeypatch.setattr(critical, "multistart", unreachable)
+        with pytest.raises(ValueError, match="tol_F"):
+            tm.scan_kc(do_kernel, m=128, tol_F=tol_f)
+
     def test_bad_bracket_rejected(self, do_kernel):
         with pytest.raises(BracketNotStraddling):
             tm.scan_kc(do_kernel, bracket=(3.0, 2.0))

@@ -8,12 +8,7 @@ import pytest
 import torusmf as tm
 from torusmf.critical import _map_exponent
 from torusmf.density import kernel_spectrum, theta_grid
-from torusmf.errors import (
-    NegativeDensity,
-    NonPositiveMass,
-    NotFinite,
-    TruncationTooCoarse,
-)
+from torusmf.errors import NegativeDensity, NonPositiveMass, NotFinite
 from torusmf.io import save_density_json
 
 import oracles
@@ -145,13 +140,14 @@ class TestInteraction:
         ("transformer", {"beta": 1.0}),
         ("hegselmann_krause", {"radius": 2.0}),
         ("log_gas", {}),
+        ("doi_onsager", {"truncation": 8}),  # coarse: the kernel all the same
     ])
     def test_parseval_vs_double_sum(self, rng, model, kw):
-        w = tm.make_potential(model, 128, **kw)
+        w = tm.make_potential(model, **{"truncation": 128, **kw})
         vals = np.exp(rng.normal(0, 0.3, 256))
         q = tm.from_grid(vals / vals.mean())
         direct = oracles.interaction_double_sum(q, w)
-        spectral = tm.interaction_energy(q, w, tol=None)
+        spectral = tm.interaction_energy(q, w)
         assert abs(direct - spectral) < 1e-8
 
     def test_exact_kernel_agreement_smooth(self, rng):
@@ -161,12 +157,6 @@ class TestInteraction:
         q = tm.from_grid(vals / vals.mean())
         direct = oracles.interaction_double_sum(q, w, oracles.closed_form(w))
         assert abs(direct - tm.interaction_energy(q, w)) < 1e-9
-
-    def test_truncation_guard(self):
-        w = tm.doi_onsager(truncation=8)
-        q = tm.uniform(256)
-        with pytest.raises(TruncationTooCoarse):
-            tm.interaction_energy(q, w, tol=1e-4)
 
 
 class TestFreeEnergy:
@@ -184,7 +174,7 @@ class TestFreeEnergy:
         q = tm.extremal(0.3, 1, 0.0, 512)
         f = tm.free_energy(q, do_normalized, 1.0)
         expect = tm.relative_entropy(q) - tm.interaction_energy(
-            q, do_normalized, tol=None)
+            q, do_normalized)
         assert f == expect
 
 

@@ -337,6 +337,26 @@ class TestIntegrate:
         assert tr.times[-1] == horizon
         assert tr.meta["step_min"] > 1e-9  # no sliver step between records
 
+    @pytest.mark.parametrize("m, tracked", [(4, [2]), (8, [2, 4]),
+                                            (16, [2, 4, 6, 8])])
+    def test_default_modes_stop_at_half_the_grid(self, do_kernel, m,
+                                                 tracked):
+        tr = integrate(tm.cosine_profile({2: 0.01}, m), do_kernel, 1.0,
+                       0.01, record=RecordPolicy("uniform", 2))
+        assert sorted(tr.mode_abs) == tracked
+        assert all(len(a) == len(tr.times) for a in tr.mode_abs.values())
+
+    @pytest.mark.parametrize("modes", [[2, 6], [-5]])
+    def test_tracked_mode_past_half_the_grid_rejected(self, do_kernel,
+                                                      modes, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrate stepped before checking modes")
+
+        monkeypatch.setattr(flow, "_Split", unreachable)
+        with pytest.raises(ValueError, match="track_modes"):
+            integrate(tm.cosine_profile({2: 0.01}, 8), do_kernel, 1.0, 0.01,
+                      track_modes=modes)
+
     def test_c10_flow_side_matches_a_fine_fixed_step_run(self):
         # the flow side of the scaled-down C10 check agrees with the
         # oracle's BDF solve, which lies 1.4e-11 from a fixed 2.5e-5 run

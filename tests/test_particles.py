@@ -30,7 +30,7 @@ def _one_mode_kernel() -> Potential:
     # 2 what(3) cos(6 pi theta) with what(3) = 1/4: lead mode 3, one power
     coeffs = np.zeros(12)
     coeffs[2] = 0.25
-    return Potential("one_mode", {}, coeffs, lambda m: 0.0)
+    return Potential("one_mode", {}, coeffs)
 
 
 #: name -> (kernel, and where the kernel is its own truncation to rounding

@@ -19,8 +19,7 @@ class TestCoefficientLaws:
         assert w.periodicity == 1
 
     def test_direct_build_reads_the_lattice_from_coeffs(self):
-        w = tm.Potential("direct", {}, tm.doi_onsager().coeffs,
-                         lambda m: 0.0)
+        w = tm.Potential("direct", {}, tm.doi_onsager().coeffs)
         assert w.periodicity == 1 and w.lead_mode == 2
         for sid, q in tm.standard_seeds(w, 64):
             if sid.startswith("cos"):
@@ -72,7 +71,7 @@ class TestCoefficientLaws:
             direct = oracles.kernel_pointwise_truncated(w, th)
             # dropped part is 2 sum_{k>M} what(k) cos(...), so twice the
             # coefficient-sum bound in sup norm
-            bound = 2 * w.tail_bound(w.truncation) + 1e-12
+            bound = 2 * oracles.tail_bound(w, w.truncation) + 1e-12
             exact = oracles.closed_form(w)(th)
             assert np.abs(exact - direct).max() <= bound
 
@@ -80,12 +79,12 @@ class TestCoefficientLaws:
         for w in (tm.doi_onsager(truncation=64),
                   tm.transformer(2.0, truncation=64),
                   tm.hegselmann_krause(1.3, truncation=64)):
-            tails = [w.tail_bound(m) for m in (16, 32, 64)]
+            tails = [oracles.tail_bound(w, m) for m in (16, 32, 64)]
             assert tails[0] >= tails[1] >= tails[2] >= 0.0
             # the dropped coefficients really are below the bound
             big = tm.make_potential(w.name, 512, **w.params)
             dropped = np.abs(big.coeffs[64:]).sum()
-            assert dropped <= w.tail_bound(64) + 1e-15
+            assert dropped <= oracles.tail_bound(w, 64) + 1e-15
 
 
 class TestKSharp:
