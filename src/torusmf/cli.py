@@ -194,8 +194,7 @@ def cmd_scan(s: dict) -> int:
     io.save_phase_diagram(outdir, pd)
     print(f"K_c = {pd.k_c_estimate:.6g} +/- {pd.bracket_width / 2:.2g}"
           f"  (K_# = {pd.k_sharp:.6g}, K_* = {pd.k_star:.6g})")
-    print(f"continuity: {pd.continuity}   jump estimate: {pd.jump_estimate:.4g}"
-          f"   order parameter at K_c+delta: {pd.op_at_delta:.4g}")
+    print(f"continuity: {pd.continuity}   jump estimate: {pd.jump_estimate:.4g}")
     print(f"wrote {outdir}/phase_diagram.csv and verdict.json")
     pred = predicted_continuity(w.name, w.params)
     if s["no_assert"] or pred is None:

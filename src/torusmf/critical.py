@@ -402,7 +402,6 @@ class PhaseDiagram:
     k_star: float
     continuity: str  # continuous | discontinuous
     jump_estimate: float
-    op_at_delta: float
     probe_gap: float
 
     def as_verdict(self) -> dict:
@@ -414,7 +413,6 @@ class PhaseDiagram:
             "K_star": self.k_star,
             "continuity": self.continuity,
             "jump": self.jump_estimate,
-            "op_at_delta": self.op_at_delta,
             "probe_gap": self.probe_gap,
             "map_applications": sum(r.map_applications for r in self.rows),
             "witness_rows": sum(r.witness for r in self.rows),
@@ -441,16 +439,17 @@ def scan_kc(
     it returns at the first kept iterate below -tol_F, and the row is a
     witness row (``ScanRow.witness``) whose later seeds went unsolved.
     Other solves stop at residual 1e-11 (or ``max_iter``), from ``seeds``
-    as in ``multistart``.  The lower endpoint, the K_# probe and the jump
-    probes solve in full, since they report converged states; a coupling
-    first met as a witness row is solved again in full there, and its
+    as in ``multistart``.  The lower endpoint and the K_# probe solve in
+    full, since they report converged states; a coupling first met as a
+    witness row is solved again in full where its state is read, and its
     row then counts both solves' map applications.
 
-    Continuity is decided by the global-minimality probe at K_#: the
-    transition is discontinuous precisely when a state strictly below the
-    uniform free energy exists there.  The reported jump estimate is the
-    zero-offset intercept of |qhat(k_*)|^2 against coupling just above
-    K_c (the raw order parameter at K_c + delta is also reported).
+    Continuity is decided by the global-minimality probe at K_#, with the
+    bisection's predicate: the transition is discontinuous precisely when
+    a state strictly below the uniform free energy exists there.  The
+    reported jump is the order parameter of the best state at the top of
+    the final bracket, or at K_# if that is lower: the K_# probe's state
+    for a continuous transition, whose K_c is K_#.
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
@@ -497,8 +496,7 @@ def scan_kc(
     # energies can only dip below -tol when the uniform state has lost
     # global minimality, so capped runs cannot give a false positive)
     probe_gap = evaluate(ks).best_gap
-    continuity = ("discontinuous" if probe_gap > max(tol_F, 1e-9)
-                  else "continuous")
+    continuity = "discontinuous" if probe_gap > tol_F else "continuous"
 
     while hi - lo > tol_K:
         mid = 0.5 * (lo + hi)
@@ -506,25 +504,17 @@ def scan_kc(
             hi = mid
         else:
             lo = mid
-    k_c = 0.5 * (lo + hi)
-
-    delta = max(tol_K, 1e-3 * k_c)
-    probes = [k_c + delta, k_c + 2 * delta, k_c + 4 * delta]
-    ops = np.array([evaluate(p).order_parameter for p in probes])
-    slope, intercept = np.polyfit(np.asarray(probes) - k_c, ops**2, 1)
-    jump = float(np.sqrt(max(intercept, 0.0)))
-    op_at_delta = float(ops[0])
+    jump = evaluate(min(hi, ks)).order_parameter
 
     return PhaseDiagram(
         model=w.name,
         rows=tuple(sorted(rows.values(), key=lambda r: r.coupling)),
-        k_c_estimate=k_c,
+        k_c_estimate=0.5 * (lo + hi),
         bracket_width=hi - lo,
         k_sharp=ks,
         k_star=kstar,
         continuity=continuity,
         jump_estimate=jump,
-        op_at_delta=op_at_delta,
         probe_gap=probe_gap,
     )
 

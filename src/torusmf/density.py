@@ -102,8 +102,11 @@ class Density:
         return theta_grid(self.grid_size)
 
     def order_parameter(self, k: int) -> float:
-        """|qhat(k)|, the amplitude of mode k."""
-        return float(np.abs(self.fourier[abs(k)]))
+        """|qhat(k)|, the amplitude of mode k.  At the Nyquist mode k = M/2
+        the stored coefficient holds both the +M/2 and -M/2 terms of the
+        sampled cosine, so it is halved there."""
+        amp = float(np.abs(self.fourier[abs(k)]))
+        return 0.5 * amp if abs(k) == self.grid_size // 2 else amp
 
 
 def _validate_values(values: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BlowUp
 from .particles import step_count
 
 
@@ -70,7 +71,7 @@ def integrate_hierarchy(
     Returns (times, trajectory) with trajectory[i] = qhat(1..M) at
     times[i] = j dt for every ``record_every``-th j below n = horizon / dt,
     and at n dt.  ``horizon`` must be a whole number of steps ``dt``, and
-    ``record_every`` at least 1.
+    ``record_every`` at least 1.  A non-finite trajectory raises BlowUp.
     """
     # here: the CLI imports loggas; scipy.integrate takes 29-45 ms to import
     from scipy.integrate import solve_ivp
@@ -81,9 +82,16 @@ def integrate_hierarchy(
     times = dt * np.unique(np.append(np.arange(0, n_steps, record_every),
                                      n_steps))
     q0 = np.array(q0, dtype=complex)
-    sol = solve_ivp(lambda t, q: loggas_rhs(q, coupling), (0.0, times[-1]),
-                    q0, method="BDF", t_eval=times, first_step=dt,
-                    rtol=1e-12, atol=1e-14)
+    # BDF's first step subtracts a row of its np.empty difference table
+    # before writing it; leftover bytes that form a signalling NaN flag
+    # "invalid" without changing the result, so that flag is ignored and
+    # the trajectory is checked instead
+    with np.errstate(invalid="ignore"):
+        sol = solve_ivp(lambda t, q: loggas_rhs(q, coupling),
+                        (0.0, times[-1]), q0, method="BDF", t_eval=times,
+                        first_step=dt, rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise RuntimeError(sol.message)
+    if not np.all(np.isfinite(sol.y)):
+        raise BlowUp("log-gas hierarchy trajectory is non-finite")
     return times, sol.y.T

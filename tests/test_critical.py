@@ -20,13 +20,25 @@ from oracles import anderson_fixed_point, picard_fixed_point
 def _check_witness_rows(w, tol_K, seeds, tol_F=1e-10):
     """Scan, then re-solve every row: a witness row's last seed stopped at
     a density below -tol_F, and the full multistart there agrees that the
-    coupling is supercritical; every other row is the full multistart's."""
+    coupling is supercritical; every other row is the full multistart's.
+    A supercritical full row other than K_#'s is the bracket top, first
+    met as a witness and solved again in full to read the jump there, so
+    it counts both solves' maps."""
     pd = tm.scan_kc(w, m=512, tol_K=tol_K, tol_F=tol_F, seeds=seeds)
     assert any(r.witness for r in pd.rows)
     for row in pd.rows:
         full = multistart(w, row.coupling, 512, seeds, tol=1e-11)
         if not row.witness:
-            assert row == _scan_row(row.coupling, full)
+            expected = _scan_row(row.coupling, full)
+            if row.best_gap > tol_F and row.coupling != pd.k_sharp:
+                assert row.order_parameter == pd.jump_estimate
+                stopped = multistart(w, row.coupling, 512, seeds, tol=1e-11,
+                                     stop_below=-tol_F)
+                assert stopped[-1].witness
+                expected = replace(expected, map_applications=(
+                    expected.map_applications
+                    + sum(r.iterations for r in stopped)))
+            assert row == expected
             continue
         reports = multistart(w, row.coupling, 512, seeds, tol=1e-11,
                              stop_below=-tol_F)
@@ -278,16 +290,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iter"):
             tm.solve_fixed_point(do_kernel, 1.0, tm.uniform(64), max_iter=0)
 
-    def test_degenerate_threshold_within_500_maps(self, do_kernel):
-        # at K_# = 3 pi/4 the map's linear rate is 1; Picard is capped at
-        # 20000 maps from this seed
-        seed = dict(standard_seeds(do_kernel, 512))["cos_a0.6"]
-        rep = tm.solve_fixed_point(do_kernel, 3 * np.pi / 4, seed)
-        assert rep.converged and rep.iterations <= 500
-
     def test_degenerate_threshold_within_60_maps(self, do_kernel):
-        # F moves by about residual^2 here, so a guard that counted
-        # rounding-level rises as rises dropped 83 of 307 maps
+        # at K_# = 3 pi/4 the map's linear rate is 1; Picard is capped at
+        # 20000 maps from this seed.  F moves by about residual^2 here, so
+        # a guard that counted rounding-level rises as rises dropped 83 of
+        # 307 maps
         seed = dict(standard_seeds(do_kernel, 512))["cos_a0.6"]
         rep = tm.solve_fixed_point(do_kernel, 3 * np.pi / 4, seed)
         assert rep.converged and rep.iterations <= 60
@@ -346,31 +353,24 @@ class TestAttentionAboveKc:
         assert rep.order_parameter < 1e-6
         assert abs(rep.free_energy) < 1e-12
 
-    def test_benchmark_seeds_scan_within_1500_maps(self, setup):
-        # the scan_attention_b3 setting, unrotated; K_c and the verdict are
-        # those of the solver before the saddle escape (3,474 maps)
-        w, seeds = setup
-        pd = tm.scan_kc(w, m=512, tol_K=2e-4,
-                        seeds=[(s, seeds[s]) for s in
-                               ("uniform", "cos_a0.6", "bump_c0.99")])
-        assert sum(r.map_applications for r in pd.rows) <= 1500
-        assert pd.continuity == "discontinuous"
-        assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
-
     def test_benchmark_seeds_scan_within_720_maps(self, setup):
-        # the bisection solves stop at their first witness below -tol_F:
-        # 681 maps (691 with a guard at 16 ulps of the energy's terms, 905
-        # when every seed ran to the residual tolerance)
+        # the scan_attention_b3 setting, unrotated; K_c and the verdict are
+        # those of the solver before the saddle escape (3,474 maps).  The
+        # bisection solves stop at their first witness below -tol_F: 533
+        # maps (681 with three jump probes above K_c, 905 when every seed
+        # ran to the residual tolerance)
         w, seeds = setup
         pd = tm.scan_kc(w, m=512, tol_K=2e-4,
                         seeds=[(s, seeds[s]) for s in self.bench_seeds])
         assert sum(r.map_applications for r in pd.rows) <= 720
+        assert pd.continuity == "discontinuous"
         assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
 
     def test_benchmark_seeds_scan_same_maps_at_every_roll(self, setup):
         # the map commutes with whole-cell rolls, so only rounding differs
         # between these scans; a guard that took rounding-level rises for
-        # rises made them take 732 to 774 maps
+        # rises made them take 732 to 774 maps, and the jump probes above
+        # K_c 681
         w, seeds = setup
         counts = []
         for roll in (0, 1, 171, 256, 389):
@@ -378,7 +378,7 @@ class TestAttentionAboveKc:
                       for s in self.bench_seeds]
             pd = tm.scan_kc(w, m=512, tol_K=2e-4, seeds=rolled)
             counts.append(sum(r.map_applications for r in pd.rows))
-        assert len(set(counts)) == 1 and counts[0] <= 690, counts
+        assert len(set(counts)) == 1 and counts[0] <= 540, counts
 
     def test_benchmark_seeds_witness_rows(self, setup):
         w, seeds = setup
@@ -494,6 +494,42 @@ class TestScan:
 
     def test_c01_witness_rows(self, do_kernel):
         _check_witness_rows(do_kernel, 5e-3, "standard")
+
+    @pytest.mark.parametrize("w", [tm.transformer(2.0),
+                                   tm.hegselmann_krause(2.5)],
+                             ids=["transformer2", "hk2.5"])
+    def test_continuous_jump_is_the_k_sharp_state(self, w):
+        # a continuous K_c is K_#, where the probe's best state is the
+        # uniform one up to the solves' tolerance; a fit of |qhat|^2 above
+        # K_c read jumps of 0.118 and 0.156 here
+        pd = tm.scan_kc(w, m=512, tol_K=5e-3)
+        (row,) = [r for r in pd.rows if r.coupling == pd.k_sharp]
+        assert pd.continuity == "continuous"
+        assert pd.jump_estimate == row.order_parameter
+        assert pd.jump_estimate < 1e-3
+
+    def test_discontinuous_jump_is_the_bracket_top_state(self):
+        # the order parameter of the branch at Newton's K_c is 0.280; a fit
+        # of |qhat|^2 above K_c read 0.313
+        pd = tm.scan_kc(tm.transformer(2.6), m=512, tol_K=2e-4)
+        above = [r for r in pd.rows if r.coupling > pd.k_c_estimate]
+        top = min(above, key=lambda r: r.coupling)
+        assert pd.continuity == "discontinuous"
+        assert not top.witness and top.coupling < pd.k_sharp
+        assert pd.jump_estimate == top.order_parameter
+        assert abs(pd.jump_estimate - 0.280) < 0.025
+
+    def test_rod_benchmark_seeds_scan_within_235_maps(self, do_kernel):
+        # the scan_rod setting at five rolls: 264 to 300 maps with three
+        # jump probes above K_c
+        seeds = dict(standard_seeds(do_kernel, 512))
+        for roll in (0, 1, 171, 256, 389):
+            rolled = [(s, tm.from_grid(np.roll(seeds[s].grid_values, roll)))
+                      for s in ("uniform", "cos_a0.6")]
+            pd = tm.scan_kc(do_kernel, m=512, tol_K=5e-3, seeds=rolled)
+            maps = sum(r.map_applications for r in pd.rows)
+            assert pd.continuity == "continuous"
+            assert maps <= 235, (roll, maps)
 
     @pytest.mark.parametrize("tol_k", [0.0, -1e-3, float("nan")])
     def test_nonpositive_tol_k_rejected(self, do_kernel, tol_k,

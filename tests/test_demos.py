@@ -1,4 +1,4 @@
-"""Smoke test: demos that call the public API run to the end."""
+"""Smoke test: demos that call the public API run to the end, silently."""
 
 import os
 import subprocess
@@ -27,15 +27,18 @@ WRITES = {
     "08_loggas_hierarchy.py",
 ])
 def test_demo_exits_zero(demo, tmp_path):
-    """Runs the demo in an empty working directory.  Demo 06, particles
-    against the flow, is left out: it takes about 8 s, and C10 runs the
-    same comparison."""
+    """Runs the demo in an empty working directory, with RuntimeWarnings
+    as errors as in the suite, and requires an empty stderr.  Demo 06,
+    particles against the flow, is left out: it takes about 8 s, and C10
+    runs the same comparison."""
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     runs = WRITES.get(demo, [])
     assert [p.name for p in tmp_path.iterdir()] == (["runs"] if runs else [])
     if runs:

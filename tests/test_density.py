@@ -27,6 +27,16 @@ class TestConstruction:
         others = np.abs(q.fourier[2:])
         assert others.max() < 1e-12
 
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_order_parameter_at_every_mode(self, m):
+        # a cosine of amplitude 0.01 reads 0.005 at every mode, the
+        # Nyquist mode M/2 included, whose stored coefficient carries both
+        # the +M/2 and -M/2 terms
+        for k in range(1, m // 2 + 1):
+            q = tm.from_grid(1 + 0.01 * np.cos(2 * np.pi * k * theta_grid(m)))
+            assert q.order_parameter(k) == pytest.approx(0.005, abs=1e-15)
+            assert q.order_parameter(-k) == q.order_parameter(k)
+
     def test_extremal_family_coefficients(self):
         q = tm.extremal(0.5, 1, 0.0, 256)
         for ell in range(1, 8):

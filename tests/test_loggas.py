@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.integrate._ivp import bdf
 
 import torusmf as tm
+from torusmf.errors import BlowUp
 from torusmf.flow import RecordPolicy, integrate
 from torusmf.loggas import integrate_hierarchy, loggas_rhs, stationary_coeffs
 
@@ -72,6 +75,43 @@ class TestRhs:
         q0 = stationary_coeffs(0.5, 1, 8).astype(complex)
         with pytest.raises(ValueError, match="record_every"):
             integrate_hierarchy(q0, 0.8, 0.002, dt=1e-3, record_every=every)
+
+    def test_unset_bdf_table_bytes_raise_no_warning(self, monkeypatch):
+        # scipy's BDF subtracts a row of its np.empty difference table
+        # before writing it; leftover bytes that form a signalling NaN
+        # flag "invalid" there, which the suite turns into an error
+        class SignallingEmpty:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                out = np.empty(shape, dtype)
+                out.view(np.uint64)[...] = 0x7FF0000000000001
+                return out
+
+        q0 = stationary_coeffs(0.5, 1, 16).astype(complex)
+        ref = integrate_hierarchy(q0, 0.8, 0.002, dt=1e-4, record_every=5)
+        monkeypatch.setattr(bdf, "np", SignallingEmpty())
+        times, traj = integrate_hierarchy(q0, 0.8, 0.002, dt=1e-4,
+                                          record_every=5)
+        assert np.array_equal(times, ref[0])
+        assert np.array_equal(traj, ref[1])
+
+    def test_non_finite_trajectory_raises(self, monkeypatch):
+        # with "invalid" ignored inside the solve, a NaN that reaches the
+        # trajectory must still fail
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def poisoned(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            sol.y[3, -1] = np.nan
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", poisoned)
+        q0 = stationary_coeffs(0.5, 1, 8).astype(complex)
+        with pytest.raises(BlowUp):
+            integrate_hierarchy(q0, 0.8, 0.002, dt=1e-3)
 
 
 class TestFlowConsistency:
