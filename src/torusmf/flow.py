@@ -20,9 +20,10 @@ and a product, with the bits of ``fourier_to_grid`` and
 ``integrate`` adapts the step from accuracy alone, with no CFL cap (the
 exponential damps the explicit transport of mode k by exp(-2 pi^2 k^2 h)):
 the transport of the new state, which the next step starts from ("first
-same as last"), gives a free error estimate.  Steps sit on a ladder of
-sizes, so that a run reuses its exponential tables, and land on the
-record times in one cut step or two equal ones, which share a table.
+same as last"), gives a free error estimate, and an I-controller holds it
+near its tolerance.  Steps sit on a ladder of sizes, eight rungs an
+octave, whose tables the run keeps, and land on the record times in one
+cut step or two equal ones, which share a table.
 """
 
 from __future__ import annotations
@@ -47,8 +48,12 @@ STEP_TOL = 1e-8
 #: unstable step has a share above 1/2 (its infimum is 0.82, at
 #: h lambda = -1.66 +- 2.06 i)
 STABLE_SHARE = 0.5
+#: an L^2 change below this is rounding (at clustered stationary states
+#: every change measured below 6.5e-16), where the share cannot tell a
+#: stable step from an unstable one: the share bound reads it as this
+CHANGE_ROUNDING = 2.0 ** -50
 #: steps sit on the ladder 2^(j / STEP_LADDER), so a run reuses its tables
-STEP_LADDER = 64
+STEP_LADDER = 8
 #: Taylor coefficients 1/(n + 3)! of phi3, highest first, for |z| < 1
 _PHI3_SERIES = 1.0 / np.array([math.factorial(n) for n in range(18, 2, -1)])
 #: the factors of h in the rows (h/2) phi1(z/2), h phi1, h phi2(z/2), 2 h phi2
@@ -281,22 +286,24 @@ def integrate(
 
     ``dt`` is the first trial step.  A Krogstad ETDRK4 step h is accepted
     when the L^2 norm err of its error estimate is at most tol, the smaller
-    of ``STEP_TOL`` and ``STABLE_SHARE`` times the norm of its change; no
-    CFL bound caps it.  The next trial is
-    h min(5, max(0.2, 0.9 (tol / err)^(1/4))), or 0.2 h for a non-finite
-    err, and ``BlowUp`` is raised once a rejected step falls below 1e-14
-    of the horizon.  An accepted step is kept while its factor lies in
-    [1, 1.2), so that runs of equal steps share their exponential tables.
-    Each trial is taken down to the ladder 2^(j / STEP_LADDER) and cut to
-    land on the next record time.  Where the ladder step would leave a
-    sliver before it, the run takes two even steps, half of what is left
-    each: the second reuses the first's size and table and lands, and a
-    rejected step drops the pair.  Records fall exactly on the unique
-    times of ``record.times(horizon)``.  ``meta`` holds the accepted and
-    rejected steps (``steps``, ``rejected``; four transport evaluations
-    each, plus one for the initial state), the smallest and largest
-    accepted step (``step_min``, ``step_max``) and the exponential tables
-    built (``tables``), the misses of a cache of the last 32 step sizes.
+    of ``STEP_TOL`` and ``STABLE_SHARE`` times the norm of its change, a
+    change below ``CHANGE_ROUNDING`` counting as that; no CFL bound caps
+    it.  The next trial is h min(5, max(0.2, 0.97 (tol / err)^(1/4))), or
+    0.2 h for a non-finite err: the estimate is O(h^4) as h -> 0 and grows
+    like h^2 to h^3 at the steps taken, so the exponent 1/4 never aims past
+    tol.  Where the change is rounding, err says nothing about stability,
+    and the step rises at most one rung.  ``BlowUp`` is raised once a
+    rejected step falls below 1e-14 of the horizon.  Each trial is taken
+    down to the ladder 2^(j / STEP_LADDER) and cut to land on the next
+    record time.  Where the ladder step would leave a sliver before it, the
+    run takes two even steps, half of what is left each: the second reuses
+    the first's size and table and lands, and a rejected step drops the
+    pair.  Records fall exactly on the unique times of
+    ``record.times(horizon)``.  ``meta`` holds the accepted and rejected
+    steps (``steps``, ``rejected``; four transport evaluations each, plus
+    one for the initial state), the smallest and largest accepted step
+    (``step_min``, ``step_max``) and the exponential tables built
+    (``tables``), the misses of a cache of the last 32 step sizes.
 
     Terminates early (flagged) once the stationarity residual, from the
     transport of the state that its last step returned, drops below
@@ -347,9 +354,11 @@ def integrate(
                 elif 2.0 * take > left:
                     half = take = 0.5 * left  # two even steps, not a sliver
             nxt, n_nxt, change, err = split.step(qhat, n0, tables(take))
-            tol = min(STEP_TOL, STABLE_SHARE * change)
+            tol = min(STEP_TOL, STABLE_SHARE * max(change, CHANGE_ROUNDING))
             grow = (5.0 if err == 0.0 else 0.2 if not err < math.inf else
-                    min(5.0, max(0.2, 0.9 * (tol / err) ** (1 / 4))))
+                    min(5.0, max(0.2, 0.97 * (tol / err) ** (1 / 4))))
+            if change < CHANGE_ROUNDING and err > 0.0:  # probe a rung a time
+                grow = min(grow, 2.0 ** (1 / STEP_LADDER))
             if not err <= tol:  # also when err is NaN
                 rejected += 1
                 if take < 1e-14 * horizon:
@@ -365,10 +374,8 @@ def integrate(
             if land:  # a step cut short says little about the next
                 h = max(grow * take, h)
                 half = 0.0
-            elif not 1.0 <= grow < 1.2:  # else keep the step and its tables
-                h = grow * take
             else:
-                h = take
+                h = grow * take
             if steps % 200 == 0:
                 _check_state(fourier_to_grid(qhat, m))
         q = dens.from_fourier(qhat, m)

@@ -12,7 +12,7 @@ and advanced to the step, so every normal is addressable by (seed, step,
 particle): replicates are reproducible, parallelizable, and couplable
 across step sizes.  A step gets its noise from a step plan
 (``_StepPlan``), which holds the drift's work rows, coefficient block and
-phase, and the replicate's Philox stream: the plan reads xi_s and
+angle, and the replicate's Philox stream: the plan reads xi_s and
 xi_{s+1} at their address and carries xi_{s+1} to the next step, which
 reads on from where the stream stands.  A run (``simulate``) builds one
 plan and sets its stream once; a step that finds the stream at another
@@ -121,16 +121,17 @@ def _split(n_modes: int) -> tuple[int, int]:
 class _StepPlan:
     """What a run of ``em_step`` calls on n particles of one kernel reuses
     from step to step: the drift's work rows (s inner, a outer and a
-    product rows), its coefficient block k what(k) / n as (a, s) and its
-    phase 2 pi i lead, and the noise.  The noise is the replicate's Philox
-    stream, standing at the first word of step ``cursor[2] + 1`` of key
-    ``cursor[:2]``, and the draw ``xi`` of step ``cursor[2]``, read ahead.
+    product rows), its coefficient block k what(k) / n as (a, s), the
+    angle 2 pi lead of a unit position, and the noise.  The noise is the
+    replicate's Philox stream, standing at the first word of step
+    ``cursor[2] + 1`` of key ``cursor[:2]``, and the draw ``xi`` of step
+    ``cursor[2]``, read ahead.
     A run builds one and drops it when it returns; steps write into it, so
     a plan serves one replicate at a time."""
 
     def __init__(self, n: int, w: Potential):
         self.kernel, self.n = w, n
-        self.phase = 2j * np.pi * w.lead_mode
+        self.angle = 2.0 * np.pi * w.lead_mode
         self.work = None  # no active modes: no force
         if len(w.active_modes):
             kw = _mode_weights(w)
@@ -198,8 +199,13 @@ def drift(positions: np.ndarray, w: Potential, coupling: float,
         return np.zeros(n)
     s, a = plan.s, plan.a
     inner, outer, rows = plan.inner, plan.outer, plan.rows
-    np.multiply(positions, plan.phase, out=inner[0])
-    np.exp(inner[0], out=inner[0])
+    # zeta = cos + i sin of the angle 2 pi lead x, written into the real
+    # and imaginary views of its row: the complex exp's bits, faster at a
+    # few thousand particles
+    zeta = inner[0]
+    np.multiply(positions, plan.angle, out=zeta.imag)
+    np.cos(zeta.imag, out=zeta.real)
+    np.sin(zeta.imag, out=zeta.imag)
     for q in range(1, s):
         np.multiply(inner[q - 1], inner[0], out=inner[q])
     for p in range(1, a):
