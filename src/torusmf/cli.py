@@ -195,6 +195,9 @@ def cmd_scan(s: dict) -> int:
     print(f"K_c = {pd.k_c_estimate:.6g} +/- {pd.bracket_width / 2:.2g}"
           f"  (K_# = {pd.k_sharp:.6g}, K_* = {pd.k_star:.6g})")
     print(f"continuity: {pd.continuity}   jump estimate: {pd.jump_estimate:.4g}")
+    print(f"work: {sum(r.map_applications for r in pd.rows)} map "
+          f"applications; {len(pd.decided)} couplings decided by the K_# "
+          "probe without a solve")
     print(f"wrote {outdir}/phase_diagram.csv and verdict.json")
     pred = predicted_continuity(w.name, w.params)
     if s["no_assert"] or pred is None:

@@ -9,8 +9,10 @@ of the map's exponent (``solve_fixed_point``).  The scanner locates the
 critical coupling by bisection on the sign of the best free-energy gap
 and classifies the transition as continuous or discontinuous by probing
 whether the uniform state is still a global minimizer at the linear
-stability threshold; a bisection coupling's solves stop at the first
-kept iterate whose free energy settles that sign.
+stability threshold, solved first: by the monotonicity of the predicate
+in the coupling, its verdict decides every coupling on its side of that
+threshold without a solve, and a bisection coupling's solves stop at the
+first kept iterate whose free energy settles that sign.
 """
 
 from __future__ import annotations
@@ -396,6 +398,7 @@ class PhaseDiagram:
 
     model: str
     rows: tuple[ScanRow, ...]
+    decided: tuple[float, ...]  # couplings the K_# probe decided unsolved
     k_c_estimate: float
     bracket_width: float
     k_sharp: float
@@ -416,6 +419,7 @@ class PhaseDiagram:
             "probe_gap": self.probe_gap,
             "map_applications": sum(r.map_applications for r in self.rows),
             "witness_rows": sum(r.witness for r in self.rows),
+            "decided_by_probe": len(self.decided),
         }
 
 
@@ -431,25 +435,42 @@ def scan_kc(
     """Locate the critical coupling and classify the transition.
 
     Bisection on the predicate "some seed reaches free energy below
-    -tol_F" (tol_F >= 1e-14) over the bracket (defaults to [0.95 K_*,
-    1.1 K_#]); the predicate needs no converged solves because every
-    iterate of ``solve_fixed_point``, mixed or not, is a density, so its
-    energy is an upper bound for the minimum.  So at the upper endpoint and the
-    bisection midpoints ``multistart`` runs with ``stop_below=-tol_F``:
-    it returns at the first kept iterate below -tol_F, and the row is a
-    witness row (``ScanRow.witness``) whose later seeds went unsolved.
-    Other solves stop at residual 1e-11 (or ``max_iter``), from ``seeds``
-    as in ``multistart``.  The lower endpoint and the K_# probe solve in
-    full, since they report converged states; a coupling first met as a
-    witness row is solved again in full where its state is read, and its
-    row then counts both solves' map applications.
+    -tol_F" (tol_F >= 1e-14) over the bracket (finite endpoints; defaults
+    to [0.95 K_*, 1.1 K_#]); the predicate needs no converged solves
+    because every iterate of ``solve_fixed_point``, mixed or not, is a
+    density, so its energy is an upper bound for the minimum.
 
-    Continuity is decided by the global-minimality probe at K_#, with the
-    bisection's predicate: the transition is discontinuous precisely when
-    a state strictly below the uniform free energy exists there.  The
-    reported jump is the order parameter of the best state at the top of
-    the final bracket, or at K_# if that is lower: the K_# probe's state
-    for a continuous transition, whose K_c is K_#.
+    The global-minimality probe at K_# solves first, in full: the
+    transition is discontinuous precisely when a state strictly below the
+    uniform free energy exists there.  The predicate is monotone in K:
+    F_K(q) = S(q) - K E(q) with entropy S(q) >= 0, so F_K(q) < -tol_F
+    forces the interaction energy E(q) > 0, and then F_K(q) falls as K
+    grows.  So the probe's verdict holds for every coupling on its side
+    of K_# (below it when continuous, above it when discontinuous), and
+    the endpoint checks and the bisection take it there without a solve;
+    ``PhaseDiagram.decided`` lists those couplings.  The midpoints are
+    those of a bisection that solves every coupling, so the estimate is
+    the same; only the decided couplings' solves and rows are left out.
+
+    Elsewhere the lower endpoint solves in full, since it reports a
+    converged state, and the upper endpoint and the midpoints run
+    ``multistart`` with ``stop_below=-tol_F``: it returns at the first
+    kept iterate below -tol_F, and the row is a witness row
+    (``ScanRow.witness``) whose later seeds went unsolved.  Solves stop
+    at residual 1e-11 (or ``max_iter``), from ``seeds`` as in
+    ``multistart``.  A coupling first met as a witness row is solved
+    again in full where its state is read, and its row then counts both
+    solves' map applications.
+
+    The reported jump is the order parameter of the best state at the
+    top of the final bracket, or at K_# if that is lower: the K_# probe's
+    state for a continuous transition, whose K_c is K_#.
+
+    Errors, in this order: ``ValueError`` for tol_K <= 0, tol_F < 1e-14
+    or an endpoint that is not finite, and ``BracketNotStraddling`` for
+    an empty bracket, all before any solve; then, after the probe,
+    ``BracketNotStraddling`` when the lower endpoint is supercritical or
+    the upper one is not.
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
@@ -462,12 +483,17 @@ def scan_kc(
     if bracket is None:
         bracket = (0.95 * kstar, 1.1 * ks)
     lo, hi = bracket
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        # an infinite coupling has no Gibbs state, and the bisection's
+        # midpoint of an infinite endpoint is that endpoint again
+        raise ValueError(f"bracket endpoints must be finite, got {bracket}")
     if not lo < hi:
         raise BracketNotStraddling(f"empty bracket {bracket}")
 
     if seeds == "standard":
         seeds = standard_seeds(w, m)
     rows: dict[float, ScanRow] = {}
+    decided: list[float] = []
 
     def evaluate(coupling: float, full: bool = True) -> ScanRow:
         # full: solve every seed to convergence; otherwise stop at the
@@ -483,24 +509,31 @@ def scan_kc(
             rows[coupling] = new
         return rows[coupling]
 
-    if evaluate(lo).best_gap > tol_F:
-        raise BracketNotStraddling(
-            f"lower endpoint K={lo:.6g} is already supercritical; lower it"
-        )
-    if evaluate(hi, full=False).best_gap <= tol_F:
-        raise BracketNotStraddling(
-            f"no supercritical behavior at K={hi:.6g}; raise the upper endpoint"
-        )
-
     # global-minimality probe at the stability threshold (the iterate
     # energies can only dip below -tol when the uniform state has lost
     # global minimality, so capped runs cannot give a false positive)
     probe_gap = evaluate(ks).best_gap
-    continuity = "discontinuous" if probe_gap > tol_F else "continuous"
+    discontinuous = probe_gap > tol_F
+
+    def supercritical(coupling: float, full: bool = False) -> bool:
+        # the predicate is monotone in K, so the probe decides its side
+        if coupling != ks and (coupling > ks) == discontinuous:
+            decided.append(coupling)
+            return discontinuous
+        return evaluate(coupling, full).best_gap > tol_F
+
+    if supercritical(lo, full=True):
+        raise BracketNotStraddling(
+            f"lower endpoint K={lo:.6g} is already supercritical; lower it"
+        )
+    if not supercritical(hi):
+        raise BracketNotStraddling(
+            f"no supercritical behavior at K={hi:.6g}; raise the upper endpoint"
+        )
 
     while hi - lo > tol_K:
         mid = 0.5 * (lo + hi)
-        if evaluate(mid, full=False).best_gap > tol_F:
+        if supercritical(mid):
             hi = mid
         else:
             lo = mid
@@ -509,11 +542,12 @@ def scan_kc(
     return PhaseDiagram(
         model=w.name,
         rows=tuple(sorted(rows.values(), key=lambda r: r.coupling)),
+        decided=tuple(sorted(decided)),
         k_c_estimate=0.5 * (lo + hi),
         bracket_width=hi - lo,
         k_sharp=ks,
         k_star=kstar,
-        continuity=continuity,
+        continuity="discontinuous" if discontinuous else "continuous",
         jump_estimate=jump,
         probe_gap=probe_gap,
     )

@@ -147,6 +147,12 @@ class TestBadValues:
         (["verify", "--suite", "loggas", "--samples", "-1"], "samples"),
         (["scan", "do", "--tol-f", "0"], "tol_F"),
         (["scan", "hk", "--R", "1", "--tol-f", "1e-16"], "tol_F"),
+        # an infinite endpoint gave NaN densities, or a bisection that
+        # never ended
+        (["scan", "transformer", "--beta", "3", "--k-lo", "0.3", "--k-hi",
+          "inf"], "bracket endpoints must be finite, got (0.3, inf)"),
+        (["scan", "do", "--k-lo", "nan", "--k-hi", "3"],
+         "bracket endpoints must be finite, got (nan, 3.0)"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
@@ -219,11 +225,16 @@ class TestConfigAndReport:
         cols = [line.split(",") for line in lines[1:]]
         assert verdict["map_applications"] == sum(int(c[-2]) for c in cols)
         assert verdict["witness_rows"] == sum(int(c[-1]) for c in cols) > 0
-        capsys.readouterr()
+        # the K_# probe decides the lower endpoint and the midpoints below
+        # K_#, which leave no row
+        assert verdict["decided_by_probe"] > 0
+        assert (f"{verdict['decided_by_probe']} couplings decided by the K_# "
+                "probe" in capsys.readouterr().out)
         assert main(["report", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"map_applications={verdict['map_applications']}" in out
         assert f"witness_rows={verdict['witness_rows']}" in out
+        assert f"decided_by_probe={verdict['decided_by_probe']}" in out
 
     def test_report_on_missing_dir_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"

@@ -1,5 +1,6 @@
 """Fixed-point solver, stability quantities, and the scanner internals."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -386,8 +387,9 @@ class TestAttentionAboveKc:
     def test_benchmark_seeds_scan_same_maps_at_every_roll(self, setup):
         # the map commutes with whole-cell rolls, so only rounding differs
         # between these scans; a guard that took rounding-level rises for
-        # rises made them take 732 to 774 maps, and the jump probes above
-        # K_c 681
+        # rises made them take 732 to 774 maps, the jump probes above
+        # K_c 681, and solving the midpoints above K_#, which the probe
+        # decides, 533
         w, seeds = setup
         counts = []
         for roll in (0, 1, 171, 256, 389):
@@ -395,29 +397,27 @@ class TestAttentionAboveKc:
                       for s in self.bench_seeds]
             pd = tm.scan_kc(w, m=512, tol_K=2e-4, seeds=rolled)
             counts.append(sum(r.map_applications for r in pd.rows))
-        assert len(set(counts)) == 1 and counts[0] <= 540, counts
+        assert len(set(counts)) == 1 and counts[0] <= 525, counts
 
     def test_benchmark_seeds_witness_rows(self, setup):
         w, seeds = setup
         _check_witness_rows(w, 2e-4,
                             [(s, seeds[s]) for s in self.bench_seeds])
 
-    def test_witness_endpoint_is_solved_again_at_the_probe(self, setup):
-        # with K_# as the upper endpoint its first solve stops at a witness;
-        # the continuity probe there needs the full multistart
+    def test_endpoint_at_k_sharp_is_the_probe_row(self, setup):
+        # with K_# as the upper endpoint, the probe's full multistart there
+        # decides it: 44 maps, where a witness solve of the endpoint before
+        # the probe made the row 48
         w, seeds = setup
         ks, _ = tm.k_sharp(w)
         bench = [(s, seeds[s]) for s in self.bench_seeds]
         pd = tm.scan_kc(w, bracket=(0.33, ks), m=512, tol_K=2e-3,
                         seeds=bench)
         full = multistart(w, ks, 512, bench, tol=1e-11)
-        stopped = multistart(w, ks, 512, bench, tol=1e-11, stop_below=-1e-10)
-        assert stopped[-1].witness
         (row,) = [r for r in pd.rows if r.coupling == ks]
-        assert not row.witness
+        assert not row.witness and ks not in pd.decided
         assert pd.probe_gap == row.best_gap == _best_gap(full)[0]
-        assert row.map_applications == sum(
-            r.iterations for r in full + stopped)
+        assert row.map_applications == sum(r.iterations for r in full) == 44
 
     @pytest.mark.parametrize("seed", ["cos_a0.6", "bump_c0.99"])
     def test_history_matches_list_oracle(self, setup, seed):
@@ -512,6 +512,30 @@ class TestScan:
     def test_c01_witness_rows(self, do_kernel):
         _check_witness_rows(do_kernel, 5e-3, "standard")
 
+    @pytest.mark.parametrize("w, tol_K, families", [
+        (tm.doi_onsager(), 5e-3, None),
+        (tm.transformer(3.0), 2e-4, ("uniform", "cos_a0.6", "bump_c0.99")),
+        (tm.hegselmann_krause(2.5), 5e-3, None),
+    ], ids=["rod", "transformer3_benchmark_seeds", "hk2.5"])
+    def test_probe_decided_couplings_match_the_witness_oracle(
+            self, w, tol_K, families):
+        # the probe decides the couplings on its side of K_#, below it for
+        # a continuous transition and above it for a discontinuous one; a
+        # multistart stopped at -tol_F finds a witness at each exactly when
+        # that side is the supercritical one
+        seeds = standard_seeds(w, 512)
+        if families is not None:
+            seeds = [(s, q) for s, q in seeds if s in families]
+        pd = tm.scan_kc(w, m=512, tol_K=tol_K, seeds=seeds)
+        supercritical = pd.continuity == "discontinuous"
+        assert pd.decided
+        assert not set(pd.decided) & {r.coupling for r in pd.rows}
+        for coupling in pd.decided:
+            assert (coupling > pd.k_sharp) == supercritical
+            reports = multistart(w, coupling, 512, seeds, tol=1e-11,
+                                 stop_below=-1e-10)
+            assert reports[-1].witness == supercritical, coupling
+
     @pytest.mark.parametrize("w", [tm.transformer(2.0),
                                    tm.hegselmann_krause(2.5)],
                              ids=["transformer2", "hk2.5"])
@@ -536,9 +560,10 @@ class TestScan:
         assert pd.jump_estimate == top.order_parameter
         assert abs(pd.jump_estimate - 0.280) < 0.025
 
-    def test_rod_benchmark_seeds_scan_within_235_maps(self, do_kernel):
-        # the scan_rod setting at five rolls: 264 to 300 maps with three
-        # jump probes above K_c
+    def test_rod_benchmark_seeds_scan_within_130_maps(self, do_kernel):
+        # the scan_rod setting at five rolls: 195 to 231 maps when the lower
+        # endpoint and the midpoints below K_#, which the probe decides,
+        # were solved, and 264 to 300 with three jump probes above K_c
         seeds = dict(standard_seeds(do_kernel, 512))
         for roll in (0, 1, 171, 256, 389):
             rolled = [(s, tm.from_grid(np.roll(seeds[s].grid_values, roll)))
@@ -546,7 +571,21 @@ class TestScan:
             pd = tm.scan_kc(do_kernel, m=512, tol_K=5e-3, seeds=rolled)
             maps = sum(r.map_applications for r in pd.rows)
             assert pd.continuity == "continuous"
-            assert maps <= 235, (roll, maps)
+            assert maps <= 130, (roll, maps)
+
+    @pytest.mark.parametrize("bracket", [
+        (1.0, float("inf")), (float("-inf"), 3.0), (float("nan"), 3.0),
+        (1.0, float("nan")), (float("inf"), 3.0), (1.0, float("-inf"))])
+    def test_nonfinite_endpoint_rejected(self, do_kernel, bracket,
+                                         monkeypatch):
+        # an infinite coupling gave NaN densities, and the bisection's
+        # midpoint of an infinite endpoint is that endpoint: it never ended
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scan_kc solved before checking the bracket")
+
+        monkeypatch.setattr(critical, "multistart", unreachable)
+        with pytest.raises(ValueError, match=re.escape(f"got {bracket}")):
+            tm.scan_kc(do_kernel, bracket=bracket, m=128)
 
     @pytest.mark.parametrize("tol_k", [0.0, -1e-3, float("nan")])
     def test_nonpositive_tol_k_rejected(self, do_kernel, tol_k,
