@@ -3,9 +3,10 @@
 Runs the bisection scanner, prints the per-coupling table (gap to the
 uniform free energy, the leading order parameter, the seeds converged,
 the map applications they took, and whether the row stopped at a witness
-iterate below -tol_F with its later seeds unsolved), lists the couplings
-the K_# probe decided without a solve (the transition is continuous, so
-every coupling below K_# is subcritical), and writes the plot-ready CSV.  The computed K_c lands on 3 pi / 4, and the best state
+iterate below -TOL_F = -1e-10 with its later seeds unsolved), lists the
+couplings the K_# probe decided without a solve (the transition is
+continuous, so every coupling below K_# is subcritical), and writes the
+plot-ready CSV.  The computed K_c lands on 3 pi / 4, and the best state
 at K_# is uniform to within the solves' tolerance (order parameter about
 1e-5), so the order parameter does not jump there: a continuous
 transition.

@@ -4,13 +4,20 @@ Simulates replicated particle systems in a supercritical rod-kernel
 regime from a common nonuniform initial law and compares the
 replicate-averaged squared order parameter against the deterministic
 flow value (the sampling floor 1/N is subtracted, so the comparison is
-unbiased even at zero signal).
+unbiased even at zero signal).  The replicates run on four worker
+threads, each making BLAS calls, so BLAS runs single-threaded.
 """
 
-import numpy as np
+import os
 
-import torusmf as tm
-from torusmf.particles import chaos_check, simulate
+# one BLAS thread under the worker threads: set before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+import torusmf as tm  # noqa: E402
+from torusmf.particles import chaos_check, simulate  # noqa: E402
 
 coupling = 1.2 * 3 * np.pi / 4
 w = tm.doi_onsager(truncation=128)

@@ -6,15 +6,15 @@ Each run resolves one settings record: the verb's defaults, then an
 optional JSON config file (--config), then the command-line flags, each
 overriding the one before.  Config keys are the long flag names with
 dashes as underscores (``--grid-size`` sets ``grid_size``, ``--R`` sets
-``radius``, the model argument sets ``model``); ``particles`` also reads
-``grid_size`` and ``dt_particles``, which have no flag there.  A config
-key the verb does not read ends the run with exit status 2, as does a
-config value of another type (or choice) than its flag takes, a
---K that is neither a number nor subcritical, critical or supercritical
-(multiples 0.5, 1 and 1.2 of K_sharp), a value the computation rejects
-(a nonpositive --T, too few particles or replicates), or a ``report``
---dir that is not a directory.  Only ``particles`` and ``verify`` take
---seed, and only ``particles`` takes --workers.
+``radius``, the model argument sets ``model``).  A config key the verb
+does not read ends the run with exit status 2, as does a config value
+of another type (or choice) than its flag takes, a --K that is neither
+a number nor subcritical, critical or supercritical (multiples 0.5, 1
+and 1.2 of K_sharp), a value the computation rejects (a nonpositive
+--T, too few particles or replicates), or a ``report`` --dir that is
+not a directory.  Only ``particles`` and ``verify`` take --seed.
+``particles`` runs its flow side on the 512 grid and steps the
+particles by dt = 1e-3, on one thread.
 
 The verb runs from that record alone and writes it, under "config", to
 ``manifest.json`` in its run directory, next to the command, the package
@@ -188,8 +188,7 @@ def cmd_thresholds(s: dict) -> int:
 def cmd_scan(s: dict) -> int:
     w = _build_potential(s)
     bracket = None if s["k_lo"] is None else (s["k_lo"], s["k_hi"])
-    pd = scan_kc(w, bracket=bracket, m=s["grid_size"], tol_K=s["tol_k"],
-                 tol_F=s["tol_f"], max_iter=s["max_iter"])
+    pd = scan_kc(w, bracket=bracket, m=s["grid_size"], tol_K=s["tol_k"])
     outdir = _run_dir(s, "scan", _model_stem(w))
     io.save_phase_diagram(outdir, pd)
     print(f"K_c = {pd.k_c_estimate:.6g} +/- {pd.bracket_width / 2:.2g}"
@@ -208,7 +207,7 @@ def cmd_scan(s: dict) -> int:
 def cmd_minimize(s: dict) -> int:
     w = _build_potential(s)
     coupling = _resolve_coupling(s["K"], w)
-    best, reports = find_minimizer(w, coupling, m=s["grid_size"], tol=s["tol"],
+    best, reports = find_minimizer(w, coupling, m=s["grid_size"],
                                    max_iter=s["max_iter"])
     outdir = _run_dir(s, "minimize", f"{_model_stem(w)}_K{coupling:g}")
     io.save_solve_report(outdir, best)
@@ -255,19 +254,10 @@ def cmd_flow(s: dict) -> int:
 def cmd_particles(s: dict) -> int:
     w = _build_potential(s)
     coupling = _resolve_coupling(s["K"], w)
-    m = s["grid_size"]
-    q0 = dens.cosine_profile({w.lead_mode: s["perturbation"]}, m)
-    report = chaos_check(
-        w, coupling,
-        n=s["N"],
-        horizon=s["T"],
-        replicates=s["replicates"],
-        dt=s["dt_particles"],
-        q0=q0,
-        seed=s["seed"],
-        m_pde=m,
-        workers=s["workers"],
-    )
+    # on the flow side's grid, chaos_check's default m_pde
+    q0 = dens.cosine_profile({w.lead_mode: s["perturbation"]}, 512)
+    report = chaos_check(w, coupling, n=s["N"], horizon=s["T"],
+                         replicates=s["replicates"], q0=q0, seed=s["seed"])
     outdir = _run_dir(s, "particles", f"{_model_stem(w)}_K{coupling:g}")
     io.write_json(outdir / "chaos_report.json", {
         "mode": report.mode,
@@ -373,21 +363,18 @@ _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 def _config_mismatch(key: str, value, action, default) -> bool:
     """Whether config ``value`` differs in type or choice from what the
-    flag ``action`` parses to (for a key with no flag, from the type of
-    its ``default``).  null stands for a setting whose default is None;
-    a --K may also be a number, which its own check reads."""
+    flag ``action`` parses to.  null stands for a setting whose default
+    is None; a --K may also be a number, which its own check reads."""
     if value is None:
         return default is not None
-    if action is not None and action.nargs == 0:  # a switch
+    if action.nargs == 0:  # a switch
         return not isinstance(value, bool)
-    kind, choices, many = ((type(default), None, False) if action is None
-                           else (action.type, action.choices,
-                                 action.nargs == "*"))
+    many = action.nargs == "*"
     if many != isinstance(value, list):
         return True
-    allowed = (str, int, float) if key == "K" else _CONFIG_TYPES[kind]
+    allowed = (str, int, float) if key == "K" else _CONFIG_TYPES[action.type]
     return any(isinstance(v, bool) or not isinstance(v, allowed)
-               or (choices is not None and v not in choices)
+               or (action.choices is not None and v not in action.choices)
                for v in (value if many else [value]))
 
 
@@ -431,16 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--k-lo", type=float)
     _setting(p, "--k-hi", type=float)
     _setting(p, "--tol-k", type=float, default=5e-3)
-    _setting(p, "--tol-f", type=float, default=1e-10)
     _setting(p, "--grid-size", "-M", type=int, default=512)
-    _setting(p, "--max-iter", type=int, default=20000)
     _no_assert(p)
 
     p = _verb(sub, "minimize", cmd_minimize, "multistart minimizer at one coupling")
     _setting(p, "--K", default=_REQUIRED,
              help="coupling (number or subcritical/critical/supercritical)")
     _setting(p, "--grid-size", "-M", type=int, default=512)
-    _setting(p, "--tol", type=float, default=1e-12)
     _setting(p, "--max-iter", type=int, default=20000)
 
     p = _verb(sub, "flow", cmd_flow, "integrate the gradient flow")
@@ -461,13 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--replicates", type=int, default=16)
     _setting(p, "--perturbation", type=float, default=0.2)
     _setting(p, "--seed", type=int, default=2024, help="Philox key")
-    _setting(p, "--workers", type=int, default=1,
-             help="threads running replicates; above 1, set "
-             "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS "
-             "to 1 before launch, or BLAS threads fight the workers")
     _no_assert(p)
-    # set by the config file only
-    p.get_default("settings").update(grid_size=512, dt_particles=1e-3)
 
     p = _verb(sub, "verify", cmd_verify, "randomized inequality suites",
               model=False)
@@ -498,7 +476,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"{command} reads no config key {', '.join(unknown)}")
     for key, value in config.items():
-        if _config_mismatch(key, value, flags.get(key), settings[key]):
+        if _config_mismatch(key, value, flags[key], settings[key]):
             parser.error(f"config key {key} of {command} does not take "
                          f"{value!r}")
     # a flag left off the command line parses as None

@@ -40,6 +40,10 @@ from .potentials import Potential, k_sharp
 EXP_LIMIT = 700.0
 #: secant steps remembered by the Anderson mixing of ``solve_fixed_point``
 ANDERSON_DEPTH = 5
+#: the scan's witness threshold: a state with F < -TOL_F is supercritical.
+#: It sits above the rounding of F near the uniform state, 1e-14 (1 + |F|),
+#: which would otherwise read as a witness.
+TOL_F = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,6 @@ def find_minimizer(
     coupling: float,
     m: int = 512,
     seeds: str | Sequence[tuple[str, Density]] = "standard",
-    tol: float = 1e-12,
     max_iter: int = 20000,
 ) -> tuple[SolveReport, list[SolveReport]]:
     """Best critical point over the eight ``standard_seeds`` or ``seeds``.
@@ -342,7 +345,7 @@ def find_minimizer(
     Returns the converged report of minimal free energy (ties within
     1e-11 broken toward the smaller order parameter) plus all reports.
     """
-    reports = multistart(w, coupling, m, seeds, tol, max_iter)
+    reports = multistart(w, coupling, m, seeds, max_iter=max_iter)
     converged = [r for r in reports if r.converged]
     if not converged:
         raise AllSeedsFailed(
@@ -376,7 +379,7 @@ class ScanRow:
     n_seeds_converged: int
     l1_to_uniform: float
     map_applications: int  # over all seeds, capped solves included
-    witness: bool  # the last seed stopped at F < -tol_F; later seeds unsolved
+    witness: bool  # the last seed stopped at F < -TOL_F; later seeds unsolved
 
 
 def _scan_row(coupling: float, reports: list[SolveReport]) -> ScanRow:
@@ -428,22 +431,20 @@ def scan_kc(
     bracket: Optional[tuple[float, float]] = None,
     m: int = 512,
     tol_K: float = 5e-3,
-    tol_F: float = 1e-10,
     seeds: str | Sequence[tuple[str, Density]] = "standard",
-    max_iter: int = 20000,
 ) -> PhaseDiagram:
     """Locate the critical coupling and classify the transition.
 
     Bisection on the predicate "some seed reaches free energy below
-    -tol_F" (tol_F >= 1e-14) over the bracket (finite endpoints; defaults
-    to [0.95 K_*, 1.1 K_#]); the predicate needs no converged solves
+    -TOL_F" over the bracket (finite endpoints; defaults to
+    [0.95 K_*, 1.1 K_#]); the predicate needs no converged solves
     because every iterate of ``solve_fixed_point``, mixed or not, is a
     density, so its energy is an upper bound for the minimum.
 
     The global-minimality probe at K_# solves first, in full: the
     transition is discontinuous precisely when a state strictly below the
     uniform free energy exists there.  The predicate is monotone in K:
-    F_K(q) = S(q) - K E(q) with entropy S(q) >= 0, so F_K(q) < -tol_F
+    F_K(q) = S(q) - K E(q) with entropy S(q) >= 0, so F_K(q) < -TOL_F
     forces the interaction energy E(q) > 0, and then F_K(q) falls as K
     grows.  So the probe's verdict holds for every coupling on its side
     of K_# (below it when continuous, above it when discontinuous), and
@@ -452,12 +453,11 @@ def scan_kc(
     those of a bisection that solves every coupling, so the estimate is
     the same; only the decided couplings' solves and rows are left out.
 
-    Elsewhere the lower endpoint solves in full, since it reports a
-    converged state, and the upper endpoint and the midpoints run
-    ``multistart`` with ``stop_below=-tol_F``: it returns at the first
-    kept iterate below -tol_F, and the row is a witness row
-    (``ScanRow.witness``) whose later seeds went unsolved.  Solves stop
-    at residual 1e-11 (or ``max_iter``), from ``seeds`` as in
+    Elsewhere the endpoints and the midpoints run ``multistart`` with
+    ``stop_below=-TOL_F``: it returns at the first kept iterate below
+    -TOL_F, and the row is a witness row (``ScanRow.witness``) whose
+    later seeds went unsolved.  Solves stop at residual 1e-11 (or at
+    ``multistart``'s cap of map applications), from ``seeds`` as in
     ``multistart``.  A coupling first met as a witness row is solved
     again in full where its state is read, and its row then counts both
     solves' map applications.
@@ -466,18 +466,14 @@ def scan_kc(
     top of the final bracket, or at K_# if that is lower: the K_# probe's
     state for a continuous transition, whose K_c is K_#.
 
-    Errors, in this order: ``ValueError`` for tol_K <= 0, tol_F < 1e-14
-    or an endpoint that is not finite, and ``BracketNotStraddling`` for
-    an empty bracket, all before any solve; then, after the probe,
+    Errors, in this order: ``ValueError`` for tol_K <= 0 or an endpoint
+    that is not finite, and ``BracketNotStraddling`` for an empty
+    bracket, all before any solve; then, after the probe,
     ``BracketNotStraddling`` when the lower endpoint is supercritical or
     the upper one is not.
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
-    if not tol_F >= 1e-14:
-        # below the rounding of F near the uniform state, 1e-14 (1 + |F|),
-        # a rounding error reads as a witness
-        raise ValueError(f"tol_F must be at least 1e-14, got {tol_F}")
     ks = k_sharp(w)[0]
     kstar = k_star(w)
     if bracket is None:
@@ -500,8 +496,8 @@ def scan_kc(
         # first witness of the predicate
         row = rows.get(coupling)
         if row is None or (full and row.witness):
-            reports = multistart(w, coupling, m, seeds, 1e-11, max_iter,
-                                 stop_below=-math.inf if full else -tol_F)
+            reports = multistart(w, coupling, m, seeds, 1e-11,
+                                 stop_below=-math.inf if full else -TOL_F)
             new = _scan_row(coupling, reports)
             if row is not None:
                 new = replace(new, map_applications=new.map_applications
@@ -510,19 +506,19 @@ def scan_kc(
         return rows[coupling]
 
     # global-minimality probe at the stability threshold (the iterate
-    # energies can only dip below -tol when the uniform state has lost
+    # energies can only dip below -TOL_F when the uniform state has lost
     # global minimality, so capped runs cannot give a false positive)
     probe_gap = evaluate(ks).best_gap
-    discontinuous = probe_gap > tol_F
+    discontinuous = probe_gap > TOL_F
 
-    def supercritical(coupling: float, full: bool = False) -> bool:
+    def supercritical(coupling: float) -> bool:
         # the predicate is monotone in K, so the probe decides its side
         if coupling != ks and (coupling > ks) == discontinuous:
             decided.append(coupling)
             return discontinuous
-        return evaluate(coupling, full).best_gap > tol_F
+        return evaluate(coupling, full=False).best_gap > TOL_F
 
-    if supercritical(lo, full=True):
+    if supercritical(lo):
         raise BracketNotStraddling(
             f"lower endpoint K={lo:.6g} is already supercritical; lower it"
         )

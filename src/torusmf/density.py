@@ -109,7 +109,9 @@ class Density:
         return 0.5 * amp if abs(k) == self.grid_size // 2 else amp
 
 
-def _validate_values(values: np.ndarray) -> np.ndarray:
+def validate_values(values: np.ndarray) -> np.ndarray:
+    """``values`` as floats, checked to be finite samples on a grid of a
+    power of two M >= 4."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("expected a 1-D array of grid values")
@@ -127,7 +129,7 @@ def from_grid(values: np.ndarray) -> "Density":
     Values must be nonnegative up to -1e-12 (tiny spectral undershoots are
     clipped).  The values are divided by their mean, so the mean is 1.
     """
-    values = _validate_values(values).copy()
+    values = validate_values(values).copy()
     if np.any(values < -1e-12):
         raise NegativeDensity(
             f"negative density value {values.min():.3e} below -1e-12"

@@ -264,7 +264,7 @@ class FlowTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _default_modes(w) -> list[int]:
+def default_modes(w) -> list[int]:
     """The first four multiples of the lead mode."""
     return [w.lead_mode * j for j in (1, 2, 3, 4)]
 
@@ -317,7 +317,7 @@ def integrate(
     if record is None:
         record = RecordPolicy()
     if track_modes is None:
-        track_modes = [k for k in _default_modes(w) if k <= m // 2]
+        track_modes = [k for k in default_modes(w) if k <= m // 2]
     elif max(map(abs, track_modes), default=0) > m // 2:
         raise ValueError(f"track_modes {track_modes} go past mode M/2 = "
                          f"{m // 2} of the grid")

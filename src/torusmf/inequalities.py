@@ -50,7 +50,7 @@ def lebedev_milin_gap(phi: np.ndarray, n: int) -> float:
     admissible phi (ConstraintViolated otherwise); zero up to quadrature
     on the extremal family.
     """
-    phi = dens._validate_values(phi)
+    phi = dens.validate_values(phi)
     m = phi.shape[0]
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -37,7 +37,7 @@ from scipy.special import ndtri
 
 from . import density as dens
 from .density import Density
-from .flow import RecordPolicy, _default_modes, integrate
+from .flow import RecordPolicy, default_modes, integrate
 from .potentials import Potential, k_sharp
 
 _INV_2_53 = 2.0 ** -53
@@ -306,7 +306,7 @@ def simulate(
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if track_modes is None:
-        track_modes = _default_modes(w)
+        track_modes = default_modes(w)
     state = init_state(q0, n, seed, replicate)
     times = [0.0]
     rec: dict[int, list[float]] = {
@@ -399,7 +399,7 @@ def chaos_check(
                       track_modes=[mode_k], stop_residual=0.0)
     pde_sq = float(trace.mode_abs[mode_k][-1] ** 2)
 
-    tracked = _default_modes(w)
+    tracked = default_modes(w)
     if mode_k not in tracked:
         tracked.append(mode_k)
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import torusmf.cli
 from torusmf.cli import main
 
 
@@ -135,18 +136,16 @@ class TestBadValues:
         (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
           "--records", "-3"], "--records"),
         (["flow", "do", "--K", "1.0", "--T", "1", "--dt", "0"], "dt"),
-        (["scan", "do", "--max-iter", "0"], "max_iter"),
+        (["minimize", "do", "--K", "1", "--max-iter", "0"], "max_iter"),
         (["particles", "do", "--K", "1", "--T", "0.0015"],
          "whole number of steps"),
-        (["particles", "do", "--K", "1", "--T", "0.01", "--workers", "0"],
-         "workers"),
-        (["particles", "do", "--K", "1", "--T", "0.01", "--workers", "-3"],
-         "workers"),
+        (["minimize", "do", "--K", "1", "--max-iter", "-3"], "max_iter"),
+        (["scan", "do", "--tol-k", "0"], "tol_K"),
         (["verify", "--samples", "0"], "samples"),
         (["verify", "--suite", "coercivity", "--samples", "0"], "samples"),
         (["verify", "--suite", "loggas", "--samples", "-1"], "samples"),
-        (["scan", "do", "--tol-f", "0"], "tol_F"),
-        (["scan", "hk", "--R", "1", "--tol-f", "1e-16"], "tol_F"),
+        (["scan", "hk", "--R", "1", "--tol-k", "nan"], "tol_K"),
+        (["scan", "do", "--k-lo", "3", "--k-hi", "2"], "empty bracket"),
         # an infinite endpoint gave NaN densities, or a bisection that
         # never ended
         (["scan", "transformer", "--beta", "3", "--k-lo", "0.3", "--k-hi",
@@ -186,8 +185,9 @@ class TestConfigAndReport:
         assert code == 0
 
     def test_particles_flow_on_config_grid(self, tmp_path, capsys):
+        # particles takes no grid_size: the flow side runs on the 512 grid
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid_size": 256, "out": str(tmp_path)}))
+        cfg.write_text(json.dumps({"out": str(tmp_path)}))
         code = main(["particles", "doi_onsager", "--K", "0.5", "--N", "200",
                      "--T", "0.01", "--replicates", "2", "--no-assert",
                      "--config", str(cfg)])
@@ -261,11 +261,9 @@ class TestSettings:
         "thresholds": ["thresholds", "transformer", "--beta", "3",
                        "--truncation", "64"],
         "scan": ["scan", "do", "-M", "128", "--tol-k", "0.05",
-                 "--tol-f", "1e-9", "--max-iter", "5000",
-                 "--truncation", "64"],
+                 "--k-lo", "2.0", "--k-hi", "2.7", "--truncation", "64"],
         "minimize": ["minimize", "do", "--K", "supercritical", "-M", "128",
-                     "--tol", "1e-11", "--max-iter", "5000",
-                     "--truncation", "64"],
+                     "--max-iter", "5000", "--truncation", "64"],
         "flow": ["flow", "do", "--K", "1.0", "--T", "0.2", "--dt", "2e-4",
                  "-M", "128", "--perturbation", "0.05",
                  "--record", "geometric", "--records", "50",
@@ -303,10 +301,40 @@ class TestSettings:
         man = json.loads(
             (tmp_path / "scan_doi_onsager" / "manifest.json").read_text())
         assert man["config"] == {
-            "model": "do", "truncation": 64, "k_lo": None, "k_hi": None,
-            "tol_k": 0.05, "tol_f": 1e-9, "grid_size": 128, "max_iter": 5000,
-            "no_assert": False, "out": str(tmp_path),
+            "model": "do", "truncation": 64, "k_lo": 2.0, "k_hi": 2.7,
+            "tol_k": 0.05, "grid_size": 128, "no_assert": False,
+            "out": str(tmp_path),
         }
+
+    @pytest.mark.parametrize("verb", sorted(RUNS))
+    def test_every_setting_is_read(self, verb, tmp_path, monkeypatch,
+                                   capsys):
+        # a setting the verb never reads is a knob that does nothing
+        class Recording(dict):
+            def __init__(self, settings):
+                super().__init__(settings)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        unread = []
+        real = getattr(torusmf.cli, f"cmd_{verb}")
+
+        def recording(s):
+            s = Recording(s)
+            code = real(s)
+            unread.extend(sorted(set(s) - s.read))
+            return code
+
+        monkeypatch.setattr(torusmf.cli, f"cmd_{verb}", recording)
+        assert main(self.RUNS[verb] + ["--out", str(tmp_path)]) == 0
+        assert unread == []
 
     def test_other_models_parameter_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="takes no --beta"):
@@ -330,6 +358,13 @@ class TestSettings:
         (["minimize", "do", "--K", "0.5"], "grid-size"),
         (["scan", "do"], "seed"),
         (["flow", "do", "--K", "0.5"], "workers"),
+        # settings that were removed
+        (["scan", "do"], "tol_f"),
+        (["scan", "do"], "max_iter"),
+        (["minimize", "do", "--K", "0.5"], "tol"),
+        (["particles", "do", "--K", "0.5"], "grid_size"),
+        (["particles", "do", "--K", "0.5"], "dt_particles"),
+        (["particles", "do", "--K", "0.5"], "workers"),
     ])
     def test_unknown_config_key_is_rejected(self, verb, key, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -358,7 +393,6 @@ class TestSettings:
     def test_particles_writes_replicate0_from_the_check(self, tmp_path,
                                                         monkeypatch, capsys):
         import torusmf as tm
-        import torusmf.cli
         from torusmf import io, particles
 
         calls = []

@@ -18,14 +18,15 @@ from torusmf.errors import BracketNotStraddling, ExpOverflow
 from oracles import anderson_fixed_point, picard_fixed_point
 
 
-def _check_witness_rows(w, tol_K, seeds, tol_F=1e-10):
+def _check_witness_rows(w, tol_K, seeds):
     """Scan, then re-solve every row: a witness row's last seed stopped at
-    a density below -tol_F, and the full multistart there agrees that the
+    a density below -TOL_F, and the full multistart there agrees that the
     coupling is supercritical; every other row is the full multistart's.
     A supercritical full row other than K_#'s is the bracket top, first
     met as a witness and solved again in full to read the jump there, so
     it counts both solves' maps."""
-    pd = tm.scan_kc(w, m=512, tol_K=tol_K, tol_F=tol_F, seeds=seeds)
+    tol_F = critical.TOL_F
+    pd = tm.scan_kc(w, m=512, tol_K=tol_K, seeds=seeds)
     assert any(r.witness for r in pd.rows)
     for row in pd.rows:
         full = multistart(w, row.coupling, 512, seeds, tol=1e-11)
@@ -376,7 +377,7 @@ class TestAttentionAboveKc:
         assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
 
     def test_benchmark_seeds_scan_within_720_maps(self, bench_scan):
-        # the bisection solves stop at their first witness below -tol_F:
+        # the bisection solves stop at their first witness below -TOL_F:
         # 533 maps (681 with three jump probes above K_c, 905 when every
         # seed ran to the residual tolerance)
         pd = bench_scan
@@ -521,7 +522,7 @@ class TestScan:
             self, w, tol_K, families):
         # the probe decides the couplings on its side of K_#, below it for
         # a continuous transition and above it for a discontinuous one; a
-        # multistart stopped at -tol_F finds a witness at each exactly when
+        # multistart stopped at -TOL_F finds a witness at each exactly when
         # that side is the supercritical one
         seeds = standard_seeds(w, 512)
         if families is not None:
@@ -598,18 +599,15 @@ class TestScan:
         with pytest.raises(ValueError, match="tol_K"):
             tm.scan_kc(do_kernel, m=128, tol_K=tol_k)
 
-    @pytest.mark.parametrize("tol_f", [0.0, 1e-16, 9.9e-15, -1e-10,
-                                       float("nan")])
-    def test_tol_f_below_rounding_rejected(self, do_kernel, tol_f,
-                                           monkeypatch):
-        # at 0.95 K_*, below the proven K_*, F of about -1e-17 is rounding;
-        # a tol_F under that level would read it as a witness
-        def unreachable(*args, **kwargs):
-            raise AssertionError("scan_kc solved before checking tol_F")
-
-        monkeypatch.setattr(critical, "multistart", unreachable)
-        with pytest.raises(ValueError, match="tol_F"):
-            tm.scan_kc(do_kernel, m=128, tol_F=tol_f)
+    def test_tol_f_sits_above_the_rounding_of_f(self, do_kernel):
+        # below the proven K_*, every seed converges to the uniform state,
+        # whose F is rounding (about 1e-16 here); a witness threshold under
+        # 1e-14 would read that rounding as a witness
+        reports = multistart(do_kernel, 0.95 * tm.k_star(do_kernel), 128,
+                             tol=1e-11)
+        assert all(r.converged for r in reports)
+        assert max(abs(r.free_energy) for r in reports) < 1e-14
+        assert critical.TOL_F >= 1e-14
 
     def test_bad_bracket_rejected(self, do_kernel):
         with pytest.raises(BracketNotStraddling):

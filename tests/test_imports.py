@@ -1,7 +1,8 @@
 """Package hygiene: every name a source module imports is used in it,
-every error type the package declares is raised by one of its modules,
-every name the package exports is used outside the unit tests, and every
-field of its dataclasses is read there."""
+no source module reaches for another one's underscore names, every error
+type the package declares is raised by one of its modules, every name
+the package exports is used outside the unit tests, and every field of
+its dataclasses is read there."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,52 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_reaches(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each underscore name, dunders aside, that
+    ``source`` imports from a torusmf module or reads as an attribute of
+    one it imports whole."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("torusmf")):
+            found += [(node.lineno, a.name) for a in node.names
+                      if private(a.name)]
+            if node.module in (None, "torusmf"):
+                modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "torusmf"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_finds_a_private_reach():
+    source = ("from numpy.linalg._umath_linalg import solve1 as _lu\n"
+              "from . import __version__, density as dens\n"
+              "from .flow import RecordPolicy, _modes\n"
+              "import torusmf.io\n"
+              "dens._check(1)\nRecordPolicy._cache\n"
+              "torusmf.io._helper\nself._x\n")
+    assert private_reaches(source) == [(3, "_modes"), (5, "dens._check"),
+                                       (7, "torusmf.io._helper")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reach_into_another_module(path):
+    # a helper another module needs is public in its own module
+    assert private_reaches(path.read_text()) == []
 
 
 def unraised_errors(errors: str, modules: list[str]) -> list[str]:
