@@ -1,15 +1,12 @@
 """Critical-coupling scan for the rod-suspension kernel.
 
-Runs the bisection scanner, prints the per-coupling table (gap to the
-uniform free energy, the leading order parameter, the seeds converged,
-the map applications they took, and whether the row stopped at a witness
-iterate below -TOL_F = -1e-10 with its later seeds unsolved), lists the
-couplings the K_# probe decided without a solve (the transition is
-continuous, so every coupling below K_# is subcritical), and writes the
-plot-ready CSV.  The computed K_c lands on 3 pi / 4, and the best state
-at K_# is uniform to within the solves' tolerance (order parameter about
-1e-5), so the order parameter does not jump there: a continuous
-transition.
+Runs the scanner and prints the couplings it solved, in order (gap to
+the uniform free energy, the leading order parameter, the seeds
+converged, the map applications they took), and writes the plot-ready
+CSV.  The K_# probe finds no state below the uniform free energy, so the
+transition is continuous and K_c = K_# = 3 pi / 4 with no Newton step;
+the best state at K_# is uniform to within the solves' tolerance (order
+parameter about 1e-5), so the order parameter does not jump there.
 """
 
 import numpy as np
@@ -20,20 +17,22 @@ from torusmf import io
 w = tm.doi_onsager()
 pd = tm.scan_kc(w, m=512, tol_K=5e-3)
 
+half = pd.bracket_width / 2
 print(f"K_#  = {pd.k_sharp:.6f}   (= 3 pi/4 = {3 * np.pi / 4:.6f})")
 print(f"K_*  = {pd.k_star:.6f}")
-print(f"K_c  = {pd.k_c_estimate:.6f} +/- {pd.bracket_width / 2:.1e}")
+print(f"K_c  = {pd.k_c_estimate:.6f} +/- {half:.1e}, in "
+      f"[{pd.k_c_estimate - half:.6f}, {pd.k_c_estimate + half:.6f}]")
 print(f"verdict: {pd.continuity}, jump estimate {pd.jump_estimate:.4f}")
 print()
-print(f"{'K':>10}  {'gap':>12}  {'|qhat(2)|':>10}  {'seeds':>5}  {'maps':>5}"
-      f"  {'witness':>7}")
+print("couplings solved, in order: the K_# probe, then for a discontinuous")
+print("transition the Newton steps, K_c - e and K_c + e")
+print(f"{'K':>10}  {'gap':>12}  {'|qhat(2)|':>10}  {'seeds':>5}  {'maps':>5}")
 for r in pd.rows:
     print(f"{r.coupling:10.5f}  {r.best_gap:12.3e}  "
           f"{r.order_parameter:10.5f}  {r.n_seeds_converged:5d}  "
-          f"{r.map_applications:5d}  {'yes' if r.witness else 'no':>7}")
-print(f"map applications: {sum(r.map_applications for r in pd.rows)}")
-print("decided by the K_# probe without a solve (subcritical, below K_#):",
-      ", ".join(f"{k:.5f}" for k in pd.decided))
+          f"{r.map_applications:5d}")
+print(f"map applications: {sum(r.map_applications for r in pd.rows)}, "
+      f"Newton steps: {pd.newton_steps}")
 
 io.save_phase_diagram("runs/demo_rod_scan", pd)
 print("\nwrote runs/demo_rod_scan/phase_diagram.csv")

@@ -187,16 +187,21 @@ def cmd_thresholds(s: dict) -> int:
 
 def cmd_scan(s: dict) -> int:
     w = _build_potential(s)
-    bracket = None if s["k_lo"] is None else (s["k_lo"], s["k_hi"])
-    pd = scan_kc(w, bracket=bracket, m=s["grid_size"], tol_K=s["tol_k"])
+    pd = scan_kc(w, m=s["grid_size"], tol_K=s["tol_k"])
     outdir = _run_dir(s, "scan", _model_stem(w))
     io.save_phase_diagram(outdir, pd)
-    print(f"K_c = {pd.k_c_estimate:.6g} +/- {pd.bracket_width / 2:.2g}"
-          f"  (K_# = {pd.k_sharp:.6g}, K_* = {pd.k_star:.6g})")
+    half = pd.bracket_width / 2
+    print(f"K_c = {pd.k_c_estimate:.10g} +/- {half:.2g}, in "
+          f"[{pd.k_c_estimate - half:.10g}, {pd.k_c_estimate + half:.10g}]"
+          f"  (K_# = {pd.k_sharp:.10g}, K_* = {pd.k_star:.6g})")
     print(f"continuity: {pd.continuity}   jump estimate: {pd.jump_estimate:.4g}")
+    print("couplings solved, in order: the K_# probe, then for a "
+          "discontinuous transition the Newton steps, K_c - e and K_c + e")
+    for r in pd.rows:
+        print(f"  K = {r.coupling:.10g}: gap {r.best_gap:.3e}, order "
+              f"parameter {r.order_parameter:.4g}, {r.map_applications} maps")
     print(f"work: {sum(r.map_applications for r in pd.rows)} map "
-          f"applications; {len(pd.decided)} couplings decided by the K_# "
-          "probe without a solve")
+          f"applications; {pd.newton_steps} Newton steps")
     print(f"wrote {outdir}/phase_diagram.csv and verdict.json")
     pred = predicted_continuity(w.name, w.params)
     if s["no_assert"] or pred is None:
@@ -415,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     _no_assert(p)
 
     p = _verb(sub, "scan", cmd_scan, "locate K_c and classify the transition")
-    _setting(p, "--k-lo", type=float)
-    _setting(p, "--k-hi", type=float)
     _setting(p, "--tol-k", type=float, default=5e-3)
     _setting(p, "--grid-size", "-M", type=int, default=512)
     _no_assert(p)
@@ -485,8 +488,6 @@ def main(argv=None) -> int:
     missing = [k for k, v in settings.items() if v is _REQUIRED]
     if missing:
         parser.error(f"{command} needs {', '.join(missing)}")
-    if (settings.get("k_lo") is None) != (settings.get("k_hi") is None):
-        parser.error("scan takes --k-lo and --k-hi together or neither")
     k = settings.get("K")
     if k is not None and str(k) not in _NAMED_COUPLINGS:
         try:

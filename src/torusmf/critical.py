@@ -5,21 +5,20 @@ Critical points solve the self-consistency (Kirkwood--Monroe) equation
     q = exp(2 K (W * q)) / Z,
 
 found here from a fixed multistart seed set by guarded Anderson mixing
-of the map's exponent (``solve_fixed_point``).  The scanner locates the
-critical coupling by bisection on the sign of the best free-energy gap
-and classifies the transition as continuous or discontinuous by probing
+of the map's exponent (``solve_fixed_point``).  The scanner first probes
 whether the uniform state is still a global minimizer at the linear
-stability threshold, solved first: by the monotonicity of the predicate
-in the coupling, its verdict decides every coupling on its side of that
-threshold without a solve, and a bisection coupling's solves stop at the
-first kept iterate whose free energy settles that sign.
+stability threshold K_#.  If it is, the transition is continuous and
+K_c = K_#.  If it is not, K_c is the root of the least free energy along
+the nonuniform branch, found by Newton's method in the coupling: the
+envelope identity gives dF/dK = -E, the interaction energy, so each step
+is K <- K + F/E from a solve warm-started at the last state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 # np.linalg.solve runs through this LU gufunc; called directly it gives the
@@ -29,21 +28,19 @@ from numpy.linalg._umath_linalg import solve1 as _lu_solve
 
 from . import density as dens
 from .density import Density, free_energy, irfft_kernel, rfft_kernel
-from .errors import (
-    AllSeedsFailed,
-    BracketNotStraddling,
-    ExpOverflow,
-)
+from .errors import AllSeedsFailed, EnclosureNotVerified, ExpOverflow
 from .potentials import Potential, k_sharp
 
 #: Gibbs exponent beyond which the iteration refuses to exponentiate
 EXP_LIMIT = 700.0
 #: secant steps remembered by the Anderson mixing of ``solve_fixed_point``
 ANDERSON_DEPTH = 5
-#: the scan's witness threshold: a state with F < -TOL_F is supercritical.
-#: It sits above the rounding of F near the uniform state, 1e-14 (1 + |F|),
-#: which would otherwise read as a witness.
+#: the scan's threshold: a state with F < -TOL_F shows the coupling is
+#: supercritical.  It sits above the rounding of F near the uniform state,
+#: 1e-14 (1 + |F|), which would otherwise read as such a state.
 TOL_F = 1e-10
+#: Newton steps in K that ``scan_kc`` takes at most to reach |F| < 1e-13
+NEWTON_MAX_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def _gibbs(expo: np.ndarray, m: int,
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A converged, capped or witness-stopped fixed-point solve."""
+    """A converged or capped fixed-point solve."""
 
     density: Density
     residual: float
@@ -92,7 +89,6 @@ class SolveReport:
     seed_id: str
     converged: bool
     order_parameter: float
-    witness: bool = False  # stopped at an iterate with F below stop_below
 
 
 def solve_fixed_point(
@@ -102,7 +98,6 @@ def solve_fixed_point(
     tol: float = 1e-12,
     max_iter: int = 20000,
     seed_id: str = "",
-    stop_below: float = -math.inf,
 ) -> SolveReport:
     """Safeguarded Anderson mixing for q = T(q) until sup|q - T(q)| <= tol.
 
@@ -147,13 +142,6 @@ def solve_fixed_point(
     Non-convergence within ``max_iter`` >= 1 map applications is reported
     in the ``converged`` flag, not raised.  The order parameter is |qhat|
     at the mode of the largest what(k) (``k_sharp``'s mode, if any).
-
-    With a finite ``stop_below`` the solve instead returns the first kept
-    iterate q (seed excluded) with ``free_energy(q) < stop_below``, as a
-    report with ``witness=True``, ``converged=False`` and residual
-    sup|T(q) - q|: q is a density, so that energy is an upper bound for
-    min F, and the tested number is the one reported.  The default
-    ``-inf`` never stops.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -182,7 +170,6 @@ def solve_fixed_point(
     f_plain = f_plain_before = math.inf
     escape, scale = None, 0.0
     rejected = 0
-    witness = False
     it = 0
     # a singular history's solve flags "invalid" and gives NaN, which the
     # loop handles; one errstate per solve, since one per step costs about
@@ -220,14 +207,6 @@ def solve_fixed_point(
             residual = float(np.maximum.reduce(np.abs(t - v)))
             if residual <= tol:
                 break
-            if u is not None and energy < stop_below:
-                # the loop's energy only screens: the stop tests, and the
-                # report carries, free_energy of the kept iterate v itself
-                q = dens.from_grid(v)
-                energy_q = free_energy(q, w, coupling)
-                if energy_q < stop_below:
-                    witness = True
-                    break
             if escape is not None:
                 # a kept trial: its map is the fallback should the next rise
                 g_prev, scale = expo, 2.0 * scale
@@ -262,19 +241,16 @@ def solve_fixed_point(
                 n_hist = slot = 0
                 f_prev = None
             v, u, lz, trial = t, expo, lz_t, False
-    if not witness:
-        q = dens.from_grid(t)
-        energy_q = free_energy(q, w, coupling)
+    q = dens.from_grid(t)
     return SolveReport(
         density=q,
         residual=residual,
-        free_energy=energy_q,
+        free_energy=free_energy(q, w, coupling),
         iterations=it,
         rejected=rejected,
         seed_id=seed_id,
         converged=residual <= tol,
         order_parameter=q.order_parameter(mode),
-        witness=witness,
     )
 
 
@@ -310,27 +286,17 @@ def multistart(
     seeds: str | Sequence[tuple[str, Density]] = "standard",
     tol: float = 1e-12,
     max_iter: int = 20000,
-    stop_below: float = -math.inf,
 ) -> list[SolveReport]:
     """Solve from every seed, ``"standard"`` (``standard_seeds(w, m)``) or
     a list of (id, density) pairs on the ``m`` grid; reports in seed order.
-
-    ``stop_below`` goes to each solve; the first witness report (an
-    iterate with free energy below it) ends the list, and the later seeds
-    are not solved.
     """
     seed_list = standard_seeds(w, m) if seeds == "standard" else list(seeds)
     for sid, q0 in seed_list:
         if q0.grid_size != m:
             raise ValueError(f"seed {sid!r} lives on M={q0.grid_size}, "
                              f"but the grid is m={m}")
-    reports = []
-    for sid, q0 in seed_list:
-        reports.append(solve_fixed_point(w, coupling, q0, tol, max_iter,
-                                         seed_id=sid, stop_below=stop_below))
-        if reports[-1].witness:
-            break
-    return reports
+    return [solve_fixed_point(w, coupling, q0, tol, max_iter, seed_id=sid)
+            for sid, q0 in seed_list]
 
 
 def find_minimizer(
@@ -359,8 +325,8 @@ def find_minimizer(
 
 def _best_gap(reports: list[SolveReport]) -> tuple[float, SolveReport]:
     # gap = F(uniform) - min F = -min F; every iterate is a density, so a
-    # capped or witness solve's energy is still an upper bound for min F
-    # and counts toward the gap
+    # capped solve's energy is still an upper bound for min F and counts
+    # toward the gap
     state = min(reports, key=lambda r: r.free_energy)
     return -state.free_energy, state
 
@@ -371,7 +337,7 @@ def _best_gap(reports: list[SolveReport]) -> tuple[float, SolveReport]:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """Multistart outcome at a single coupling."""
+    """Outcome at a single coupling: a multistart, or one warm solve."""
 
     coupling: float
     best_gap: float
@@ -379,7 +345,6 @@ class ScanRow:
     n_seeds_converged: int
     l1_to_uniform: float
     map_applications: int  # over all seeds, capped solves included
-    witness: bool  # the last seed stopped at F < -TOL_F; later seeds unsolved
 
 
 def _scan_row(coupling: float, reports: list[SolveReport]) -> ScanRow:
@@ -391,7 +356,6 @@ def _scan_row(coupling: float, reports: list[SolveReport]) -> ScanRow:
         n_seeds_converged=sum(r.converged for r in reports),
         l1_to_uniform=float(np.abs(state.density.grid_values - 1.0).mean()),
         map_applications=sum(r.iterations for r in reports),
-        witness=reports[-1].witness,
     )
 
 
@@ -400,8 +364,7 @@ class PhaseDiagram:
     """Assembled critical-coupling estimate and continuity verdict."""
 
     model: str
-    rows: tuple[ScanRow, ...]
-    decided: tuple[float, ...]  # couplings the K_# probe decided unsolved
+    rows: tuple[ScanRow, ...]  # in the order solved
     k_c_estimate: float
     bracket_width: float
     k_sharp: float
@@ -409,6 +372,7 @@ class PhaseDiagram:
     continuity: str  # continuous | discontinuous
     jump_estimate: float
     probe_gap: float
+    newton_steps: int
 
     def as_verdict(self) -> dict:
         return {
@@ -421,132 +385,126 @@ class PhaseDiagram:
             "jump": self.jump_estimate,
             "probe_gap": self.probe_gap,
             "map_applications": sum(r.map_applications for r in self.rows),
-            "witness_rows": sum(r.witness for r in self.rows),
-            "decided_by_probe": len(self.decided),
+            "newton_steps": self.newton_steps,
         }
 
 
 def scan_kc(
     w: Potential,
-    bracket: Optional[tuple[float, float]] = None,
     m: int = 512,
     tol_K: float = 5e-3,
     seeds: str | Sequence[tuple[str, Density]] = "standard",
 ) -> PhaseDiagram:
     """Locate the critical coupling and classify the transition.
 
-    Bisection on the predicate "some seed reaches free energy below
-    -TOL_F" over the bracket (finite endpoints; defaults to
-    [0.95 K_*, 1.1 K_#]); the predicate needs no converged solves
-    because every iterate of ``solve_fixed_point``, mixed or not, is a
-    density, so its energy is an upper bound for the minimum.
+    The probe runs ``multistart`` at K_# from ``seeds`` (as in
+    ``multistart``), with solves stopping at residual 1e-11 or at the cap
+    of map applications; every iterate is a density, so a capped solve's
+    energy is still an upper bound for min F.  The transition is
+    discontinuous precisely when the probe finds a state with
+    F < -TOL_F.
 
-    The global-minimality probe at K_# solves first, in full: the
-    transition is discontinuous precisely when a state strictly below the
-    uniform free energy exists there.  The predicate is monotone in K:
-    F_K(q) = S(q) - K E(q) with entropy S(q) >= 0, so F_K(q) < -TOL_F
-    forces the interaction energy E(q) > 0, and then F_K(q) falls as K
-    grows.  So the probe's verdict holds for every coupling on its side
-    of K_# (below it when continuous, above it when discontinuous), and
-    the endpoint checks and the bisection take it there without a solve;
-    ``PhaseDiagram.decided`` lists those couplings.  The midpoints are
-    those of a bisection that solves every coupling, so the estimate is
-    the same; only the decided couplings' solves and rows are left out.
+    Continuous: K_c = K_# exactly.  F_K(q) = S(q) - K E(q) with entropy
+    S(q) >= 0, so F_K(q) < -TOL_F needs E(q) > 0 and then holds at every
+    larger K: no such state at K_# means none below it, and above K_# the
+    uniform state is linearly unstable.  The jump is the probe state's
+    order parameter, and ``bracket_width`` is ``tol_K``, an interval
+    centred on K_#.
 
-    Elsewhere the endpoints and the midpoints run ``multistart`` with
-    ``stop_below=-TOL_F``: it returns at the first kept iterate below
-    -TOL_F, and the row is a witness row (``ScanRow.witness``) whose
-    later seeds went unsolved.  Solves stop at residual 1e-11 (or at
-    ``multistart``'s cap of map applications), from ``seeds`` as in
-    ``multistart``.  A coupling first met as a witness row is solved
-    again in full where its state is read, and its row then counts both
-    solves' map applications.
+    Discontinuous: Newton's method in K from the probe's best state,
+    K <- K + F(q)/E(q) (dF/dK = -E along the branch, the envelope
+    identity), each solve warm-started from the last state at residual
+    1e-12, until |F| < 1e-13.  The least free energy is a minimum of the
+    affine maps K -> S(q) - K E(q), so it is concave in K and each tangent
+    root lies at or above K_c: the iterates fall onto K_c from above and
+    never reach the fold of the branch below it.  The jump is the order
+    parameter of the root state q_c.
 
-    The reported jump is the order parameter of the best state at the
-    top of the final bracket, or at K_# if that is lower: the K_# probe's
-    state for a continuous transition, whose K_c is K_#.
+    The root is then enclosed in [K_c - e, K_c + e], e = 20 TOL_F / E(q_c).
+    The full multistart at K_c - e must find no state below -TOL_F; if it
+    finds one, that state's branch crosses zero lower, and Newton starts
+    again from it.  The warm solve at K_c + e must reach F < -TOL_F.
+    ``bracket_width`` is 2 max(e, |last Newton step|); the least free
+    energy falls with K, so the wider interval holds too.
 
-    Errors, in this order: ``ValueError`` for tol_K <= 0 or an endpoint
-    that is not finite, and ``BracketNotStraddling`` for an empty
-    bracket, all before any solve; then, after the probe,
-    ``BracketNotStraddling`` when the lower endpoint is supercritical or
-    the upper one is not.
+    The rows are the probe, each Newton iterate (``newton_steps`` of
+    them), each multistart at K_c - e and the solve at K_c + e, in the
+    order solved.
+
+    Errors: ``ValueError`` for tol_K <= 0, before any solve;
+    ``EnclosureNotVerified`` when Newton takes ``NEWTON_MAX_STEPS`` steps
+    without a converged solve at |F| < 1e-13, or when the solve at
+    K_c + e stays above -TOL_F.
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
     ks = k_sharp(w)[0]
-    kstar = k_star(w)
-    if bracket is None:
-        bracket = (0.95 * kstar, 1.1 * ks)
-    lo, hi = bracket
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        # an infinite coupling has no Gibbs state, and the bisection's
-        # midpoint of an infinite endpoint is that endpoint again
-        raise ValueError(f"bracket endpoints must be finite, got {bracket}")
-    if not lo < hi:
-        raise BracketNotStraddling(f"empty bracket {bracket}")
-
     if seeds == "standard":
         seeds = standard_seeds(w, m)
-    rows: dict[float, ScanRow] = {}
-    decided: list[float] = []
-
-    def evaluate(coupling: float, full: bool = True) -> ScanRow:
-        # full: solve every seed to convergence; otherwise stop at the
-        # first witness of the predicate
-        row = rows.get(coupling)
-        if row is None or (full and row.witness):
-            reports = multistart(w, coupling, m, seeds, 1e-11,
-                                 stop_below=-math.inf if full else -TOL_F)
-            new = _scan_row(coupling, reports)
-            if row is not None:
-                new = replace(new, map_applications=new.map_applications
-                              + row.map_applications)
-            rows[coupling] = new
-        return rows[coupling]
-
-    # global-minimality probe at the stability threshold (the iterate
-    # energies can only dip below -TOL_F when the uniform state has lost
-    # global minimality, so capped runs cannot give a false positive)
-    probe_gap = evaluate(ks).best_gap
+    probe = multistart(w, ks, m, seeds, 1e-11)
+    rows = [_scan_row(ks, probe)]
+    probe_gap, state = _best_gap(probe)
     discontinuous = probe_gap > TOL_F
-
-    def supercritical(coupling: float) -> bool:
-        # the predicate is monotone in K, so the probe decides its side
-        if coupling != ks and (coupling > ks) == discontinuous:
-            decided.append(coupling)
-            return discontinuous
-        return evaluate(coupling, full=False).best_gap > TOL_F
-
-    if supercritical(lo):
-        raise BracketNotStraddling(
-            f"lower endpoint K={lo:.6g} is already supercritical; lower it"
-        )
-    if not supercritical(hi):
-        raise BracketNotStraddling(
-            f"no supercritical behavior at K={hi:.6g}; raise the upper endpoint"
-        )
-
-    while hi - lo > tol_K:
-        mid = 0.5 * (lo + hi)
-        if supercritical(mid):
-            hi = mid
-        else:
-            lo = mid
-    jump = evaluate(min(hi, ks)).order_parameter
-
+    if discontinuous:
+        k_c, state, width, steps = _newton_kc(w, ks, state, m, seeds, rows)
+    else:
+        k_c, width, steps = ks, tol_K, 0
     return PhaseDiagram(
         model=w.name,
-        rows=tuple(sorted(rows.values(), key=lambda r: r.coupling)),
-        decided=tuple(sorted(decided)),
-        k_c_estimate=0.5 * (lo + hi),
-        bracket_width=hi - lo,
+        rows=tuple(rows),
+        k_c_estimate=k_c,
+        bracket_width=width,
         k_sharp=ks,
-        k_star=kstar,
+        k_star=k_star(w),
         continuity="discontinuous" if discontinuous else "continuous",
-        jump_estimate=jump,
+        jump_estimate=state.order_parameter,
         probe_gap=probe_gap,
+        newton_steps=steps,
     )
+
+
+def _newton_kc(
+    w: Potential,
+    coupling: float,
+    state: SolveReport,
+    m: int,
+    seeds: Sequence[tuple[str, Density]],
+    rows: list[ScanRow],
+) -> tuple[float, SolveReport, float, int]:
+    """``scan_kc``'s Newton iteration in K from ``state`` at ``coupling``
+    and its enclosure check; appends a row per solve and returns (K_c, the
+    root state, bracket width, Newton steps)."""
+    steps = 0
+    while True:
+        for _ in range(NEWTON_MAX_STEPS):
+            step = state.free_energy / dens.interaction_energy(state.density,
+                                                               w)
+            coupling += step
+            state = solve_fixed_point(w, coupling, state.density, 1e-12)
+            rows.append(_scan_row(coupling, [state]))
+            steps += 1
+            if state.converged and abs(state.free_energy) < 1e-13:
+                break
+        else:
+            raise EnclosureNotVerified(
+                f"Newton in K reached no converged root of F within "
+                f"{NEWTON_MAX_STEPS} steps (last K={coupling:.12g}, "
+                f"F={state.free_energy:.3e})")
+        e = 20.0 * TOL_F / dens.interaction_energy(state.density, w)
+        below = multistart(w, coupling - e, m, seeds, 1e-11)
+        rows.append(_scan_row(coupling - e, below))
+        gap, lower = _best_gap(below)
+        if gap <= TOL_F:
+            break
+        # that state's branch crosses zero at a lower coupling
+        coupling, state = coupling - e, lower
+    above = solve_fixed_point(w, coupling + e, state.density, 1e-12)
+    rows.append(_scan_row(coupling + e, [above]))
+    if not above.free_energy < -TOL_F:
+        raise EnclosureNotVerified(
+            f"F = {above.free_energy:.3e} at K_c + e = {coupling + e:.12g} "
+            f"is not below -TOL_F")
+    return coupling, state, 2.0 * max(e, abs(step)), steps
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ class AllSeedsFailed(TorusMFError):
     """No seed of the multistart produced a usable state."""
 
 
-class BracketNotStraddling(TorusMFError):
-    """Bisection bracket does not contain the sign change."""
+class EnclosureNotVerified(TorusMFError):
+    """Newton in the coupling found no root of the free energy, or the
+    state just above the root is not below the uniform free energy."""
 
 
 class BlowUp(TorusMFError):

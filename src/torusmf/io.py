@@ -104,12 +104,12 @@ def save_phase_diagram(outdir, pd: PhaseDiagram) -> None:
     outdir = Path(outdir)
     rows = (
         (r.coupling, r.best_gap, r.order_parameter, r.n_seeds_converged,
-         r.l1_to_uniform, r.map_applications, int(r.witness))
+         r.l1_to_uniform, r.map_applications)
         for r in pd.rows
     )
     write_csv(outdir / "phase_diagram.csv", rows,
               ["K", "best_gap", "order_parameter", "n_seeds_converged", "l1",
-               "map_applications", "witness"])
+               "map_applications"])
     write_json(outdir / "verdict.json", pd.as_verdict())
 
 

@@ -123,35 +123,43 @@ class TestFlow:
 
 
 class TestBadValues:
+    # explicit ids, so that a case can go without renaming the others;
+    # they keep the positional names the cases had
     @pytest.mark.parametrize("argv, message", [
-        (["particles", "do", "--K", "subcritical", "--N", "5", "--T", "0.01"],
-         "particles"),
-        (["particles", "do", "--K", "subcritical", "--N", "100", "--T", "0.01",
-          "--replicates", "1"], "replicates"),
-        (["flow", "do", "--K", "1.0", "--T", "-1"], "horizon"),
-        (["flow", "do", "--K", "1.0", "--T", "0.01", "--record", "geometric"],
-         "geometric"),
-        (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
-          "--records", "0"], "--records"),
-        (["flow", "do", "--K", "1.0", "--T", "1", "--record", "geometric",
-          "--records", "-3"], "--records"),
-        (["flow", "do", "--K", "1.0", "--T", "1", "--dt", "0"], "dt"),
-        (["minimize", "do", "--K", "1", "--max-iter", "0"], "max_iter"),
-        (["particles", "do", "--K", "1", "--T", "0.0015"],
-         "whole number of steps"),
-        (["minimize", "do", "--K", "1", "--max-iter", "-3"], "max_iter"),
-        (["scan", "do", "--tol-k", "0"], "tol_K"),
-        (["verify", "--samples", "0"], "samples"),
-        (["verify", "--suite", "coercivity", "--samples", "0"], "samples"),
-        (["verify", "--suite", "loggas", "--samples", "-1"], "samples"),
-        (["scan", "hk", "--R", "1", "--tol-k", "nan"], "tol_K"),
-        (["scan", "do", "--k-lo", "3", "--k-hi", "2"], "empty bracket"),
-        # an infinite endpoint gave NaN densities, or a bisection that
-        # never ended
-        (["scan", "transformer", "--beta", "3", "--k-lo", "0.3", "--k-hi",
-          "inf"], "bracket endpoints must be finite, got (0.3, inf)"),
-        (["scan", "do", "--k-lo", "nan", "--k-hi", "3"],
-         "bracket endpoints must be finite, got (nan, 3.0)"),
+        pytest.param(["particles", "do", "--K", "subcritical", "--N", "5",
+                      "--T", "0.01"], "particles", id="argv0-particles"),
+        pytest.param(["particles", "do", "--K", "subcritical", "--N", "100",
+                      "--T", "0.01", "--replicates", "1"], "replicates",
+                     id="argv1-replicates"),
+        pytest.param(["flow", "do", "--K", "1.0", "--T", "-1"], "horizon",
+                     id="argv2-horizon"),
+        pytest.param(["flow", "do", "--K", "1.0", "--T", "0.01", "--record",
+                      "geometric"], "geometric", id="argv3-geometric"),
+        pytest.param(["flow", "do", "--K", "1.0", "--T", "1", "--record",
+                      "geometric", "--records", "0"], "--records",
+                     id="argv4---records"),
+        pytest.param(["flow", "do", "--K", "1.0", "--T", "1", "--record",
+                      "geometric", "--records", "-3"], "--records",
+                     id="argv5---records"),
+        pytest.param(["flow", "do", "--K", "1.0", "--T", "1", "--dt", "0"],
+                     "dt", id="argv6-dt"),
+        pytest.param(["minimize", "do", "--K", "1", "--max-iter", "0"],
+                     "max_iter", id="argv7-max_iter"),
+        pytest.param(["particles", "do", "--K", "1", "--T", "0.0015"],
+                     "whole number of steps",
+                     id="argv8-whole number of steps"),
+        pytest.param(["minimize", "do", "--K", "1", "--max-iter", "-3"],
+                     "max_iter", id="argv9-max_iter"),
+        pytest.param(["scan", "do", "--tol-k", "0"], "tol_K",
+                     id="argv10-tol_K"),
+        pytest.param(["verify", "--samples", "0"], "samples",
+                     id="argv11-samples"),
+        pytest.param(["verify", "--suite", "coercivity", "--samples", "0"],
+                     "samples", id="argv12-samples"),
+        pytest.param(["verify", "--suite", "loggas", "--samples", "-1"],
+                     "samples", id="argv13-samples"),
+        pytest.param(["scan", "hk", "--R", "1", "--tol-k", "nan"], "tol_K",
+                     id="argv14-tol_K"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
@@ -215,26 +223,27 @@ class TestConfigAndReport:
 
     def test_scan_work_counters_go_to_verdict_and_report(self, tmp_path,
                                                           capsys):
-        assert main(["scan", "do", "-M", "128", "--tol-k", "0.05",
+        assert main(["scan", "transformer", "--beta", "3", "-M", "128",
                      "--out", str(tmp_path)]) == 0
-        run = tmp_path / "scan_doi_onsager"
+        run = tmp_path / "scan_transformer_beta3"
         verdict = json.loads((run / "verdict.json").read_text())
         lines = (run / "phase_diagram.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header[-2:] == ["map_applications", "witness"]
+        assert header[-1] == "map_applications"
         cols = [line.split(",") for line in lines[1:]]
-        assert verdict["map_applications"] == sum(int(c[-2]) for c in cols)
-        assert verdict["witness_rows"] == sum(int(c[-1]) for c in cols) > 0
-        # the K_# probe decides the lower endpoint and the midpoints below
-        # K_#, which leave no row
-        assert verdict["decided_by_probe"] > 0
-        assert (f"{verdict['decided_by_probe']} couplings decided by the K_# "
-                "probe" in capsys.readouterr().out)
+        assert verdict["map_applications"] == sum(int(c[-1]) for c in cols)
+        # the rows are the K_# probe, the Newton steps and the two
+        # enclosure couplings
+        assert verdict["newton_steps"] > 0
+        assert len(cols) == verdict["newton_steps"] + 3
+        out = capsys.readouterr().out
+        assert f"{verdict['newton_steps']} Newton steps" in out
+        for c in cols:
+            assert f"K = {float(c[0]):.10g}: " in out
         assert main(["report", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"map_applications={verdict['map_applications']}" in out
-        assert f"witness_rows={verdict['witness_rows']}" in out
-        assert f"decided_by_probe={verdict['decided_by_probe']}" in out
+        assert f"newton_steps={verdict['newton_steps']}" in out
 
     def test_report_on_missing_dir_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
@@ -261,7 +270,7 @@ class TestSettings:
         "thresholds": ["thresholds", "transformer", "--beta", "3",
                        "--truncation", "64"],
         "scan": ["scan", "do", "-M", "128", "--tol-k", "0.05",
-                 "--k-lo", "2.0", "--k-hi", "2.7", "--truncation", "64"],
+                 "--truncation", "64"],
         "minimize": ["minimize", "do", "--K", "supercritical", "-M", "128",
                      "--max-iter", "5000", "--truncation", "64"],
         "flow": ["flow", "do", "--K", "1.0", "--T", "0.2", "--dt", "2e-4",
@@ -301,8 +310,7 @@ class TestSettings:
         man = json.loads(
             (tmp_path / "scan_doi_onsager" / "manifest.json").read_text())
         assert man["config"] == {
-            "model": "do", "truncation": 64, "k_lo": 2.0, "k_hi": 2.7,
-            "tol_k": 0.05, "grid_size": 128, "no_assert": False,
+            "model": "do", "truncation": 64, "tol_k": 0.05, "grid_size": 128, "no_assert": False,
             "out": str(tmp_path),
         }
 
@@ -341,19 +349,6 @@ class TestSettings:
             main(["thresholds", "doi_onsager", "--beta", "3",
                   "--out", str(tmp_path)])
 
-    @pytest.mark.parametrize("argv,cfg", [
-        (["--k-lo", "2.0"], {}),
-        ([], {"k_hi": 3.0}),
-    ])
-    def test_half_bracket_is_a_usage_error(self, argv, cfg, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "do", "--config", str(path), "--out", str(tmp_path)]
-                 + argv)
-        assert exc.value.code == 2
-        assert "--k-lo and --k-hi" in capsys.readouterr().err
-
     @pytest.mark.parametrize("verb,key", [
         (["minimize", "do", "--K", "0.5"], "grid-size"),
         (["scan", "do"], "seed"),
@@ -365,6 +360,8 @@ class TestSettings:
         (["particles", "do", "--K", "0.5"], "grid_size"),
         (["particles", "do", "--K", "0.5"], "dt_particles"),
         (["particles", "do", "--K", "0.5"], "workers"),
+        (["scan", "do"], "k_lo"),
+        (["scan", "do"], "k_hi"),
     ])
     def test_unknown_config_key_is_rejected(self, verb, key, tmp_path, capsys):
         path = tmp_path / "cfg.json"

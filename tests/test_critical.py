@@ -1,6 +1,5 @@
 """Fixed-point solver, stability quantities, and the scanner internals."""
 
-import re
 import warnings
 from dataclasses import replace
 
@@ -13,44 +12,9 @@ from torusmf.critical import (_best_gap, _gibbs, _lu_solve, _map_exponent,
                               _scan_row, multistart, standard_seeds)
 from torusmf.density import (fourier_to_grid, free_energy, grid_to_fourier,
                              kernel_spectrum, theta_grid)
-from torusmf.errors import BracketNotStraddling, ExpOverflow
+from torusmf.errors import EnclosureNotVerified, ExpOverflow
 
 from oracles import anderson_fixed_point, picard_fixed_point
-
-
-def _check_witness_rows(w, tol_K, seeds):
-    """Scan, then re-solve every row: a witness row's last seed stopped at
-    a density below -TOL_F, and the full multistart there agrees that the
-    coupling is supercritical; every other row is the full multistart's.
-    A supercritical full row other than K_#'s is the bracket top, first
-    met as a witness and solved again in full to read the jump there, so
-    it counts both solves' maps."""
-    tol_F = critical.TOL_F
-    pd = tm.scan_kc(w, m=512, tol_K=tol_K, seeds=seeds)
-    assert any(r.witness for r in pd.rows)
-    for row in pd.rows:
-        full = multistart(w, row.coupling, 512, seeds, tol=1e-11)
-        if not row.witness:
-            expected = _scan_row(row.coupling, full)
-            if row.best_gap > tol_F and row.coupling != pd.k_sharp:
-                assert row.order_parameter == pd.jump_estimate
-                stopped = multistart(w, row.coupling, 512, seeds, tol=1e-11,
-                                     stop_below=-tol_F)
-                assert stopped[-1].witness
-                expected = replace(expected, map_applications=(
-                    expected.map_applications
-                    + sum(r.iterations for r in stopped)))
-            assert row == expected
-            continue
-        reports = multistart(w, row.coupling, 512, seeds, tol=1e-11,
-                             stop_below=-tol_F)
-        assert row == _scan_row(row.coupling, reports)
-        rep = reports[-1]
-        assert rep.witness and not rep.converged
-        assert not any(r.witness for r in reports[:-1])
-        assert free_energy(rep.density, w, row.coupling) == rep.free_energy
-        assert rep.free_energy < -tol_F
-        assert _best_gap(full)[0] > tol_F
 
 
 class TestKmMap:
@@ -255,31 +219,6 @@ class TestSolve:
         assert abs(rep.free_energy - ref.free_energy) < 1e-11
         assert rep.iterations <= ref.iterations
 
-    def test_unreached_energy_stop_keeps_the_bits(self, do_normalized):
-        # no iterate of a subcritical solve dips to F < -1e-10, so the stop
-        # never fires and the report is the default one
-        q0 = tm.from_grid(1 + 0.5 * np.cos(4 * np.pi * theta_grid(512)))
-        ref = tm.solve_fixed_point(do_normalized, 0.9, q0)
-        rep = tm.solve_fixed_point(do_normalized, 0.9, q0, stop_below=-1e-10)
-        assert not rep.witness and rep.converged
-        assert np.array_equal(rep.density.grid_values, ref.density.grid_values)
-        assert replace(rep, density=None) == replace(ref, density=None)
-
-    def test_energy_stop_returns_the_witness_iterate(self, do_normalized):
-        q0 = tm.from_grid(1 + 0.5 * np.cos(4 * np.pi * theta_grid(512)))
-        full = tm.solve_fixed_point(do_normalized, 1.2, q0)
-        rep = tm.solve_fixed_point(do_normalized, 1.2, q0, stop_below=-1e-10)
-        assert rep.witness and not rep.converged
-        assert 2 <= rep.iterations < full.iterations
-        assert free_energy(rep.density, do_normalized, 1.2) == rep.free_energy
-        assert full.free_energy <= rep.free_energy < -1e-10
-        # its residual is that of the returned density itself
-        mapped = tm.solve_fixed_point(do_normalized, 1.2, rep.density,
-                                      max_iter=1).density
-        assert rep.residual == pytest.approx(
-            np.abs(mapped.grid_values - rep.density.grid_values).max(),
-            rel=1e-9)
-
     def test_kernel_without_positive_coefficient(self):
         # the minimizer of a purely repulsive kernel is the uniform state;
         # the order parameter sits on the mode of the largest what(k)
@@ -369,28 +308,27 @@ class TestAttentionAboveKc:
                           seeds=[(s, seeds[s]) for s in self.bench_seeds])
 
     def test_benchmark_seeds_scan_within_1500_maps(self, bench_scan):
-        # K_c and the verdict are those of the solver before the saddle
-        # escape (3,474 maps)
+        # the verdict of the solver before the saddle escape (3,474 maps
+        # with the bisection); K_c is the root of Newton's method in K
         pd = bench_scan
         assert sum(r.map_applications for r in pd.rows) <= 1500
         assert pd.continuity == "discontinuous"
-        assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
+        assert abs(pd.k_c_estimate - 0.37609388318365555) < 1e-12
 
-    def test_benchmark_seeds_scan_within_720_maps(self, bench_scan):
-        # the bisection solves stop at their first witness below -TOL_F:
-        # 533 maps (681 with three jump probes above K_c, 905 when every
-        # seed ran to the residual tolerance)
+    def test_benchmark_seeds_scan_within_170_maps(self, bench_scan):
+        # the K_# probe, four Newton steps and the two enclosure couplings:
+        # 163 maps (533 when a bisection stopped its solves at their first
+        # iterate below -TOL_F, 905 when every seed ran to the tolerance)
         pd = bench_scan
-        assert sum(r.map_applications for r in pd.rows) <= 720
+        assert sum(r.map_applications for r in pd.rows) <= 170
         assert pd.continuity == "discontinuous"
-        assert abs(pd.k_c_estimate - 0.37604711064975527) < 1e-12
+        assert abs(pd.k_c_estimate - 0.37609388318365555) < 1e-12
 
     def test_benchmark_seeds_scan_same_maps_at_every_roll(self, setup):
         # the map commutes with whole-cell rolls, so only rounding differs
         # between these scans; a guard that took rounding-level rises for
-        # rises made them take 732 to 774 maps, the jump probes above
-        # K_c 681, and solving the midpoints above K_#, which the probe
-        # decides, 533
+        # rises made the bisection take 732 to 774 maps, and the bisection
+        # took 523 at the end
         w, seeds = setup
         counts = []
         for roll in (0, 1, 171, 256, 389):
@@ -398,27 +336,19 @@ class TestAttentionAboveKc:
                       for s in self.bench_seeds]
             pd = tm.scan_kc(w, m=512, tol_K=2e-4, seeds=rolled)
             counts.append(sum(r.map_applications for r in pd.rows))
-        assert len(set(counts)) == 1 and counts[0] <= 525, counts
+        assert len(set(counts)) == 1 and counts[0] <= 170, counts
 
-    def test_benchmark_seeds_witness_rows(self, setup):
-        w, seeds = setup
-        _check_witness_rows(w, 2e-4,
-                            [(s, seeds[s]) for s in self.bench_seeds])
-
-    def test_endpoint_at_k_sharp_is_the_probe_row(self, setup):
-        # with K_# as the upper endpoint, the probe's full multistart there
-        # decides it: 44 maps, where a witness solve of the endpoint before
-        # the probe made the row 48
+    def test_first_row_is_the_k_sharp_probe(self, setup, bench_scan):
+        # the probe's full multistart at K_#, 44 maps, gives the first row
+        # and the probe gap
         w, seeds = setup
         ks, _ = tm.k_sharp(w)
-        bench = [(s, seeds[s]) for s in self.bench_seeds]
-        pd = tm.scan_kc(w, bracket=(0.33, ks), m=512, tol_K=2e-3,
-                        seeds=bench)
-        full = multistart(w, ks, 512, bench, tol=1e-11)
-        (row,) = [r for r in pd.rows if r.coupling == ks]
-        assert not row.witness and ks not in pd.decided
-        assert pd.probe_gap == row.best_gap == _best_gap(full)[0]
-        assert row.map_applications == sum(r.iterations for r in full) == 44
+        full = multistart(w, ks, 512, [(s, seeds[s]) for s in self.bench_seeds],
+                          tol=1e-11)
+        row = bench_scan.rows[0]
+        assert row == _scan_row(ks, full)
+        assert bench_scan.probe_gap == row.best_gap == _best_gap(full)[0]
+        assert row.map_applications == 44
 
     @pytest.mark.parametrize("seed", ["cos_a0.6", "bump_c0.99"])
     def test_history_matches_list_oracle(self, setup, seed):
@@ -490,7 +420,25 @@ class TestFindMinimizer:
         assert arr.min() >= -1e-10
 
 
+#: direction 22's Newton column (ROADMAP): K_# - K_c and the jump, to the
+#: digits it prints, for the six discontinuous C02 and C03 scans
+NEWTON_TABLE = [
+    (tm.transformer(2.6), 512, 3.884152e-4, 0.2797),
+    (tm.transformer(3.0), 512, 3.329221e-3, 0.4815),
+    (tm.transformer(4.0), 512, 9.191712e-3, 0.6688),
+    (tm.hegselmann_krause(0.5, truncation=1024), 2048, 20.103271, 0.9615),
+    (tm.hegselmann_krause(1.0), 1024, 1.233708, 0.8879),
+    (tm.hegselmann_krause(1.5), 512, 0.1230055, 0.7466),
+]
+NEWTON_IDS = ["transformer2.6", "transformer3", "transformer4", "hk0.5",
+              "hk1", "hk1.5"]
+
+
 class TestScan:
+    @pytest.fixture(scope="class")
+    def newton_scans(self):
+        return [tm.scan_kc(w, m=m) for w, m, _, _ in NEWTON_TABLE]
+
     def test_rows_count_map_applications(self, do_kernel):
         seeds = standard_seeds(do_kernel, 128)[:2]
         pd = tm.scan_kc(do_kernel, m=128, tol_K=0.05, seeds=seeds)
@@ -498,8 +446,8 @@ class TestScan:
         reports = multistart(do_kernel, row.coupling, 128, seeds, tol=1e-11)
         assert row.map_applications == sum(r.iterations for r in reports)
 
-    def test_standard_seeds_built_once_per_scan(self, do_kernel,
-                                                monkeypatch):
+    def test_standard_seeds_built_once_per_scan(self, monkeypatch):
+        # a discontinuous scan runs the multistart at K_# and at K_c - e
         built = []
 
         def counted(w, m=512):
@@ -507,35 +455,71 @@ class TestScan:
             return standard_seeds(w, m)
 
         monkeypatch.setattr(critical, "standard_seeds", counted)
-        pd = tm.scan_kc(do_kernel, m=128, tol_K=0.05)
-        assert len(pd.rows) > 1 and built == [128]
+        pd = tm.scan_kc(tm.transformer(3.0), m=128)
+        assert pd.continuity == "discontinuous" and built == [128]
 
-    def test_c01_witness_rows(self, do_kernel):
-        _check_witness_rows(do_kernel, 5e-3, "standard")
+    @pytest.mark.parametrize("w", [tm.doi_onsager(), tm.transformer(2.0),
+                                   tm.hegselmann_krause(2.5)],
+                             ids=["rod", "transformer2", "hk2.5"])
+    def test_continuous_k_c_is_k_sharp(self, w):
+        # the probe finds no state below -TOL_F at K_#, so no coupling
+        # below it is supercritical, and every one above it is
+        pd = tm.scan_kc(w, m=512, tol_K=5e-3)
+        assert pd.continuity == "continuous"
+        assert pd.k_c_estimate == pd.k_sharp == tm.k_sharp(w)[0]
+        assert pd.bracket_width == 5e-3
+        assert pd.newton_steps == 0 and len(pd.rows) == 1
+        # the interval's ends: subcritical below, supercritical above
+        lo, hi = (_best_gap(multistart(w, pd.k_sharp + d, 512, tol=1e-11))[0]
+                  for d in (-2.5e-3, 2.5e-3))
+        assert lo <= critical.TOL_F < hi
 
-    @pytest.mark.parametrize("w, tol_K, families", [
-        (tm.doi_onsager(), 5e-3, None),
-        (tm.transformer(3.0), 2e-4, ("uniform", "cos_a0.6", "bump_c0.99")),
-        (tm.hegselmann_krause(2.5), 5e-3, None),
-    ], ids=["rod", "transformer3_benchmark_seeds", "hk2.5"])
-    def test_probe_decided_couplings_match_the_witness_oracle(
-            self, w, tol_K, families):
-        # the probe decides the couplings on its side of K_#, below it for
-        # a continuous transition and above it for a discontinuous one; a
-        # multistart stopped at -TOL_F finds a witness at each exactly when
-        # that side is the supercritical one
-        seeds = standard_seeds(w, 512)
-        if families is not None:
-            seeds = [(s, q) for s, q in seeds if s in families]
-        pd = tm.scan_kc(w, m=512, tol_K=tol_K, seeds=seeds)
-        supercritical = pd.continuity == "discontinuous"
-        assert pd.decided
-        assert not set(pd.decided) & {r.coupling for r in pd.rows}
-        for coupling in pd.decided:
-            assert (coupling > pd.k_sharp) == supercritical
-            reports = multistart(w, coupling, 512, seeds, tol=1e-11,
-                                 stop_below=-1e-10)
-            assert reports[-1].witness == supercritical, coupling
+    def test_newton_iterates_fall_onto_k_c(self, newton_scans):
+        # the least F is concave in K, so each tangent root lies at or
+        # above K_c: the iterates fall strictly from K_# and stop at K_c
+        for pd in newton_scans:
+            iterates = [r.coupling for r in pd.rows[1:1 + pd.newton_steps]]
+            assert pd.rows[0].coupling == pd.k_sharp
+            assert 3 <= len(iterates) == len(pd.rows) - 3
+            assert all(a > b for a, b in
+                       zip([pd.k_sharp] + iterates, iterates))
+            assert iterates[-1] == pd.k_c_estimate
+            # F < 0 at every iterate before the root, |F| < 1e-13 there
+            assert all(r.best_gap > 0.0 for r in pd.rows[:pd.newton_steps])
+            assert abs(pd.rows[pd.newton_steps].best_gap) < 1e-13
+            # the width covers the enclosure and the last step
+            e = pd.k_c_estimate - pd.rows[-2].coupling
+            last_step = iterates[-2] - iterates[-1]
+            assert pd.bracket_width == pytest.approx(2.0 * max(e, last_step),
+                                                     rel=1e-6)
+
+    @pytest.mark.parametrize("case", [0, 5], ids=["transformer2.6", "hk1.5"])
+    def test_enclosure_holds(self, newton_scans, case):
+        # the full standard multistart at K_c - e finds no state below
+        # -TOL_F, and the warm solve at K_c + e reaches one
+        w, m, _, _ = NEWTON_TABLE[case]
+        pd = newton_scans[case]
+        lo, hi = pd.rows[-2], pd.rows[-1]
+        e = pd.k_c_estimate - lo.coupling
+        assert 0.0 < e < 1e-7
+        assert hi.coupling - pd.k_c_estimate == pytest.approx(e, rel=1e-6)
+        full = multistart(w, lo.coupling, m, tol=1e-11)
+        assert min(r.free_energy for r in full) >= -critical.TOL_F
+        assert lo == _scan_row(lo.coupling, full)
+        assert hi.best_gap > critical.TOL_F and hi.n_seeds_converged == 1
+
+    @pytest.mark.parametrize("case", range(6), ids=NEWTON_IDS)
+    def test_discontinuous_k_c_and_jump_match_the_newton_table(
+            self, newton_scans, case):
+        # K_c to 1e-7 of itself: the table prints seven significant
+        # digits of the margin; a bisection to 2e-4 read the jump at
+        # transformer(2.6) 8% high, 0.3013
+        _, _, margin, jump = NEWTON_TABLE[case]
+        pd = newton_scans[case]
+        assert pd.continuity == "discontinuous"
+        assert pd.k_c_estimate == pytest.approx(pd.k_sharp - margin,
+                                                rel=1e-7)
+        assert abs(pd.jump_estimate - jump) < 5e-5
 
     @pytest.mark.parametrize("w", [tm.transformer(2.0),
                                    tm.hegselmann_krause(2.5)],
@@ -550,21 +534,18 @@ class TestScan:
         assert pd.jump_estimate == row.order_parameter
         assert pd.jump_estimate < 1e-3
 
-    def test_discontinuous_jump_is_the_bracket_top_state(self):
-        # the order parameter of the branch at Newton's K_c is 0.280; a fit
-        # of |qhat|^2 above K_c read 0.313
-        pd = tm.scan_kc(tm.transformer(2.6), m=512, tol_K=2e-4)
-        above = [r for r in pd.rows if r.coupling > pd.k_c_estimate]
-        top = min(above, key=lambda r: r.coupling)
-        assert pd.continuity == "discontinuous"
-        assert not top.witness and top.coupling < pd.k_sharp
-        assert pd.jump_estimate == top.order_parameter
-        assert abs(pd.jump_estimate - 0.280) < 0.025
+    def test_discontinuous_jump_is_the_root_state(self, newton_scans):
+        # the order parameter of the branch at Newton's K_c, 0.2797 at
+        # transformer(2.6); a fit of |qhat|^2 above K_c read 0.313
+        pd = newton_scans[0]
+        (root,) = [r for r in pd.rows if r.coupling == pd.k_c_estimate]
+        assert pd.jump_estimate == root.order_parameter
+        assert abs(pd.jump_estimate - 0.2797) < 5e-5
 
-    def test_rod_benchmark_seeds_scan_within_130_maps(self, do_kernel):
-        # the scan_rod setting at five rolls: 195 to 231 maps when the lower
-        # endpoint and the midpoints below K_#, which the probe decides,
-        # were solved, and 264 to 300 with three jump probes above K_c
+    def test_rod_benchmark_seeds_scan_within_85_maps(self, do_kernel):
+        # the scan_rod setting at five rolls: the K_# probe alone, 46 to
+        # 82 maps (89 to 125 when a bisection solved its couplings above
+        # K_#, 195 to 231 when it solved those below K_# too)
         seeds = dict(standard_seeds(do_kernel, 512))
         for roll in (0, 1, 171, 256, 389):
             rolled = [(s, tm.from_grid(np.roll(seeds[s].grid_values, roll)))
@@ -572,26 +553,12 @@ class TestScan:
             pd = tm.scan_kc(do_kernel, m=512, tol_K=5e-3, seeds=rolled)
             maps = sum(r.map_applications for r in pd.rows)
             assert pd.continuity == "continuous"
-            assert maps <= 130, (roll, maps)
-
-    @pytest.mark.parametrize("bracket", [
-        (1.0, float("inf")), (float("-inf"), 3.0), (float("nan"), 3.0),
-        (1.0, float("nan")), (float("inf"), 3.0), (1.0, float("-inf"))])
-    def test_nonfinite_endpoint_rejected(self, do_kernel, bracket,
-                                         monkeypatch):
-        # an infinite coupling gave NaN densities, and the bisection's
-        # midpoint of an infinite endpoint is that endpoint: it never ended
-        def unreachable(*args, **kwargs):
-            raise AssertionError("scan_kc solved before checking the bracket")
-
-        monkeypatch.setattr(critical, "multistart", unreachable)
-        with pytest.raises(ValueError, match=re.escape(f"got {bracket}")):
-            tm.scan_kc(do_kernel, bracket=bracket, m=128)
+            assert maps <= 85, (roll, maps)
 
     @pytest.mark.parametrize("tol_k", [0.0, -1e-3, float("nan")])
     def test_nonpositive_tol_k_rejected(self, do_kernel, tol_k,
                                         monkeypatch):
-        # a bisection to zero width would never end; fail instead of hanging
+        # a zero interval is no enclosure; fail before any solve
         def unreachable(*args, **kwargs):
             raise AssertionError("scan_kc solved before checking tol_K")
 
@@ -599,22 +566,66 @@ class TestScan:
         with pytest.raises(ValueError, match="tol_K"):
             tm.scan_kc(do_kernel, m=128, tol_K=tol_k)
 
+    def test_unverified_enclosure_raises(self, monkeypatch):
+        # a solve at K_c + e that stays above -TOL_F leaves K_c unverified
+        w = tm.transformer(3.0)
+        above = tm.scan_kc(w, m=128).rows[-1].coupling
+        real = critical.solve_fixed_point
+
+        def stuck(w, coupling, *args, **kwargs):
+            rep = real(w, coupling, *args, **kwargs)
+            return replace(rep, free_energy=0.0) if coupling == above else rep
+
+        monkeypatch.setattr(critical, "solve_fixed_point", stuck)
+        with pytest.raises(EnclosureNotVerified, match=r"K_c \+ e"):
+            tm.scan_kc(w, m=128)
+
+    def test_state_below_the_enclosure_restarts_newton(self, monkeypatch):
+        # the first Newton descent reads F raised by 1e-6, so it stops at a
+        # false root above K_c, where F = -1e-6; the multistart below it
+        # finds that state, and Newton from it reaches the true K_c
+        w = tm.transformer(3.0)
+        true = tm.scan_kc(w, m=128)
+        real_solve, real_multistart = (critical.solve_fixed_point,
+                                       critical.multistart)
+        couplings = []
+
+        def counted(w, coupling, *args, **kwargs):
+            couplings.append(coupling)
+            return real_multistart(w, coupling, *args, **kwargs)
+
+        def raised(w, coupling, q0, *args, **kwargs):
+            rep = real_solve(w, coupling, q0, *args, **kwargs)
+            if len(couplings) == 1 and "seed_id" not in kwargs:
+                return replace(rep, free_energy=rep.free_energy + 1e-6)
+            return rep
+
+        monkeypatch.setattr(critical, "multistart", counted)
+        monkeypatch.setattr(critical, "solve_fixed_point", raised)
+        pd = tm.scan_kc(w, m=128)
+        assert len(couplings) == 3
+        assert couplings[1] > true.k_c_estimate + 1e-7 > couplings[2]
+        assert abs(pd.k_c_estimate - true.k_c_estimate) < 1e-11
+        assert pd.newton_steps > true.newton_steps
+        assert len(pd.rows) == pd.newton_steps + 4
+        assert pd.jump_estimate == pytest.approx(true.jump_estimate,
+                                                 abs=1e-9)
+
+    def test_newton_without_a_root_raises(self, monkeypatch):
+        # transformer(3) takes four steps to |F| < 1e-13
+        monkeypatch.setattr(critical, "NEWTON_MAX_STEPS", 2)
+        with pytest.raises(EnclosureNotVerified, match="Newton in K"):
+            tm.scan_kc(tm.transformer(3.0), m=128)
+
     def test_tol_f_sits_above_the_rounding_of_f(self, do_kernel):
         # below the proven K_*, every seed converges to the uniform state,
-        # whose F is rounding (about 1e-16 here); a witness threshold under
-        # 1e-14 would read that rounding as a witness
+        # whose F is rounding (about 1e-16 here); a threshold under 1e-14
+        # would read that rounding as a supercritical state
         reports = multistart(do_kernel, 0.95 * tm.k_star(do_kernel), 128,
                              tol=1e-11)
         assert all(r.converged for r in reports)
         assert max(abs(r.free_energy) for r in reports) < 1e-14
         assert critical.TOL_F >= 1e-14
-
-    def test_bad_bracket_rejected(self, do_kernel):
-        with pytest.raises(BracketNotStraddling):
-            tm.scan_kc(do_kernel, bracket=(3.0, 2.0))
-        with pytest.raises(BracketNotStraddling):
-            # both endpoints subcritical
-            tm.scan_kc(do_kernel, bracket=(1.0, 1.5), tol_K=0.25)
 
 
 class TestLandau:
