@@ -187,7 +187,7 @@ def cmd_thresholds(s: dict) -> int:
 
 def cmd_scan(s: dict) -> int:
     w = _build_potential(s)
-    pd = scan_kc(w, m=s["grid_size"], tol_K=s["tol_k"])
+    pd = scan_kc(w, m=s["grid_size"])
     outdir = _run_dir(s, "scan", _model_stem(w))
     io.save_phase_diagram(outdir, pd)
     half = pd.bracket_width / 2
@@ -196,7 +196,7 @@ def cmd_scan(s: dict) -> int:
           f"  (K_# = {pd.k_sharp:.10g}, K_* = {pd.k_star:.6g})")
     print(f"continuity: {pd.continuity}   jump estimate: {pd.jump_estimate:.4g}")
     print("couplings solved, in order: the K_# probe, then for a "
-          "discontinuous transition the Newton steps, K_c - e and K_c + e")
+          "discontinuous transition the Newton steps and K_c - e")
     for r in pd.rows:
         print(f"  K = {r.coupling:.10g}: gap {r.best_gap:.3e}, order "
               f"parameter {r.order_parameter:.4g}, {r.map_applications} maps")
@@ -420,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     _no_assert(p)
 
     p = _verb(sub, "scan", cmd_scan, "locate K_c and classify the transition")
-    _setting(p, "--tol-k", type=float, default=5e-3)
     _setting(p, "--grid-size", "-M", type=int, default=512)
     _no_assert(p)
 

@@ -11,7 +11,8 @@ stability threshold K_#.  If it is, the transition is continuous and
 K_c = K_#.  If it is not, K_c is the root of the least free energy along
 the nonuniform branch, found by Newton's method in the coupling: the
 envelope identity gives dF/dK = -E, the interaction energy, so each step
-is K <- K + F/E from a solve warm-started at the last state.
+is K <- K + F/E from a solve warm-started at the last state.  F is affine
+in K for a fixed density, so the root state shows F < 0 just above K_c.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ ANDERSON_DEPTH = 5
 TOL_F = 1e-10
 #: Newton steps in K that ``scan_kc`` takes at most to reach |F| < 1e-13
 NEWTON_MAX_STEPS = 50
+#: residual at which every solve of ``scan_kc`` stops: F is second order
+#: in it, so Newton's |F| < 1e-13 is still reached, and a tighter stop
+#: only adds map applications
+SCAN_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +322,23 @@ def find_minimizer(
         raise AllSeedsFailed(
             f"no seed converged at K={coupling} within {max_iter} iterations"
         )
-    fmin = min(r.free_energy for r in converged)
-    near = [r for r in converged if r.free_energy <= fmin + 1e-11]
-    best = min(near, key=lambda r: r.order_parameter)
-    return best, reports
+    return _least_f(converged), reports
+
+
+def _least_f(reports: list[SolveReport]) -> SolveReport:
+    """The report of least F, ties within 1e-11 broken toward the smaller
+    order parameter: where every F is rounding, as at a continuous K_#,
+    that is the uniform state, not the seed that rounds lowest."""
+    fmin = min(r.free_energy for r in reports)
+    near = [r for r in reports if r.free_energy <= fmin + 1e-11]
+    return min(near, key=lambda r: r.order_parameter)
 
 
 def _best_gap(reports: list[SolveReport]) -> tuple[float, SolveReport]:
     # gap = F(uniform) - min F = -min F; every iterate is a density, so a
     # capped solve's energy is still an upper bound for min F and counts
     # toward the gap
-    state = min(reports, key=lambda r: r.free_energy)
-    return -state.free_energy, state
+    return -min(r.free_energy for r in reports), _least_f(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +407,53 @@ def scan_kc(
 ) -> PhaseDiagram:
     """Locate the critical coupling and classify the transition.
 
-    The probe runs ``multistart`` at K_# from ``seeds`` (as in
-    ``multistart``), with solves stopping at residual 1e-11 or at the cap
-    of map applications; every iterate is a density, so a capped solve's
-    energy is still an upper bound for min F.  The transition is
+    Every solve stops at residual ``SCAN_TOL`` or at the cap of map
+    applications; every iterate is a density, so a capped solve's energy
+    is still an upper bound for min F.  The probe runs ``multistart`` at
+    K_# from ``seeds`` (as in ``multistart``).  The transition is
     discontinuous precisely when the probe finds a state with
-    F < -TOL_F.
+    F < -TOL_F.  A row's state is its least-F report, ties within 1e-11
+    broken toward the smaller order parameter (as in ``find_minimizer``).
 
     Continuous: K_c = K_# exactly.  F_K(q) = S(q) - K E(q) with entropy
     S(q) >= 0, so F_K(q) < -TOL_F needs E(q) > 0 and then holds at every
     larger K: no such state at K_# means none below it, and above K_# the
     uniform state is linearly unstable.  The jump is the probe state's
-    order parameter, and ``bracket_width`` is ``tol_K``, an interval
-    centred on K_#.
+    order parameter, 0 for the uniform state, and ``bracket_width`` is
+    ``tol_K``, an interval centred on K_#.  ``tol_K`` changes no
+    computation.
 
-    Discontinuous: Newton's method in K from the probe's best state,
+    Discontinuous: Newton's method in K from the probe's state,
     K <- K + F(q)/E(q) (dF/dK = -E along the branch, the envelope
-    identity), each solve warm-started from the last state at residual
-    1e-12, until |F| < 1e-13.  The least free energy is a minimum of the
-    affine maps K -> S(q) - K E(q), so it is concave in K and each tangent
-    root lies at or above K_c: the iterates fall onto K_c from above and
-    never reach the fold of the branch below it.  The jump is the order
+    identity), each solve warm-started from the last state, until
+    |F| < 1e-13.  The least free energy is a minimum of the affine maps
+    K -> S(q) - K E(q), so it is concave in K and each tangent root lies
+    at or above K_c: the iterates fall onto K_c from above and never
+    reach the fold of the branch below it.  The jump is the order
     parameter of the root state q_c.
 
     The root is then enclosed in [K_c - e, K_c + e], e = 20 TOL_F / E(q_c).
     The full multistart at K_c - e must find no state below -TOL_F; if it
     finds one, that state's branch crosses zero lower, and Newton starts
-    again from it.  The warm solve at K_c + e must reach F < -TOL_F.
-    ``bracket_width`` is 2 max(e, |last Newton step|); the least free
-    energy falls with K, so the wider interval holds too.
+    again from it.  The upper end needs no solve: F is affine in K for
+    the fixed density q_c, so F_{K_c + e}(q_c) = F_c - e E(q_c) =
+    F_c - 20 TOL_F < -TOL_F.  ``bracket_width`` is
+    2 max(e, |last Newton step|); the least free energy falls with K, so
+    the wider interval holds too.
 
     The rows are the probe, each Newton iterate (``newton_steps`` of
-    them), each multistart at K_c - e and the solve at K_c + e, in the
-    order solved.
+    them) and each multistart at K_c - e, in the order solved.
 
     Errors: ``ValueError`` for tol_K <= 0, before any solve;
     ``EnclosureNotVerified`` when Newton takes ``NEWTON_MAX_STEPS`` steps
-    without a converged solve at |F| < 1e-13, or when the solve at
-    K_c + e stays above -TOL_F.
+    without a converged solve at |F| < 1e-13.
     """
     if not tol_K > 0.0:
         raise ValueError(f"tol_K must be positive, got {tol_K}")
     ks = k_sharp(w)[0]
     if seeds == "standard":
         seeds = standard_seeds(w, m)
-    probe = multistart(w, ks, m, seeds, 1e-11)
+    probe = multistart(w, ks, m, seeds, SCAN_TOL)
     rows = [_scan_row(ks, probe)]
     probe_gap, state = _best_gap(probe)
     discontinuous = probe_gap > TOL_F
@@ -472,15 +484,15 @@ def _newton_kc(
     rows: list[ScanRow],
 ) -> tuple[float, SolveReport, float, int]:
     """``scan_kc``'s Newton iteration in K from ``state`` at ``coupling``
-    and its enclosure check; appends a row per solve and returns (K_c, the
-    root state, bracket width, Newton steps)."""
+    and its check below the root; appends a row per solve and returns
+    (K_c, the root state, bracket width, Newton steps)."""
     steps = 0
     while True:
         for _ in range(NEWTON_MAX_STEPS):
             step = state.free_energy / dens.interaction_energy(state.density,
                                                                w)
             coupling += step
-            state = solve_fixed_point(w, coupling, state.density, 1e-12)
+            state = solve_fixed_point(w, coupling, state.density, SCAN_TOL)
             rows.append(_scan_row(coupling, [state]))
             steps += 1
             if state.converged and abs(state.free_energy) < 1e-13:
@@ -491,20 +503,13 @@ def _newton_kc(
                 f"{NEWTON_MAX_STEPS} steps (last K={coupling:.12g}, "
                 f"F={state.free_energy:.3e})")
         e = 20.0 * TOL_F / dens.interaction_energy(state.density, w)
-        below = multistart(w, coupling - e, m, seeds, 1e-11)
+        below = multistart(w, coupling - e, m, seeds, SCAN_TOL)
         rows.append(_scan_row(coupling - e, below))
         gap, lower = _best_gap(below)
         if gap <= TOL_F:
-            break
+            return coupling, state, 2.0 * max(e, abs(step)), steps
         # that state's branch crosses zero at a lower coupling
         coupling, state = coupling - e, lower
-    above = solve_fixed_point(w, coupling + e, state.density, 1e-12)
-    rows.append(_scan_row(coupling + e, [above]))
-    if not above.free_energy < -TOL_F:
-        raise EnclosureNotVerified(
-            f"F = {above.free_energy:.3e} at K_c + e = {coupling + e:.12g} "
-            f"is not below -TOL_F")
-    return coupling, state, 2.0 * max(e, abs(step)), steps
 
 
 # ---------------------------------------------------------------------------

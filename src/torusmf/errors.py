@@ -42,8 +42,8 @@ class AllSeedsFailed(TorusMFError):
 
 
 class EnclosureNotVerified(TorusMFError):
-    """Newton in the coupling found no root of the free energy, or the
-    state just above the root is not below the uniform free energy."""
+    """Newton in the coupling found no converged root of the free
+    energy."""
 
 
 class BlowUp(TorusMFError):

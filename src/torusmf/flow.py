@@ -100,31 +100,6 @@ def _etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
     return tab.astype(complex)
 
 
-@lru_cache(maxsize=16)
-def _dealias_mask(m: int) -> np.ndarray:
-    k = np.arange(m // 2 + 1)
-    mask = (k <= m // 3).astype(float)
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=16)
-def _derivative(m: int) -> np.ndarray:
-    # 2 pi i k on the de-aliased band k <= m/3, zero above it
-    d = 2j * np.pi * np.arange(m // 2 + 1) * _dealias_mask(m)
-    d.flags.writeable = False
-    return d
-
-
-def _transport_symbols(w, coupling: float, m: int) -> np.ndarray:
-    """Rows taking qhat to q and to -K (W * q)' on the de-aliased band:
-    the 2/3-rule mask and -K 2 pi i k what(k)."""
-    syms = np.stack((_dealias_mask(m).astype(complex),
-                     -coupling * _derivative(m) * dens.kernel_spectrum(w, m)))
-    syms.flags.writeable = False
-    return syms
-
-
 class _Split:
     """The flow split into L q, exact in the exponential, and the explicit
     rest N(q), for one kernel, coupling and grid.
@@ -141,13 +116,17 @@ class _Split:
     """
 
     def __init__(self, w, coupling: float, m: int):
-        k2 = np.arange(m // 2 + 1, dtype=float) ** 2
+        k = np.arange(m // 2 + 1)
+        mask = (k <= m // 3).astype(float)  # the 2/3 rule
+        deriv = 2j * np.pi * k * mask  # 2 pi i k on the de-aliased band
+        spectrum = dens.kernel_spectrum(w, m)
         self.m = m
-        self.syms = _transport_symbols(w, coupling, m) * dens.grid_phase(m, m)
-        self.deriv = _derivative(m) * dens.grid_phase(m, 1.0 / m)
-        self.lin = 2.0 * np.pi**2 * k2 * (
-            2.0 * coupling * _dealias_mask(m) * dens.kernel_spectrum(w, m)
-            - 1.0)
+        # the rows taking qhat to q and to -K (W * q)' on the de-aliased band
+        syms = np.stack((mask.astype(complex), -coupling * deriv * spectrum))
+        self.syms = syms * dens.grid_phase(m, m)
+        self.deriv = deriv * dens.grid_phase(m, 1.0 / m)
+        self.lin = 2.0 * np.pi**2 * k.astype(float) ** 2 * (
+            2.0 * coupling * mask * spectrum - 1.0)
         self._rows = np.empty((2, m // 2 + 1), dtype=complex)
         self._grid = np.empty((2, m))
         self._qg, self._vg = self._grid
@@ -323,7 +302,6 @@ def integrate(
                          f"{m // 2} of the grid")
     split = _Split(w, coupling, m)
     tables = lru_cache(maxsize=32)(lambda h: _etd_tables(split.lin, h))
-    qu = dens.uniform(m)
     record_times = np.unique(record.times(horizon)).tolist()
 
     qhat = q0.fourier.copy()
@@ -382,7 +360,7 @@ def integrate(
         out["t"].append(t)
         d = q.grid_values - 1.0  # the uniform state's values are exactly 1
         out["l2"].append(float(np.sqrt((d * d).mean())))
-        out["w2"].append(w2_circle(q, qu))
+        out["w2"].append(w2_circle(q))
         out["f"].append(free_energy(q, w, coupling))
         out["mass"].append(abs(float(qhat[0].real) - 1.0))
         for k in track_modes:

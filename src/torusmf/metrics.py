@@ -16,7 +16,13 @@ import numpy as np
 from .density import Density
 
 
-def _w2_to_uniform(q: Density) -> float:
+def w2_circle(q: Density) -> float:
+    """Quadratic Wasserstein distance on the circle between the density
+    ``q`` and the exactly uniform state.
+
+    W2^2 is the variance over t in [0, 1] of Q(t) - t, Q the quantile
+    function of ``q``, integrated exactly on its linear pieces.
+    """
     # with Qu(t) = t - 1/2 the offset cost is the mean square of
     # g(t) - alpha, g = Qq(t) - t, so W2^2 is the variance of g over [0, 1].
     # g is linear on the quantile's pieces: from g_j to g_{j+1} over a
@@ -29,18 +35,3 @@ def _w2_to_uniform(q: Density) -> float:
     g -= np.sum(lengths * (g[:-1] + g[1:])) / 2.0
     second = np.sum(lengths * (g[:-1] ** 2 + g[:-1] * g[1:] + g[1:] ** 2))
     return float(np.sqrt(max(second / 3.0, 0.0)))
-
-
-def w2_circle(p: Density, q: Density) -> float:
-    """Quadratic Wasserstein distance on the circle between a density and
-    the exactly uniform state, on either side.
-
-    W2^2 is the variance over t in [0, 1] of Q(t) - t, Q the non-uniform
-    side's quantile function, integrated exactly on its linear pieces.
-    Raises ``ValueError`` when neither side is exactly uniform.
-    """
-    if np.all(p.grid_values == 1.0):
-        return _w2_to_uniform(q)
-    if np.all(q.grid_values == 1.0):
-        return _w2_to_uniform(p)
-    raise ValueError("w2_circle needs one side exactly uniform")

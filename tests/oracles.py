@@ -16,8 +16,7 @@ from scipy.special import iv, ndtri
 from torusmf import density as dens
 from torusmf.critical import ANDERSON_DEPTH, SolveReport, _gibbs
 from torusmf.density import free_energy, fourier_to_grid, grid_to_fourier
-from torusmf.flow import (_PHI3_SERIES, _Split, _derivative, _etd_tables,
-                          _transport_symbols)
+from torusmf.flow import _PHI3_SERIES, _Split, _etd_tables
 from torusmf.particles import _cdf_nodes, _wrap
 from torusmf.potentials import k_sharp
 
@@ -414,13 +413,26 @@ def anderson_fixed_point(w, coupling, q0, tol=1e-12, max_iter=20000):
     ), rejected
 
 
+def transport_symbols(w, coupling, m):
+    """The rows of the flow's transport on the band k <= M/3 that the 2/3
+    rule keeps, built from ``density.kernel_spectrum`` alone: the mask
+    taking qhat to q, -K 2 pi i k what(k) taking it to the velocity
+    -K (W * q)', and the derivative 2 pi i k."""
+    k = np.arange(m // 2 + 1)
+    mask = (k <= m // 3).astype(float)
+    deriv = 2j * np.pi * k * mask
+    return np.stack((mask.astype(complex),
+                     -coupling * deriv * dens.kernel_spectrum(w, m), deriv))
+
+
 def unfolded_rest(qhat, w, coupling, m):
     """``flow._Split.rest``, N(q), through the public ``fourier_to_grid``
     and ``grid_to_fourier``, with the grid phase left in the transforms."""
-    rows = qhat * _transport_symbols(w, coupling, m)
+    syms = transport_symbols(w, coupling, m)
+    rows = qhat * syms[:2]
     rows[0, 0] -= 1.0
     qg, vg = fourier_to_grid(rows, m)
-    return _derivative(m) * grid_to_fourier(qg * vg)
+    return syms[2] * grid_to_fourier(qg * vg)
 
 
 def etd_tables(lin: np.ndarray, h: float) -> np.ndarray:
@@ -481,12 +493,13 @@ def bdf_flow(q0, w, coupling, horizon):
     T(q) = -2 pi i k K * FFT(q * (W*q)'), de-aliased, through the public
     transforms, and none of the library's exponential tables or step rules."""
     m = q0.grid_size
-    syms = _transport_symbols(w, coupling, m)
+    syms = transport_symbols(w, coupling, m)
+    rows, deriv = syms[:2], syms[2]
     heat = -2.0 * np.pi**2 * np.arange(m // 2 + 1, dtype=float) ** 2
 
     def rhs(t, qhat):
-        qg, vg = fourier_to_grid(qhat * syms, m)
-        return heat * qhat + _derivative(m) * grid_to_fourier(qg * vg)
+        qg, vg = fourier_to_grid(qhat * rows, m)
+        return heat * qhat + deriv * grid_to_fourier(qg * vg)
 
     sol = solve_ivp(rhs, (0.0, horizon), q0.fourier, method="BDF",
                     rtol=1e-12, atol=1e-14)

@@ -150,16 +150,12 @@ class TestBadValues:
                      id="argv8-whole number of steps"),
         pytest.param(["minimize", "do", "--K", "1", "--max-iter", "-3"],
                      "max_iter", id="argv9-max_iter"),
-        pytest.param(["scan", "do", "--tol-k", "0"], "tol_K",
-                     id="argv10-tol_K"),
         pytest.param(["verify", "--samples", "0"], "samples",
                      id="argv11-samples"),
         pytest.param(["verify", "--suite", "coercivity", "--samples", "0"],
                      "samples", id="argv12-samples"),
         pytest.param(["verify", "--suite", "loggas", "--samples", "-1"],
                      "samples", id="argv13-samples"),
-        pytest.param(["scan", "hk", "--R", "1", "--tol-k", "nan"], "tol_K",
-                     id="argv14-tol_K"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
@@ -232,10 +228,10 @@ class TestConfigAndReport:
         assert header[-1] == "map_applications"
         cols = [line.split(",") for line in lines[1:]]
         assert verdict["map_applications"] == sum(int(c[-1]) for c in cols)
-        # the rows are the K_# probe, the Newton steps and the two
-        # enclosure couplings
+        # the rows are the K_# probe, the Newton steps and the multistart
+        # at K_c - e
         assert verdict["newton_steps"] > 0
-        assert len(cols) == verdict["newton_steps"] + 3
+        assert len(cols) == verdict["newton_steps"] + 2
         out = capsys.readouterr().out
         assert f"{verdict['newton_steps']} Newton steps" in out
         for c in cols:
@@ -269,8 +265,7 @@ class TestSettings:
     RUNS = {
         "thresholds": ["thresholds", "transformer", "--beta", "3",
                        "--truncation", "64"],
-        "scan": ["scan", "do", "-M", "128", "--tol-k", "0.05",
-                 "--truncation", "64"],
+        "scan": ["scan", "do", "-M", "128", "--truncation", "64"],
         "minimize": ["minimize", "do", "--K", "supercritical", "-M", "128",
                      "--max-iter", "5000", "--truncation", "64"],
         "flow": ["flow", "do", "--K", "1.0", "--T", "0.2", "--dt", "2e-4",
@@ -310,7 +305,8 @@ class TestSettings:
         man = json.loads(
             (tmp_path / "scan_doi_onsager" / "manifest.json").read_text())
         assert man["config"] == {
-            "model": "do", "truncation": 64, "tol_k": 0.05, "grid_size": 128, "no_assert": False,
+            "model": "do", "truncation": 64, "grid_size": 128,
+            "no_assert": False,
             "out": str(tmp_path),
         }
 
@@ -362,6 +358,7 @@ class TestSettings:
         (["particles", "do", "--K", "0.5"], "workers"),
         (["scan", "do"], "k_lo"),
         (["scan", "do"], "k_hi"),
+        (["scan", "do"], "tol_k"),
     ])
     def test_unknown_config_key_is_rejected(self, verb, key, tmp_path, capsys):
         path = tmp_path / "cfg.json"

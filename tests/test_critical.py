@@ -11,7 +11,7 @@ from torusmf import critical
 from torusmf.critical import (_best_gap, _gibbs, _lu_solve, _map_exponent,
                               _scan_row, multistart, standard_seeds)
 from torusmf.density import (fourier_to_grid, free_energy, grid_to_fourier,
-                             kernel_spectrum, theta_grid)
+                             interaction_energy, kernel_spectrum, theta_grid)
 from torusmf.errors import EnclosureNotVerified, ExpOverflow
 
 from oracles import anderson_fixed_point, picard_fixed_point
@@ -316,9 +316,10 @@ class TestAttentionAboveKc:
         assert abs(pd.k_c_estimate - 0.37609388318365555) < 1e-12
 
     def test_benchmark_seeds_scan_within_170_maps(self, bench_scan):
-        # the K_# probe, four Newton steps and the two enclosure couplings:
-        # 163 maps (533 when a bisection stopped its solves at their first
-        # iterate below -TOL_F, 905 when every seed ran to the tolerance)
+        # the K_# probe, four Newton steps and the multistart at K_c - e:
+        # 154 maps (163 with a solve at K_c + e, 533 when a bisection
+        # stopped its solves at their first iterate below -TOL_F, 905 when
+        # every seed ran to the tolerance)
         pd = bench_scan
         assert sum(r.map_applications for r in pd.rows) <= 170
         assert pd.continuity == "discontinuous"
@@ -327,8 +328,8 @@ class TestAttentionAboveKc:
     def test_benchmark_seeds_scan_same_maps_at_every_roll(self, setup):
         # the map commutes with whole-cell rolls, so only rounding differs
         # between these scans; a guard that took rounding-level rises for
-        # rises made the bisection take 732 to 774 maps, and the bisection
-        # took 523 at the end
+        # rises made the bisection take 732 to 774 maps, the bisection took
+        # 523 at the end, and Newton with a solve at K_c + e 163
         w, seeds = setup
         counts = []
         for roll in (0, 1, 171, 256, 389):
@@ -336,7 +337,7 @@ class TestAttentionAboveKc:
                       for s in self.bench_seeds]
             pd = tm.scan_kc(w, m=512, tol_K=2e-4, seeds=rolled)
             counts.append(sum(r.map_applications for r in pd.rows))
-        assert len(set(counts)) == 1 and counts[0] <= 170, counts
+        assert len(set(counts)) == 1 and counts[0] <= 160, counts
 
     def test_first_row_is_the_k_sharp_probe(self, setup, bench_scan):
         # the probe's full multistart at K_#, 44 maps, gives the first row
@@ -436,8 +437,26 @@ NEWTON_IDS = ["transformer2.6", "transformer3", "transformer4", "hk0.5",
 
 class TestScan:
     @pytest.fixture(scope="class")
-    def newton_scans(self):
-        return [tm.scan_kc(w, m=m) for w, m, _, _ in NEWTON_TABLE]
+    def newton_runs(self):
+        # each scan of the table with its root state, the warm Newton solve
+        # at K_c (a multistart's solves carry a seed id)
+        warm = {}
+        real = critical.solve_fixed_point
+
+        def kept(w, coupling, q0, *args, **kwargs):
+            rep = real(w, coupling, q0, *args, **kwargs)
+            if "seed_id" not in kwargs:
+                warm[coupling] = rep
+            return rep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(critical, "solve_fixed_point", kept)
+            scans = [tm.scan_kc(w, m=m) for w, m, _, _ in NEWTON_TABLE]
+        return [(pd, warm[pd.k_c_estimate]) for pd in scans]
+
+    @pytest.fixture(scope="class")
+    def newton_scans(self, newton_runs):
+        return [pd for pd, _ in newton_runs]
 
     def test_rows_count_map_applications(self, do_kernel):
         seeds = standard_seeds(do_kernel, 128)[:2]
@@ -469,6 +488,10 @@ class TestScan:
         assert pd.k_c_estimate == pd.k_sharp == tm.k_sharp(w)[0]
         assert pd.bracket_width == 5e-3
         assert pd.newton_steps == 0 and len(pd.rows) == 1
+        # every seed's F is rounding at K_#, and ties in F go to the
+        # smaller order parameter: the uniform state's, not that of the
+        # seed whose F rounds lowest (1.3e-5 to 1.2e-4)
+        assert pd.jump_estimate == 0.0
         # the interval's ends: subcritical below, supercritical above
         lo, hi = (_best_gap(multistart(w, pd.k_sharp + d, 512, tol=1e-11))[0]
                   for d in (-2.5e-3, 2.5e-3))
@@ -480,7 +503,7 @@ class TestScan:
         for pd in newton_scans:
             iterates = [r.coupling for r in pd.rows[1:1 + pd.newton_steps]]
             assert pd.rows[0].coupling == pd.k_sharp
-            assert 3 <= len(iterates) == len(pd.rows) - 3
+            assert 3 <= len(iterates) == len(pd.rows) - 2
             assert all(a > b for a, b in
                        zip([pd.k_sharp] + iterates, iterates))
             assert iterates[-1] == pd.k_c_estimate
@@ -488,25 +511,38 @@ class TestScan:
             assert all(r.best_gap > 0.0 for r in pd.rows[:pd.newton_steps])
             assert abs(pd.rows[pd.newton_steps].best_gap) < 1e-13
             # the width covers the enclosure and the last step
-            e = pd.k_c_estimate - pd.rows[-2].coupling
+            e = pd.k_c_estimate - pd.rows[-1].coupling
             last_step = iterates[-2] - iterates[-1]
             assert pd.bracket_width == pytest.approx(2.0 * max(e, last_step),
                                                      rel=1e-6)
 
     @pytest.mark.parametrize("case", [0, 5], ids=["transformer2.6", "hk1.5"])
     def test_enclosure_holds(self, newton_scans, case):
-        # the full standard multistart at K_c - e finds no state below
-        # -TOL_F, and the warm solve at K_c + e reaches one
+        # the full standard multistart at K_c - e, the last row, finds no
+        # state below -TOL_F
         w, m, _, _ = NEWTON_TABLE[case]
         pd = newton_scans[case]
-        lo, hi = pd.rows[-2], pd.rows[-1]
+        lo = pd.rows[-1]
         e = pd.k_c_estimate - lo.coupling
         assert 0.0 < e < 1e-7
-        assert hi.coupling - pd.k_c_estimate == pytest.approx(e, rel=1e-6)
         full = multistart(w, lo.coupling, m, tol=1e-11)
         assert min(r.free_energy for r in full) >= -critical.TOL_F
         assert lo == _scan_row(lo.coupling, full)
-        assert hi.best_gap > critical.TOL_F and hi.n_seeds_converged == 1
+
+    @pytest.mark.parametrize("case", range(6), ids=NEWTON_IDS)
+    def test_root_state_is_supercritical_above_k_c(self, newton_runs, case):
+        # F is affine in K for a fixed density, so the root state itself
+        # shows F < -TOL_F at the enclosure's upper end, K_c + e:
+        # F_{K_c + e}(q_c) = F_c - e E(q_c) = F_c - 20 TOL_F
+        w = NEWTON_TABLE[case][0]
+        pd, root = newton_runs[case]
+        energy = interaction_energy(root.density, w)
+        e = 20.0 * critical.TOL_F / energy
+        assert pd.k_c_estimate - pd.rows[-1].coupling == pytest.approx(
+            e, rel=1e-6)
+        upper = free_energy(root.density, w, pd.k_c_estimate + e)
+        assert upper < -critical.TOL_F
+        assert abs(upper - (root.free_energy - e * energy)) < 1e-15
 
     @pytest.mark.parametrize("case", range(6), ids=NEWTON_IDS)
     def test_discontinuous_k_c_and_jump_match_the_newton_table(
@@ -554,6 +590,8 @@ class TestScan:
             maps = sum(r.map_applications for r in pd.rows)
             assert pd.continuity == "continuous"
             assert maps <= 85, (roll, maps)
+            # the uniform seed's state, whichever seed's F rounds lowest
+            assert pd.jump_estimate == 0.0, roll
 
     @pytest.mark.parametrize("tol_k", [0.0, -1e-3, float("nan")])
     def test_nonpositive_tol_k_rejected(self, do_kernel, tol_k,
@@ -565,20 +603,6 @@ class TestScan:
         monkeypatch.setattr(critical, "multistart", unreachable)
         with pytest.raises(ValueError, match="tol_K"):
             tm.scan_kc(do_kernel, m=128, tol_K=tol_k)
-
-    def test_unverified_enclosure_raises(self, monkeypatch):
-        # a solve at K_c + e that stays above -TOL_F leaves K_c unverified
-        w = tm.transformer(3.0)
-        above = tm.scan_kc(w, m=128).rows[-1].coupling
-        real = critical.solve_fixed_point
-
-        def stuck(w, coupling, *args, **kwargs):
-            rep = real(w, coupling, *args, **kwargs)
-            return replace(rep, free_energy=0.0) if coupling == above else rep
-
-        monkeypatch.setattr(critical, "solve_fixed_point", stuck)
-        with pytest.raises(EnclosureNotVerified, match=r"K_c \+ e"):
-            tm.scan_kc(w, m=128)
 
     def test_state_below_the_enclosure_restarts_newton(self, monkeypatch):
         # the first Newton descent reads F raised by 1e-6, so it stops at a
@@ -607,7 +631,7 @@ class TestScan:
         assert couplings[1] > true.k_c_estimate + 1e-7 > couplings[2]
         assert abs(pd.k_c_estimate - true.k_c_estimate) < 1e-11
         assert pd.newton_steps > true.newton_steps
-        assert len(pd.rows) == pd.newton_steps + 4
+        assert len(pd.rows) == pd.newton_steps + 3
         assert pd.jump_estimate == pytest.approx(true.jump_estimate,
                                                  abs=1e-9)
 

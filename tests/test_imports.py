@@ -210,3 +210,23 @@ def test_every_dataclass_field_is_read():
     # ``cmd_verify`` writes a SuiteReport whole, through its ``__dict__``
     assert unread_fields([p.read_text() for p in MODULES], USERS,
                          frozenset({"SuiteReport"})) == []
+
+
+def test_flow_oracles_build_their_own_symbols():
+    # the critical flow's oracles build their transport symbols from the
+    # kernel spectrum, so a wrong factor in the flow's symbols cannot move
+    # the flow and its oracle together; they take the step and its tables
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    taken = set()
+    for node in ast.walk(oracles):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {a.name for a in node.names}
+        module = getattr(node, "module", None)
+        if module == "torusmf.flow":
+            taken |= names
+        elif module == "torusmf":
+            assert "flow" not in names
+        else:
+            assert "torusmf.flow" not in names
+    assert taken == {"_PHI3_SERIES", "_etd_tables", "_Split"}
