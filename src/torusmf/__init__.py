@@ -26,13 +26,11 @@ from .density import (
     dual_dirichlet_sum,
     extremal,
     free_energy,
-    from_fourier,
     from_grid,
     interaction_energy,
     relative_entropy,
     uniform,
 )
-from .metrics import w2_circle
 from .potentials import (
     DecayReport,
     Potential,

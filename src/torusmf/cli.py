@@ -33,7 +33,8 @@ rejected (``steps``, ``rejected``), the smallest and largest accepted
 step (``step_min``, ``step_max``) and the exponential tables built
 (``tables``).  ``flow`` records about --records times:
 evenly spaced, or with --record geometric spaced geometrically from
-t = 0.01 to --T; the steps land on every record time.  ``report``
+t = 0.01 to --T; the steps land on every record time, and the records'
+observables are evaluated together once the run ends.  ``report``
 summarizes the verdicts, thresholds, flow trace metadata and particle
 reports under its --dir.  For models with a proven
 continuity class, ``thresholds`` and ``scan`` exit 1 when the computed

@@ -102,11 +102,16 @@ class Density:
         return theta_grid(self.grid_size)
 
     def order_parameter(self, k: int) -> float:
-        """|qhat(k)|, the amplitude of mode k.  At the Nyquist mode k = M/2
-        the stored coefficient holds both the +M/2 and -M/2 terms of the
-        sampled cosine, so it is halved there."""
-        amp = float(np.abs(self.fourier[abs(k)]))
-        return 0.5 * amp if abs(k) == self.grid_size // 2 else amp
+        """|qhat(k)|, the amplitude of mode k (see ``mode_amplitude``)."""
+        return float(mode_amplitude(self.fourier, k))
+
+
+def mode_amplitude(fourier: np.ndarray, k: int) -> np.ndarray:
+    """|qhat(k)| of half-spectra qhat(0..M/2), over the last axis.  At the
+    Nyquist mode k = M/2 the stored coefficient holds both the +M/2 and
+    -M/2 terms of the sampled cosine, so it is halved there."""
+    amp = np.abs(fourier[..., abs(k)])
+    return 0.5 * amp if abs(k) == fourier.shape[-1] - 1 else amp
 
 
 def validate_values(values: np.ndarray) -> np.ndarray:
@@ -156,22 +161,40 @@ def from_fourier(fourier: np.ndarray, m: int) -> "Density":
     fourier = np.asarray(fourier, dtype=complex)
     if fourier.shape != (m // 2 + 1,):
         raise ValueError("half-spectrum length must be M/2 + 1")
+    values, spectra = from_fourier_rows(fourier[None], m)
+    return Density(values[0], spectra[0])
+
+
+def from_fourier_rows(fourier: np.ndarray, m: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The grid values, shape (R, M), and spectra, shape (R, M/2 + 1), of
+    ``from_fourier`` of each row of the half-spectra ``fourier``, shape
+    (R, M/2 + 1), in one inverse transform.  Each row has the bits that
+    ``from_fourier`` gives it alone, and the first row whose clipped mass
+    exceeds CLIP_TOL raises ``PositivityLoss``."""
+    fourier = np.asarray(fourier, dtype=complex)
+    if fourier.ndim != 2 or fourier.shape[1] != m // 2 + 1:
+        raise ValueError("half-spectra must have shape (R, M/2 + 1)")
     if not np.all(np.isfinite(fourier)):
         raise NotFinite("Fourier coefficients contain NaN or inf")
     values = fourier_to_grid(fourier, m)
-    neg = values < 0.0
-    total = float(fourier[0].real)
-    if not neg.any() and abs(total - 1.0) <= 1e-15:
-        f = fourier.copy()
-        f[0] = 1.0
-        return Density(values / total, f)
-    clipped = -float(values[neg].sum()) / m
-    if clipped > CLIP_TOL:
-        raise PositivityLoss(
-            f"clipped negative mass {clipped:.3e} exceeds {CLIP_TOL:.0e}; "
-            "increase the grid resolution"
-        )
-    return from_grid(np.clip(values, 0.0, None))
+    total = fourier[:, :1].real
+    kept = ~(values < 0.0).any(axis=1, keepdims=True) & (
+        np.abs(total - 1.0) <= 1e-15)
+    spectra = fourier.copy()
+    spectra[:, 0] = 1.0
+    np.divide(values, total, out=values, where=kept)
+    for i in np.flatnonzero(~kept):
+        neg = values[i] < 0.0
+        clipped = -float(values[i][neg].sum()) / m
+        if clipped > CLIP_TOL:
+            raise PositivityLoss(
+                f"clipped negative mass {clipped:.3e} exceeds {CLIP_TOL:.0e}; "
+                "increase the grid resolution"
+            )
+        q = from_grid(np.clip(values[i], 0.0, None))
+        values[i], spectra[i] = q.grid_values, q.fourier
+    return values, spectra
 
 
 def uniform(m: int = 512) -> "Density":
@@ -218,15 +241,18 @@ def relative_entropy(q: Density) -> float:
     Evaluated as mean((1+u) log1p(u)) with u = q - 1, which keeps full
     precision for near-uniform states; zero cells contribute 0.
     """
-    v = q.grid_values
-    if np.any(v < -1e-12):
+    return float(_entropy(q.grid_values))
+
+
+def _entropy(values: np.ndarray) -> np.ndarray:
+    """``relative_entropy`` of grid values, over the last axis."""
+    if np.any(values < -1e-12):
         raise NegativeDensity("density has values below -1e-12")
-    u = v - 1.0
+    u = values - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = v * np.log1p(u)
-    terms[v == 0.0] = 0.0
-    h = float(terms.mean())
-    return h
+        terms = values * np.log1p(u)
+    terms[values == 0.0] = 0.0
+    return terms.mean(axis=-1)
 
 
 def dual_dirichlet_sum(q: Density, n: int) -> float:
@@ -249,9 +275,14 @@ def interaction_energy(q: Density, w) -> float:
     Parseval form 2 sum_{k>=1} what(k) |qhat(k)|^2 over the modes the grid
     resolves.
     """
-    wk = kernel_spectrum(w, q.grid_size)[1:]
-    amp2 = np.abs(q.fourier[1:]) ** 2
-    return float(2.0 * np.sum(wk * amp2))
+    return float(_interaction(q.fourier, w))
+
+
+def _interaction(fourier: np.ndarray, w) -> np.ndarray:
+    """``interaction_energy`` of half-spectra, over the last axis."""
+    wk = kernel_spectrum(w, 2 * (fourier.shape[-1] - 1))[1:]
+    amp2 = np.abs(fourier[..., 1:]) ** 2
+    return 2.0 * np.sum(wk * amp2, axis=-1)
 
 
 def free_energy(q: Density, w, coupling: float) -> float:
@@ -259,7 +290,14 @@ def free_energy(q: Density, w, coupling: float) -> float:
 
     Zero at the uniform state for every zero-mean kernel.
     """
-    return relative_entropy(q) - coupling * interaction_energy(q, w)
+    return float(free_energy_rows(q.grid_values, q.fourier, w, coupling))
+
+
+def free_energy_rows(values: np.ndarray, fourier: np.ndarray, w,
+                     coupling: float) -> np.ndarray:
+    """``free_energy`` of the densities with grid values ``values`` and
+    half-spectra ``fourier``, over the last axis."""
+    return _entropy(values) - coupling * _interaction(fourier, w)
 
 
 def kernel_spectrum(w, m: int) -> np.ndarray:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import torusmf as tm
+from torusmf import density as dens
 from torusmf import flow
 from torusmf.density import fourier_to_grid, theta_grid
-from torusmf.errors import BlowUp, DegenerateWindow
+from torusmf.errors import BlowUp, DegenerateWindow, PositivityLoss
 from torusmf.flow import (
     FlowTrace,
     RecordPolicy,
@@ -19,6 +20,7 @@ from torusmf.flow import (
     fit_rate,
     integrate,
 )
+from torusmf.metrics import w2_circle, w2_rows
 
 import oracles
 
@@ -41,6 +43,23 @@ def _c10_flow_side(horizon):
                      horizon, dt=1e-4,
                      record=RecordPolicy("uniform", 10, snapshot_every=10**9),
                      track_modes=[2], stop_residual=0.0)
+
+
+def _clipped_start_flow(w):
+    """The rod kernel at K = K_# / 2 from q0 = max(0, cos 2 pi theta)
+    normalised, M = 128, to t = 0.2 with 20 records: q0's zeros come back
+    from the inverse transform as 16 values down to -4.4e-16, so the first
+    record is clipped and renormalised."""
+    q0 = tm.from_grid(np.maximum(0.0, np.cos(2 * np.pi * theta_grid(128))))
+    return integrate(q0, w, 3 * np.pi / 8, 0.2, dt=1e-4,
+                     record=RecordPolicy("uniform", 20, snapshot_every=3),
+                     stop_residual=0.0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
 
 
 def _clustered_flow(w):
@@ -224,6 +243,123 @@ class TestStep:
             integrate(tm.cosine_profile({2: 0.2}, 256), do_kernel,
                       3 * np.pi / 8, 0.05, dt=1e-4,
                       record=RecordPolicy("uniform", 5), stop_residual=0.0)
+
+    def test_lost_positivity_raises_after_the_run(self, do_kernel,
+                                                  monkeypatch):
+        # the first step's new state is accepted with a mode-1 cosine of
+        # amplitude 4 added: mode 1 is inactive for this kernel and decays
+        # like exp(-2 pi^2 t), so the record at t = 0.01 is negative far
+        # beyond CLIP_TOL; the run still reaches all six records, and the
+        # record pass raises
+        real, calls, records = flow._Split.step, [], []
+
+        def poisoned(split, qhat, n0, tables):
+            out, n_out, change, err = real(split, qhat, n0, tables)
+            calls.append(None)
+            if len(calls) == 1:
+                out[1] += 2.0
+                err = 0.0
+            return out, n_out, change, err
+
+        def residual(split, qhat, nq):
+            records.append(None)
+            return 1.0
+
+        monkeypatch.setattr(flow._Split, "step", poisoned)
+        monkeypatch.setattr(flow._Split, "residual", residual)
+        with pytest.raises(PositivityLoss):
+            integrate(tm.cosine_profile({2: 0.2}, 256), do_kernel,
+                      3 * np.pi / 8, 0.05, dt=1e-4,
+                      record=RecordPolicy("uniform", 5), stop_residual=0.0)
+        assert len(records) == 6
+
+
+class TestRecordPass:
+    """``integrate`` evaluates its records' observables once, on the
+    stacked record states, after the run."""
+
+    @pytest.mark.parametrize("run, kernel, block", [
+        (_critical_flow, tm.doi_onsager, flow.RECORD_BLOCK),
+        # 11 blocks of 10 records, the last of 5, across the snapshots
+        (_critical_flow, tm.doi_onsager, 10 * 128),
+        (lambda w: _c10_flow_side(5.0),
+         lambda: tm.doi_onsager(truncation=128), flow.RECORD_BLOCK),
+        (_clipped_start_flow, tm.doi_onsager, flow.RECORD_BLOCK),
+    ], ids=["critical", "critical_in_blocks", "c10_flow_side",
+            "clipped_start"])
+    def test_records_match_the_single_density_functions(self, run, kernel,
+                                                        block, monkeypatch):
+        # each record rebuilt alone from the state that the stationarity
+        # check saw, with the single-density functions, gives the trace's
+        # bits
+        real, states = flow._Split.residual, []
+
+        def logged(split, qhat, nq):
+            states.append(qhat.copy())
+            return real(split, qhat, nq)
+
+        monkeypatch.setattr(flow._Split, "residual", logged)
+        monkeypatch.setattr(flow, "RECORD_BLOCK", block)
+        w = kernel()
+        tr = run(w)
+        m, coupling = tr.meta["grid_size"], tr.meta["coupling"]
+        qs = [tm.density.from_fourier(qhat, m) for qhat in states]
+        assert len(qs) == len(tr.times)
+        l2 = [np.sqrt(((q.grid_values - 1.0) ** 2).mean()) for q in qs]
+        assert _same_bits(tr.l2, l2)
+        assert _same_bits(tr.w2, [w2_circle(q) for q in qs])
+        assert _same_bits(tr.free_energy,
+                          [tm.free_energy(q, w, coupling) for q in qs])
+        assert _same_bits(tr.mass_defect,
+                          [abs(qhat[0].real - 1.0) for qhat in states])
+        for k, amps in tr.mode_abs.items():
+            assert _same_bits(amps, [q.order_parameter(k) for q in qs])
+        for t, snap in zip(tr.snapshot_times, tr.snapshots):
+            q = qs[tr.times.tolist().index(t)]
+            assert _same_bits(snap.grid_values, q.grid_values)
+            assert _same_bits(snap.fourier, q.fourier)
+
+    def test_a_row_of_a_stack_matches_the_single_density_call(self, do_kernel,
+                                                              rng):
+        # rows of a stack, and a one-row stack, against the 1-D calls
+        m = 64
+        noise = rng.normal(0.0, 0.3, (4, m))
+        qs = [tm.from_grid(np.exp(row)) for row in noise]
+        qs.append(tm.from_grid(np.maximum(0.0, np.cos(
+            2 * np.pi * theta_grid(m)))))  # from_fourier clips this one
+        raw = np.stack([q.fourier for q in qs])
+        raw[1] *= 1.0 + 1e-14  # off unit mass: renormalised
+        for rows in (raw, raw[:1]):
+            values, spectra = dens.from_fourier_rows(rows, m)
+            energies = dens.free_energy_rows(values, spectra, do_kernel, 1.3)
+            w2s = w2_rows(values)
+            for i, qhat in enumerate(rows):
+                q = dens.from_fourier(qhat, m)
+                assert _same_bits(values[i], q.grid_values)
+                assert _same_bits(spectra[i], q.fourier)
+                assert _same_bits(energies[i],
+                                  tm.free_energy(q, do_kernel, 1.3))
+                assert _same_bits(w2s[i], w2_circle(q))
+                for k in (1, 2, m // 2):
+                    assert _same_bits(dens.mode_amplitude(spectra, k)[i],
+                                      q.order_parameter(k))
+
+    def test_critical_flow_transforms_its_records_once(self, do_kernel,
+                                                       monkeypatch):
+        # one inverse transform a state check (every 200 steps) and one a
+        # block of records (64 at M = 128, so two for the 105), not one a
+        # record
+        real, calls = dens.fourier_to_grid, []
+
+        def counted(fourier, m):
+            calls.append(fourier.shape)
+            return real(fourier, m)
+
+        monkeypatch.setattr(dens, "fourier_to_grid", counted)
+        monkeypatch.setattr(flow, "fourier_to_grid", counted)
+        tr = _critical_flow(do_kernel)
+        assert len(tr.times) == 105
+        assert len(calls) <= tr.meta["steps"] // 200 + 2
 
 
 class TestResidual:
@@ -491,7 +627,7 @@ class TestIntegrate:
         m = 128
         q0 = tm.cosine_profile({2: 0.3}, m)
         tr = _critical_flow(do_kernel)
-        ref = tm.w2_circle(oracles.bdf_flow(q0, do_kernel, 3 * np.pi / 4,
+        ref = w2_circle(oracles.bdf_flow(q0, do_kernel, 3 * np.pi / 4,
                                             20.0))
         assert tr.meta["steps"] <= 1500
         assert abs(tr.w2[-1] - ref) < 5e-5 * ref

@@ -7,6 +7,7 @@ import pytest
 import torusmf as tm
 from torusmf.density import theta_grid
 from torusmf.flow import RecordPolicy, integrate
+from torusmf.metrics import w2_circle
 
 import oracles
 
@@ -55,7 +56,7 @@ class TestL2:
 class TestW2Circle:
     def test_uniform_vs_peak_bound(self):
         q = tm.extremal(0.99, 0, 0.0, 512)
-        d = tm.w2_circle(q)
+        d = w2_circle(q)
         assert d <= 1 / np.sqrt(12) + 0.05
         assert d > 0.2
 
@@ -80,7 +81,7 @@ class TestW2Circle:
         ds = []
         for eps in (1e-2, 1e-3):
             q = tm.from_grid(1 + eps * np.cos(2 * np.pi * theta_grid(512)))
-            ds.append(tm.w2_circle(q))
+            ds.append(w2_circle(q))
         assert abs(ds[0] / ds[1] - 10.0) < 0.1
 
     def test_uniform_closed_form_matches_brent(self, rng):
@@ -92,8 +93,8 @@ class TestW2Circle:
             q = (random_density(rng, m) if i % 2
                  else step_density(rng, m, 0.0 if i % 4 else 0.3))
             ref = oracles.w2_circle_brent(q, tm.uniform(m))
-            assert abs(tm.w2_circle(q) - ref) < 1e-12 * ref
-        assert tm.w2_circle(tm.uniform(64)) == 0.0
+            assert abs(w2_circle(q) - ref) < 1e-12 * ref
+        assert w2_circle(tm.uniform(64)) == 0.0
 
     @pytest.mark.parametrize("m, k", [(64, 3), (128, 2), (512, 1)])
     def test_uniform_closed_form_matches_the_linear_value(self, m, k):
@@ -110,7 +111,7 @@ class TestW2Circle:
             for shift in (0.0, 0.3):
                 q = tm.from_grid(1 + eps * np.cos(
                     2 * np.pi * k * (theta_grid(m) - shift)))
-                got = tm.w2_circle(q)
+                got = w2_circle(q)
                 assert abs(got / lin - 1) < 1e-15 / eps
 
 
