@@ -146,7 +146,9 @@ def solve_fixed_point(
     included, and ``rejected`` the dropped ones, mixed or extrapolated.
     Non-convergence within ``max_iter`` >= 1 map applications is reported
     in the ``converged`` flag, not raised.  The order parameter is |qhat|
-    at the mode of the largest what(k) (``k_sharp``'s mode, if any).
+    at the mode of the largest what(k) (``k_sharp``'s mode, if any); a
+    grid whose M/2 lies below that mode is a ValueError, raised before the
+    first map application, as the grid's spectrum would leave it out.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -154,6 +156,9 @@ def solve_fixed_point(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     m = q0.grid_size
     mode = int(np.argmax(w.coeffs)) + 1
+    if mode > m // 2:
+        raise ValueError(f"the kernel's sharp mode {mode} lies above the "
+                         f"grid's M/2 = {m // 2}, beyond the modes it solves")
     wk2 = 2.0 * coupling * dens.kernel_spectrum(w, m)
     # ring buffers of the secant differences of the residual f = g(u) - u
     # and of g, and the Gram matrix of the f differences

@@ -26,7 +26,7 @@ octave, whose tables the run keeps, and land on the record times in one
 cut step or two equal ones, which share a table.  The loop keeps each
 record's time and state; once it ends, the records' observables are
 evaluated in one pass over the states stacked on a leading axis, with the
-functionals of ``density`` and ``metrics``.
+functionals of ``density``.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import density as dens
 from .density import Density, fourier_to_grid, irfft_kernel, rfft_kernel
 from .errors import BlowUp, DegenerateWindow
-from .metrics import w2_rows
 
 #: L^2 norm of the error estimate that an accepted step may reach
 STEP_TOL = 1e-8
@@ -272,7 +272,7 @@ def integrate(
     1.6 MB for 401 records at M = 512.  After the last step the records'
     observables are evaluated on the states stacked on a leading axis, up
     to ``RECORD_BLOCK`` grid values at a time (``density.from_fourier_rows``,
-    ``free_energy_rows``, ``mode_amplitude`` and ``metrics.w2_rows``), with
+    ``free_energy_rows``, ``mode_amplitude`` and ``w2_rows``), with
     the bits of the single-density functions on each record.  As that pass
     follows the run, a record state that lost positivity beyond
     ``density.CLIP_TOL`` raises ``PositivityLoss`` after the last step, not
@@ -391,7 +391,7 @@ def integrate(
         values, spectra = dens.from_fourier_rows(raw, m)
         # the uniform state's values are exactly 1
         l2[block] = np.sqrt(np.square(values - 1.0).mean(axis=1))
-        w2[block] = w2_rows(values)
+        w2[block] = dens.w2_rows(values)
         energy[block] = dens.free_energy_rows(values, spectra, w, coupling)
         mass[block] = np.abs(raw[:, 0].real - 1.0)
         for k, amps in mode_abs.items():
@@ -440,15 +440,16 @@ class RateFit:
     n_points: int
 
 
-def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
-    if len(x) < 3:
-        return 0.0
-    slope, icpt = np.polyfit(x, y, 1)
-    resid = y - (slope * x + icpt)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        return 1.0
-    return 1.0 - float(np.sum(resid**2)) / sst
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope and R^2 of y against x over the last axis, from
+    the centred sums; R^2 is 1 where y is constant."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    yc = y - y.mean(axis=-1, keepdims=True)
+    slope = np.sum(xc * yc, axis=-1) / np.sum(xc * xc, axis=-1)
+    sst = np.sum(yc * yc, axis=-1)
+    sse = np.sum((yc - slope[..., None] * xc) ** 2, axis=-1)
+    r2 = 1.0 - np.divide(sse, sst, out=np.zeros_like(sst), where=sst != 0.0)
+    return slope, r2
 
 
 def fit_rate(trace: FlowTrace, model: str = "exponential") -> RateFit:
@@ -458,7 +459,8 @@ def fit_rate(trace: FlowTrace, model: str = "exponential") -> RateFit:
     against log(t), rate = slope (the exponent).  The fit window is the
     latest contiguous span whose rolling local fits keep R^2 above 0.999,
     so early transients and a late noise floor drop out; it is reported
-    in ``RateFit.window``.  Values at or below 1e-13 are left out as
+    in ``RateFit.window``.  The local fits run on every window at once,
+    stacked on a leading axis.  Values at or below 1e-13 are left out as
     rounding noise.
     """
     t, y = trace.times, trace.w2
@@ -471,29 +473,25 @@ def fit_rate(trace: FlowTrace, model: str = "exponential") -> RateFit:
         raise ValueError("model must be 'exponential' or 'algebraic'")
     z = np.log(y)
     wlen = max(7, len(x) // 10)
-    good = np.array([
-        _r_squared(x[i:i + wlen], z[i:i + wlen]) > 0.999
-        for i in range(len(x) - wlen + 1)
-    ])
+    _, r2 = _line(sliding_window_view(x, wlen), sliding_window_view(z, wlen))
+    good = r2 > 0.999
     if not good.any():
         raise DegenerateWindow("no log-linear span in the trace")
     # latest contiguous run of locally linear windows (skips both the
     # early transient and any late noise floor)
     end = len(good) - 1 - int(np.argmax(good[::-1]))
-    begin = end
-    while begin > 0 and good[begin - 1]:
-        begin -= 1
+    bad = np.flatnonzero(~good[:end])
+    begin = int(bad[-1]) + 1 if bad.size else 0
     sl = slice(begin, end + wlen)
     t, x, z = t[sl], x[sl], z[sl]
     if len(x) < 20:
         raise DegenerateWindow(f"log-linear span has only {len(x)} points")
-    slope, _ = np.polyfit(x, z, 1)
-    r2 = _r_squared(x, z)
+    slope, r2 = _line(x, z)
     rate = -float(slope) if model == "exponential" else float(slope)
     return RateFit(
         window=(float(t[0]), float(t[-1])),
         model=model,
         rate=rate,
-        goodness=r2,
+        goodness=float(r2),
         n_points=len(x),
     )

@@ -156,6 +156,12 @@ class TestBadValues:
                      "samples", id="argv12-samples"),
         pytest.param(["verify", "--suite", "loggas", "--samples", "-1"],
                      "samples", id="argv13-samples"),
+        pytest.param(["minimize", "custom", "--coeffs",
+                      "0.1,0,0,0,0,0,0,0,0.5", "--K", "0.5", "-M", "8"],
+                     "sharp mode 9", id="sharp-mode-above-half-the-grid"),
+        pytest.param(["scan", "custom", "--coeffs", "0.1,0,0,0,0,0,0,0,0.5",
+                      "-M", "8"], "sharp mode 9",
+                     id="scan-sharp-mode-above-half-the-grid"),
     ])
     def test_is_a_usage_error(self, argv, message, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path)])
@@ -173,6 +179,15 @@ class TestVerify:
         rec = json.loads(
             (tmp_path / "verify_loggas" / "verify_report.json").read_text())
         assert rec["loggas_stationary_residual"] <= 1e-14
+
+    def test_coercivity_suite(self, tmp_path, capsys):
+        code = main(["verify", "--suite", "coercivity", "--samples", "5",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "violations: 0" in capsys.readouterr().out
+        rec = json.loads((tmp_path / "verify_coercivity"
+                          / "verify_report.json").read_text())
+        assert rec["coercivity_identity_worst"] <= 1e-9
 
     def test_inequality_small_sample(self, tmp_path):
         code = main(["verify", "--suite", "inequality", "--n", "0",

@@ -12,7 +12,7 @@ from torusmf.critical import (_best_gap, _gibbs, _lu_solve, _map_exponent,
                               _scan_row, multistart, standard_seeds)
 from torusmf.density import (fourier_to_grid, free_energy, grid_to_fourier,
                              interaction_energy, kernel_spectrum, theta_grid)
-from torusmf.errors import EnclosureNotVerified, ExpOverflow
+from torusmf.errors import AllSeedsFailed, EnclosureNotVerified, ExpOverflow
 
 from oracles import anderson_fixed_point, picard_fixed_point
 
@@ -231,6 +231,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iter"):
             tm.solve_fixed_point(do_kernel, 1.0, tm.uniform(64), max_iter=0)
 
+    def test_sharp_mode_above_half_the_grid_rejected(self, monkeypatch):
+        # the grid's spectrum stops at M/2 = 32, so the solve would never
+        # see the sharp mode 300; it is refused before any map application
+        def no_map(*args):
+            raise AssertionError("the map was applied")
+
+        monkeypatch.setattr(critical, "_map_exponent", no_map)
+        w = tm.custom_potential([0.1] + [0.0] * 298 + [0.5])
+        with pytest.raises(ValueError, match="sharp mode 300.*M/2 = 32"):
+            tm.solve_fixed_point(w, 1.0, tm.uniform(64))
+
     @pytest.fixture(scope="class")
     def degenerate(self, do_kernel):
         # at K_# = 3 pi/4 the map's linear rate is 1
@@ -404,6 +415,12 @@ class TestFindMinimizer:
         best, _ = tm.find_minimizer(w, 0.97 * ks, m=512)
         assert best.order_parameter > 0.1
         assert best.free_energy < 0.0
+
+    def test_no_converged_seed_raises(self, do_kernel):
+        # one map application cannot reach residual 1e-12 from a cosine seed
+        seeds = [("cos", tm.cosine_profile({2: 0.6}, 256))]
+        with pytest.raises(AllSeedsFailed, match=r"K=1\.5 within 1 iter"):
+            tm.find_minimizer(do_kernel, 1.5, m=256, seeds=seeds, max_iter=1)
 
     def test_seed_off_the_grid_rejected(self, do_kernel):
         seeds = standard_seeds(do_kernel, 512)[:2]

@@ -11,7 +11,7 @@ import pytest
 import torusmf as tm
 from torusmf import density as dens
 from torusmf import flow
-from torusmf.density import fourier_to_grid, theta_grid
+from torusmf.density import fourier_to_grid, theta_grid, w2_circle, w2_rows
 from torusmf.errors import BlowUp, DegenerateWindow, PositivityLoss
 from torusmf.flow import (
     FlowTrace,
@@ -20,7 +20,6 @@ from torusmf.flow import (
     fit_rate,
     integrate,
 )
-from torusmf.metrics import w2_circle, w2_rows
 
 import oracles
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import torusmf as tm
-from torusmf.density import theta_grid
+from torusmf.density import theta_grid, w2_circle
 from torusmf.flow import RecordPolicy, integrate
-from torusmf.metrics import w2_circle
 
 import oracles
 

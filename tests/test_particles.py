@@ -462,6 +462,15 @@ class TestChaos:
         assert arrays
         assert all(a.base is None and a.dtype == float for a in arrays)
 
+    def test_sharp_mode_past_the_default_modes_is_tracked(self):
+        # K_# = 1 at the sharp mode 5, while the lead mode 1 gives the
+        # default modes 1..4
+        w = tm.custom_potential([0.05, 0, 0, 0, 0.5])
+        rep = chaos_check(w, 0.5, n=200, horizon=0.01, replicates=2,
+                          m_pde=64)
+        assert rep.mode == 5
+        assert all(5 in t.mode_abs for t in rep.trajectories)
+
     def test_q0_grid_must_match_flow_grid(self, do128):
         q0 = tm.cosine_profile({2: 0.2}, 256)
         with pytest.raises(ValueError, match="m_pde"):
